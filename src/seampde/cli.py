@@ -74,7 +74,6 @@ class RunConfig:
     f: str | None = None
     out: str = "out"
     snapshots_path: str | None = None
-    threads: int | None = None
     large: bool = False
     repeats: int = 3
 
@@ -130,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--snapshots", dest="snapshots_path",
                         help="reuse a stored snapshot file instead of running hifi")
-    parser.add_argument("--threads", type=int, help="worker cap for segment processing")
     parser.add_argument("--large", action="store_true",
                         help="allow the full-size 3D preset (m=32)")
     parser.add_argument("--repeats", type=int, default=3, help="bench repetitions")
@@ -141,8 +139,8 @@ def config_from_args(args) -> RunConfig:
     return RunConfig(
         mode=args.mode, scenario=args.scenario, config_path=args.config,
         m=args.m, tau=args.tau, big_t=args.big_t, n=args.n, f=args.f,
-        out=args.out, snapshots_path=args.snapshots_path, threads=args.threads,
-        large=args.large, repeats=args.repeats,
+        out=args.out, snapshots_path=args.snapshots_path, large=args.large,
+        repeats=args.repeats,
     )
 
 
@@ -191,6 +189,11 @@ def _obtain_snapshots(problem: ProblemSpec, disc: Discretization,
             raise ValueError(
                 f"snapshot file has {snapshots.num_dofs} dofs, problem has "
                 f"{disc.mesh.num_interior}"
+            )
+        if snapshots.tau != problem.tau:
+            raise ValueError(
+                f"snapshot file has tau {snapshots.tau!r}, problem has "
+                f"{problem.tau!r}"
             )
         return snapshots
     start = time.perf_counter()
@@ -243,8 +246,7 @@ def _reduce(snapshots: SnapshotMatrix, disc: Discretization, segment_steps: int,
             config: RunConfig, summary: RunSummary):
     start = time.perf_counter()
     solution = run_parallel_seam(snapshots, disc.mass, disc.stiffness, disc.load,
-                                 segment_steps=segment_steps,
-                                 threads=config.threads)
+                                 segment_steps=segment_steps)
     summary.offline_seconds = time.perf_counter() - start
     start = time.perf_counter()
     for model in solution.models:
@@ -254,16 +256,6 @@ def _reduce(snapshots: SnapshotMatrix, disc: Discretization, segment_steps: int,
     summary.lambda0_first = lam0[0]
     summary.lambda0_last = lam0[-1]
     return solution
-
-
-def _spectra_of(solution: SeamSolution, snapshots: SnapshotMatrix,
-                segment_steps: int):
-    from seampde.pod import eig_descending, gram
-
-    cols = segment_steps + 1
-    for k in range(solution.num_segments):
-        yield eig_descending(
-            gram(snapshots.data[:, k * cols:(k + 1) * cols]), segment=k)
 
 
 def execute(config: RunConfig) -> RunSummary:
@@ -309,7 +301,7 @@ def execute(config: RunConfig) -> RunSummary:
             summary.error_l2 = None
         save_seam(solution, outdir / "seam.bin")
         export_segment_metadata(solution, outdir / "segments.csv")
-        export_spectra_csv(_spectra_of(solution, snapshots, segment_steps),
+        export_spectra_csv([model.spectrum for model in solution.models],
                            outdir / "eigenvalues.csv", head=5)
         _write_error_csv(outdir / "error.csv", snapshots, solution, disc.mass)
         _write_slices(outdir, disc, snapshots, solution)
@@ -332,8 +324,7 @@ def _run_bench(problem, disc, config, summary, outdir) -> RunSummary:
         hifi_samples.append(time.perf_counter() - start)
     offline_start = time.perf_counter()
     solution = run_parallel_seam(snapshots, disc.mass, disc.stiffness, disc.load,
-                                 segment_steps=problem.segment_steps,
-                                 threads=config.threads)
+                                 segment_steps=problem.segment_steps)
     offline_seconds = time.perf_counter() - offline_start
     online_samples = []
     for _ in range(config.repeats):

@@ -35,7 +35,7 @@ class SolverFailure(SeamError):
 
 
 class StagnationError(SeamError):
-    """Power iteration failed to converge within its iteration cap."""
+    """An iteration (power or Jacobi) failed to converge within its cap."""
 
 
 class DegenerateSnapshotError(SeamError):

@@ -1,11 +1,13 @@
 """Gram-matrix eigenanalysis and rank-1 POD basis extraction.
 
-The eigensolver is a cyclic Jacobi iteration on the (n+1)x(n+1) Gram
-matrix of a snapshot block; snapshot counts stay small (n <= 1000 in
-every built-in scenario) so a full decomposition is cheap. Rotations
-below an absolute threshold tied to the matrix scale are skipped, which
-makes sweeps on near-rank-1 Gram matrices essentially free after the
-first pass.
+`eig_descending` solves the (n+1)x(n+1) Gram matrix of a snapshot block
+with LAPACK's symmetric solver; snapshot counts stay small (n <= 1000 in
+every built-in scenario) so a full decomposition is cheap. `jacobi_eigh`,
+a cyclic Jacobi iteration, is kept as the reference solver that the
+tests and the Hoffman-Wielandt checks compare against. Rotations below
+an absolute threshold tied to the matrix scale are skipped, which makes
+sweeps on near-rank-1 Gram matrices essentially free after the first
+pass.
 """
 
 from __future__ import annotations
@@ -16,19 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seampde.errors import DegenerateSnapshotError
+from seampde.errors import DegenerateSnapshotError, StagnationError
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
+_MAX_SWEEPS = 50
 
 
-def _jacobi_kernel(a, v, tol):
+def _jacobi_kernel(a, v, tol, max_sweeps):
+    """Rotate `a` towards diagonal in place; True if the last sweep still rotated."""
     n = a.shape[0]
     sweeps = 0
     rotated = True
-    while rotated and sweeps < 50:
+    while rotated and sweeps < max_sweeps:
         rotated = False
         sweeps += 1
         for p in range(n - 1):
@@ -61,18 +61,15 @@ def _jacobi_kernel(a, v, tol):
                     vkq = v[k, q]
                     v[k, p] = c * vkp - s * vkq
                     v[k, q] = s * vkp + c * vkq
-    return sweeps
-
-
-if njit is not None:
-    _jacobi_kernel = njit(cache=True)(_jacobi_kernel)
+    return rotated
 
 
 def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full symmetric eigendecomposition by cyclic Jacobi rotations.
 
     Returns (eigenvalues, eigenvectors) in descending eigenvalue order;
-    column j of the eigenvector matrix belongs to eigenvalue j.
+    column j of the eigenvector matrix belongs to eigenvalue j. Raises
+    StagnationError if rotations are still pending after _MAX_SWEEPS sweeps.
     """
     a = np.array(matrix, dtype=float, order="C")
     n = a.shape[0]
@@ -80,8 +77,9 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"matrix must be square, got {a.shape}")
     v = np.eye(n)
     scale = np.linalg.norm(a)
-    if scale > 0.0:
-        _jacobi_kernel(a, v, 1e-15 * scale)
+    if scale > 0.0 and _jacobi_kernel(a, v, 1e-15 * scale, _MAX_SWEEPS):
+        raise StagnationError(
+            f"Jacobi rotations still pending after {_MAX_SWEEPS} sweeps")
     values = np.diag(a).copy()
     order = np.argsort(values)[::-1]
     return values[order], v[:, order]
@@ -126,16 +124,22 @@ def eig_descending(x: np.ndarray, k: int | None = None,
                    segment: int | None = None) -> GramSpectrum:
     """Descending eigenvalues of a symmetric matrix, clamped at zero.
 
-    Asymmetry beyond 1e-10 relative is rejected; eigenvalues below
-    -1e-12 * trace are treated as a numerical fault rather than clamped.
+    Non-finite entries and asymmetry beyond 1e-10 relative are rejected;
+    eigenvalues below -1e-12 * trace are treated as a numerical fault
+    rather than clamped.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ValueError(f"matrix must be square, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("matrix has non-finite entries")
     scale = np.abs(x).max() if x.size else 0.0
     if scale > 0 and np.abs(x - x.T).max() > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
     if k is not None and not 1 <= k <= x.shape[0]:
         raise ValueError(f"k must be in 1..{x.shape[0]}, got {k}")
-    values, vectors = jacobi_eigh(x)
+    values, vectors = np.linalg.eigh(x)
+    values, vectors = values[::-1], vectors[:, ::-1]
     floor = -1e-12 * max(np.trace(x), 0.0)
     if values.min(initial=0.0) < floor:
         raise ValueError(

@@ -9,7 +9,6 @@ run costs O(1) work per step instead of a linear solve.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from seampde.assembly import LoadVector, SymmetricSparseOperator
 from seampde.errors import SegmentationError
 from seampde.hifi import SnapshotMatrix, save_snapshots
-from seampde.pod import PodBasis, eig_descending, gram, pod_basis
+from seampde.pod import GramSpectrum, PodBasis, eig_descending, gram, pod_basis
 
 
 @dataclass(frozen=True)
@@ -30,6 +29,7 @@ class SeamModel:
     load_coeff: float | np.ndarray  # beta' F, per step when the source varies
     alpha0: float
     tau: float
+    spectrum: GramSpectrum | None = None  # the Gram spectrum beta came from
 
     def __post_init__(self):
         if not self.system_coeff > 0 or not self.mass_coeff > 0:
@@ -96,7 +96,8 @@ def seam_offline(segment_data: np.ndarray, mass: SymmetricSparseOperator,
     mass_coeff = float(beta @ (mass.matrix @ beta))
     load_coeff = float(beta @ _load_values(load))
     alpha0 = float(beta @ segment_data[:, 0])
-    return SeamModel(basis, system_coeff, mass_coeff, load_coeff, alpha0, tau)
+    return SeamModel(basis, system_coeff, mass_coeff, load_coeff, alpha0, tau,
+                     spectrum)
 
 
 def seam_online(model: SeamModel, steps: int) -> np.ndarray:
@@ -116,13 +117,10 @@ def seam_online(model: SeamModel, steps: int) -> np.ndarray:
 
 def run_parallel_seam(snapshots: SnapshotMatrix, mass: SymmetricSparseOperator,
                       stiffness: SymmetricSparseOperator, load,
-                      segment_steps: int | None = None,
-                      threads: int | None = None) -> SeamSolution:
+                      segment_steps: int | None = None) -> SeamSolution:
     """Reduce every segment of a snapshot matrix independently.
 
     The column count must be an exact multiple of segment_steps+1.
-    Segments share no mutable state, so they may run on worker threads;
-    results are identical for any thread count.
     """
     if segment_steps is None:
         if snapshots.problem is None:
@@ -137,20 +135,11 @@ def run_parallel_seam(snapshots: SnapshotMatrix, mass: SymmetricSparseOperator,
         )
     segments = total // cols
     tau = snapshots.tau
-
-    def reduce_segment(k: int) -> tuple[SeamModel, np.ndarray]:
-        block = snapshots.data[:, k * cols:(k + 1) * cols]
-        model = seam_offline(block, mass, stiffness, load, tau, segment_id=k)
-        return model, seam_online(model, segment_steps)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(reduce_segment, range(segments)))
-    else:
-        results = [reduce_segment(k) for k in range(segments)]
-
-    models = tuple(r[0] for r in results)
-    alphas = np.vstack([r[1] for r in results])
+    models = tuple(
+        seam_offline(snapshots.data[:, k * cols:(k + 1) * cols], mass,
+                     stiffness, load, tau, segment_id=k)
+        for k in range(segments))
+    alphas = np.vstack([seam_online(model, segment_steps) for model in models])
     return SeamSolution(models, alphas, tau)
 
 

@@ -1,9 +1,12 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from seampde import pod
 from seampde.cli import RunConfig, execute, main, resolve_problem
+from seampde.hifi import SnapshotMatrix, load_snapshots, save_snapshots
 
 
 def run_cli(*argv):
@@ -117,6 +120,73 @@ def test_snapshot_reuse_dof_mismatch(tmp_path):
     assert run_cli("--config", str(path), "--mode", "seam",
                    "--out", str(tmp_path / "out2"),
                    "--snapshots", str(out / "snapshots.bin")) == 2
+
+
+def test_snapshot_reuse_tau_mismatch(tmp_path):
+    cfg = {
+        "name": "mini", "dimension": 1, "alpha": ["1"], "c": "0", "f": "0",
+        "u0": "x", "tau": 0.001, "T": 0.01, "m": 6,
+        "segment_steps": 10, "segment_count": 1,
+    }
+    path = tmp_path / "mini.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli("--config", str(path), "--mode", "hifi", "--out", str(out)) == 0
+    # same column count and dofs, only the time step differs
+    assert run_cli("--config", str(path), "--mode", "seam", "--tau", "0.002",
+                   "--out", str(tmp_path / "out2"),
+                   "--snapshots", str(out / "snapshots.bin")) == 2
+    assert not (tmp_path / "out2" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["eigs", "parallel-seam"])
+def test_non_finite_snapshots_exit_2(tmp_path, mode):
+    cfg = {
+        "name": "mini", "dimension": 1, "alpha": ["1"], "c": "0", "f": "0",
+        "u0": "sin(pi*x)", "tau": 0.001, "T": 0.029, "m": 8,
+        "segment_steps": 9, "segment_count": 3,
+    }
+    path = tmp_path / "mini.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "hifi"
+    assert run_cli("--config", str(path), "--mode", "hifi", "--out", str(out)) == 0
+    stored = load_snapshots(out / "snapshots.bin")
+    data = stored.data.copy()
+    data[3, 15] = np.nan
+    poisoned = tmp_path / "poisoned.bin"
+    save_snapshots(SnapshotMatrix(data, stored.tau), poisoned)
+    result = tmp_path / mode
+    assert run_cli("--config", str(path), "--mode", mode, "--out", str(result),
+                   "--snapshots", str(poisoned)) == 2
+    assert not (result / "report.json").exists()
+    assert not (result / "summary.json").exists()
+
+
+def test_parallel_seam_solves_each_segment_once(tmp_path, monkeypatch):
+    original = pod.eig_descending
+    segments = []
+
+    def counted(*args, **kwargs):
+        segments.append(kwargs.get("segment"))
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "seampde"
+                and getattr(module, "eig_descending", None) is original):
+            monkeypatch.setattr(module, "eig_descending", counted)
+    cfg = {
+        "name": "mini", "dimension": 1, "alpha": ["1"], "c": "0", "f": "0",
+        "u0": "sin(pi*x)", "tau": 0.001, "T": 0.029, "m": 8,
+        "segment_steps": 9, "segment_count": 3,
+    }
+    path = tmp_path / "mini.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli("--config", str(path), "--mode", "parallel-seam",
+                   "--out", str(out)) == 0
+    assert segments == [0, 1, 2]
+    lines = (out / "eigenvalues.csv").read_text().strip().splitlines()
+    assert len(lines) == 1 + 3 * 5
 
 
 def test_eigs_mode(tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from seampde.errors import DegenerateSnapshotError
+from seampde import pod
+from seampde.errors import DegenerateSnapshotError, StagnationError
 from seampde.pod import (
     GramSpectrum,
     eig_descending,
@@ -87,6 +88,47 @@ def test_jacobi_eigenvectors_orthonormal():
 def test_eig_rejects_asymmetric():
     with pytest.raises(ValueError, match="not symmetric"):
         eig_descending(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_jacobi_raises_when_sweeps_run_out(monkeypatch):
+    q = np.random.default_rng(11).standard_normal((6, 6))
+    x = q + q.T
+    jacobi_eigh(x)  # converges well inside the default cap
+    monkeypatch.setattr(pod, "_MAX_SWEEPS", 1)
+    with pytest.raises(StagnationError, match="1 sweeps"):
+        jacobi_eigh(x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eig_rejects_non_finite(bad):
+    x = np.eye(3)
+    x[1, 2] = x[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        eig_descending(x)
+
+
+def test_eig_rejects_non_square():
+    with pytest.raises(ValueError, match="square"):
+        eig_descending(np.ones((2, 3)))
+
+
+def test_eig_descending_matches_jacobi_on_s1_gram_blocks():
+    from seampde.fields import scenario
+    from seampde.hifi import discretize, run_hifi
+
+    problem = scenario("s1")
+    snapshots = run_hifi(problem, discretize(problem))
+    cols = problem.segment_steps + 1
+    last = problem.segment_count - 1
+    for k in (0, last // 2, last):
+        x = gram(snapshots.data[:, k * cols:(k + 1) * cols])
+        spectrum = eig_descending(x)
+        values, vectors = jacobi_eigh(x)
+        lam0 = values[0]
+        np.testing.assert_allclose(spectrum.eigenvalues, np.maximum(values, 0.0),
+                                   rtol=0, atol=1e-12 * lam0)
+        b0 = vectors[:, 0] * np.sign(vectors[np.argmax(np.abs(vectors[:, 0])), 0])
+        np.testing.assert_allclose(spectrum.leading_vector, b0, rtol=0, atol=1e-10)
 
 
 def test_eig_rejects_bad_k():

@@ -127,17 +127,6 @@ def test_missing_segment_steps_without_problem():
                           np.zeros(4))
 
 
-def test_thread_count_does_not_change_results():
-    rng = np.random.default_rng(2)
-    data = rng.standard_normal((12, 12)) * np.linspace(1, 0.1, 12)
-    snaps = SnapshotMatrix(data, 0.05)
-    args = (identity_operator(12), identity_operator(12), rng.standard_normal(12))
-    serial = run_parallel_seam(snaps, *args, segment_steps=3)
-    threaded = run_parallel_seam(snaps, *args, segment_steps=3, threads=4)
-    assert np.array_equal(serial.alphas, threaded.alphas)
-    assert np.array_equal(serial.to_matrix(), threaded.to_matrix())
-
-
 def test_column_accessor():
     v, seg = rank_one_segment(6, 4, 0.5)
     snaps = SnapshotMatrix(seg, 0.1)
