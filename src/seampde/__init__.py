@@ -65,7 +65,6 @@ from seampde.mesh import (
     build_cube_mesh,
     build_interval_mesh,
     build_square_mesh,
-    interior_nodes,
 )
 from seampde.pod import (
     GramSpectrum,
@@ -117,7 +116,6 @@ __all__ = [
     "eig_descending",
     "gram",
     "hoffman_wielandt_check",
-    "interior_nodes",
     "interpolate_initial",
     "jacobi_eigh",
     "load_problem",

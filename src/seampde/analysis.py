@@ -28,6 +28,7 @@ from seampde.errors import (
 )
 from seampde.hifi import SnapshotMatrix, cg_solve
 from seampde.pod import GramSpectrum, eig_descending, gram, jacobi_eigh
+from seampde.seam import SeamSolution
 
 
 def operator_norm(mass: SymmetricSparseOperator,
@@ -76,16 +77,6 @@ def check_time_step_assumption(tau: float, norm_a: float) -> TimeStepCheck:
         raise ValueError("operator norm must be positive")
     product = tau * norm_a
     return TimeStepCheck(product, product < 1.0)
-
-
-def reference_matrix(u0: np.ndarray, norm_a: float, tau: float, n: int) -> np.ndarray:
-    """Explicit rank-one reference columns (1 - tau*norm)^k u0, k = 0..n.
-
-    Intended for small problems and tests; the closed form below avoids
-    building this at scale.
-    """
-    r = 1.0 - tau * norm_a
-    return np.outer(u0, r ** np.arange(n + 1))
 
 
 def reference_principal_eigenvalue(u0: np.ndarray, norm_a: float, tau: float,
@@ -186,12 +177,34 @@ def hoffman_wielandt_check(a: np.ndarray, e: np.ndarray) -> HoffmanWielandtRecor
     )
 
 
-def _columns(solution) -> np.ndarray:
-    if isinstance(solution, SnapshotMatrix):
-        return solution.data
-    if hasattr(solution, "to_matrix"):
-        return solution.to_matrix()
-    return np.asarray(solution, dtype=float)
+def column_error_norms(reference, reduced, mass: SymmetricSparseOperator):
+    """Squared M-norms of the error and of the reference, one per column.
+
+    A SeamSolution is expanded one segment block at a time, so the dense
+    reduced matrix is never formed; a plain array is a single block.
+    Returns ``(error_sq, reference_sq)``.
+    """
+    ref = (reference.data if isinstance(reference, SnapshotMatrix)
+           else np.asarray(reference, dtype=float))
+    if isinstance(reduced, SeamSolution):
+        shape = (reduced.num_dofs, reduced.num_columns)
+        blocks = reduced.blocks()
+    else:
+        blocks = [np.asarray(reduced, dtype=float)]
+        shape = blocks[0].shape
+    if ref.shape != shape:
+        raise ValueError(f"shape mismatch: {ref.shape} vs {shape}")
+    error_sq = np.empty(shape[1])
+    reference_sq = np.empty(shape[1])
+    start = 0
+    for block in blocks:
+        part = slice(start, start + block.shape[1])
+        columns = ref[:, part]
+        diff = columns - block
+        error_sq[part] = np.einsum("ij,ij->j", diff, mass.matrix @ diff)
+        reference_sq[part] = np.einsum("ij,ij->j", columns, mass.matrix @ columns)
+        start = part.stop
+    return error_sq, reference_sq
 
 
 def relative_l2_error(reference, reduced, mass: SymmetricSparseOperator,
@@ -202,13 +215,9 @@ def relative_l2_error(reference, reduced, mass: SymmetricSparseOperator,
     matrix; the time integral is a rectangle sum with weight tau over
     every column of the grid.
     """
-    ref = _columns(reference)
-    red = _columns(reduced)
-    if ref.shape != red.shape:
-        raise ValueError(f"shape mismatch: {ref.shape} vs {red.shape}")
-    diff = ref - red
-    num = tau * np.einsum("ij,ij->", diff, mass.matrix @ diff)
-    den = tau * np.einsum("ij,ij->", ref, mass.matrix @ ref)
+    error_sq, reference_sq = column_error_norms(reference, reduced, mass)
+    num = tau * error_sq.sum()
+    den = tau * reference_sq.sum()
     if den == 0.0:
         raise DegenerateReferenceError("reference solution is identically zero")
     return float(np.sqrt(num / den))

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sparse
 
 from seampde.mesh import Mesh
@@ -46,25 +45,8 @@ class SymmetricSparseOperator:
     def nnz(self) -> int:
         return self.matrix.nnz
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
     def __matmul__(self, x):
         return self.matrix @ x
-
-    def __add__(self, other: "SymmetricSparseOperator") -> "SymmetricSparseOperator":
-        return SymmetricSparseOperator(self.matrix + other.matrix)
-
-    def __mul__(self, scalar: float) -> "SymmetricSparseOperator":
-        return SymmetricSparseOperator(self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def dump_matrix_market(self, path) -> None:
-        scipy.io.mmwrite(str(path), self.matrix)
 
     def __repr__(self):
         return f"SymmetricSparseOperator(dim={self.dim}, nnz={self.nnz})"

@@ -9,8 +9,10 @@ eigs           per-segment Gram spectra and the rank-one-reference report
 bench          wall-time comparison of the full solve vs the reduced replay
 hw-selftest    eigenvalue-displacement inequality suite on random matrices
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 segmentation (divisibility) violation, 1 failed self-test.
+Exit codes: 0 success, 2 configuration error (bad options or files, a
+field expression that cannot be parsed or evaluated, all-zero
+snapshots), 3 solver failure, 4 segmentation (divisibility) violation,
+1 failed self-test.
 """
 
 from __future__ import annotations
@@ -27,12 +29,15 @@ import numpy as np
 
 from seampde.analysis import (
     build_spectral_report,
+    column_error_norms,
     hoffman_wielandt_check,
     relative_l2_error,
     save_report_json,
 )
 from seampde.errors import (
     DegenerateReferenceError,
+    DegenerateSnapshotError,
+    EvaluationError,
     ExpressionError,
     SeamError,
     SegmentationError,
@@ -204,15 +209,13 @@ def _obtain_snapshots(problem: ProblemSpec, disc: Discretization,
 
 def _write_error_csv(path, reference: SnapshotMatrix, reduced: SeamSolution,
                      mass) -> None:
-    reduced_matrix = reduced.to_matrix()
+    error_sq, reference_sq = column_error_norms(reference, reduced, mass)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "abs_error", "rel_error"])
-        for j in range(reference.num_columns):
-            ref = reference.column(j)
-            diff = ref - reduced_matrix[:, j]
-            abs_err = float(np.sqrt(diff @ (mass.matrix @ diff)))
-            ref_norm = float(np.sqrt(ref @ (mass.matrix @ ref)))
+        for j, (err_sq, ref_sq) in enumerate(zip(error_sq, reference_sq)):
+            abs_err = float(np.sqrt(err_sq))
+            ref_norm = float(np.sqrt(ref_sq))
             if ref_norm > 0:
                 rel = abs_err / ref_norm
             else:
@@ -224,21 +227,21 @@ def _write_slices(outdir, disc: Discretization, reference: SnapshotMatrix,
                   reduced: SeamSolution | None) -> None:
     points = disc.mesh.interior_nodes()
     axes = list("xyz"[: disc.mesh.dimension])
-    reduced_matrix = reduced.to_matrix() if reduced is not None else None
     for t in SLICE_TIMES:
         index = round(t / reference.tau)
         if not 0 <= index < reference.num_columns:
             continue
         if abs(index * reference.tau - t) > reference.tau / 2:
             continue
-        header = axes + ["hifi"] + (["seam"] if reduced_matrix is not None else [])
+        header = axes + ["hifi"] + (["seam"] if reduced is not None else [])
+        reduced_column = reduced.column(index) if reduced is not None else None
         with open(outdir / f"slices_t{t}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for row, point in enumerate(points):
                 record = [repr(c) for c in point] + [repr(reference.data[row, index])]
-                if reduced_matrix is not None:
-                    record.append(repr(reduced_matrix[row, index]))
+                if reduced_column is not None:
+                    record.append(repr(reduced_column[row]))
                 writer.writerow(record)
 
 
@@ -398,7 +401,8 @@ def main(argv=None) -> int:
     config = config_from_args(args)
     try:
         summary = execute(config)
-    except (ValueError, ExpressionError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ExpressionError, EvaluationError, DegenerateSnapshotError,
+            OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverFailure, StagnationError) as exc:

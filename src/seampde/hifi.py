@@ -8,6 +8,7 @@ bit-identical snapshot matrices.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -29,6 +30,7 @@ from seampde.mesh import Mesh, build_cube_mesh, build_interval_mesh, build_squar
 CG_RTOL = 1e-12
 
 _MAGIC = b"SEAMSNP1"
+_HEADER = struct.Struct("<qqd")
 
 
 @dataclass(frozen=True)
@@ -53,9 +55,6 @@ class SnapshotMatrix:
 
     def column(self, k: int) -> np.ndarray:
         return self.data[:, k]
-
-    def times(self) -> np.ndarray:
-        return self.tau * np.arange(self.num_columns)
 
 
 @dataclass(frozen=True)
@@ -161,47 +160,42 @@ def run_hifi(problem: ProblemSpec, disc: Discretization | None = None) -> Snapsh
     return SnapshotMatrix(data, problem.tau, problem)
 
 
-def truncate_to_segments(snapshots: SnapshotMatrix, segment_steps: int) -> SnapshotMatrix:
-    """Drop trailing columns so the count is a multiple of segment_steps+1.
+def write_snapshot_file(path, num_dofs: int, num_columns: int, tau: float,
+                        blocks) -> None:
+    """Flat little-endian binary: magic, int64 M, int64 N+1, float64 tau, columns.
 
-    Diagnostic-mode helper for snapshot files whose length does not fit
-    the requested segmentation exactly.
+    ``blocks`` yields consecutive runs of columns, each as a C-ordered
+    (columns, M) array, so every block is written from its own buffer.
     """
-    cols_per_segment = segment_steps + 1
-    segments = snapshots.num_columns // cols_per_segment
-    if segments == 0:
-        raise ValueError(
-            f"only {snapshots.num_columns} columns, need at least {cols_per_segment}"
-        )
-    keep = segments * cols_per_segment
-    if keep == snapshots.num_columns:
-        return snapshots
-    return SnapshotMatrix(snapshots.data[:, :keep], snapshots.tau, snapshots.problem)
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(_HEADER.pack(num_dofs, num_columns, tau))
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
 def save_snapshots(snapshots: SnapshotMatrix, path) -> None:
-    """Flat little-endian binary: magic, int64 M, int64 N+1, float64 tau, columns."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<qqd", snapshots.num_dofs, snapshots.num_columns,
-                             snapshots.tau))
-        fh.write(np.ascontiguousarray(snapshots.data.T, dtype="<f8").tobytes())
+    """Write the snapshot matrix in the binary format of write_snapshot_file."""
+    write_snapshot_file(path, snapshots.num_dofs, snapshots.num_columns,
+                        snapshots.tau, [snapshots.data.T])
 
 
 def load_snapshots(path, problem: ProblemSpec | None = None) -> SnapshotMatrix:
+    """Read a snapshot file, checking its header against the file size first."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a snapshot file")
-        m, cols, tau = struct.unpack("<qqd", fh.read(24))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(f"{path}: truncated snapshot header")
+        m, cols, tau = _HEADER.unpack(header)
+        if m < 1 or cols < 1:
+            raise ValueError(f"{path}: header claims {m} dofs and {cols} columns")
+        expected = len(_MAGIC) + _HEADER.size + 8 * m * cols
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ValueError(f"{path}: header claims {m} x {cols} values "
+                             f"({expected} bytes), file has {size} bytes")
         raw = np.frombuffer(fh.read(8 * m * cols), dtype="<f8")
-    if raw.size != m * cols:
-        raise ValueError(f"{path}: truncated snapshot file")
     return SnapshotMatrix(raw.reshape(cols, m).T, tau, problem)
-
-
-def export_snapshots_csv(snapshots: SnapshotMatrix, path) -> None:
-    """Plain-text export for small cases: one row per time step."""
-    header = "t," + ",".join(f"u{k}" for k in range(snapshots.num_dofs))
-    rows = np.column_stack([snapshots.times(), snapshots.data.T])
-    np.savetxt(path, rows, delimiter=",", header=header, comments="")

@@ -9,7 +9,6 @@ lexicographic with x running fastest, so meshes are bit-reproducible.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field
 
@@ -55,22 +54,6 @@ class Mesh:
         mask = self.interior_index >= 0
         pts = self.vertices[mask]
         return pts[np.argsort(self.interior_index[mask])]
-
-    def cell_volumes(self) -> np.ndarray:
-        """Signed simplex volumes; positive for all cells by construction."""
-        p = self.vertices[self.cells]
-        edges = p[:, 1:, :] - p[:, :1, :]
-        if self.dimension == 1:
-            det = edges[:, 0, 0]
-        elif self.dimension == 2:
-            det = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
-        else:
-            det = np.linalg.det(edges)
-        return det / _factorial(self.dimension)
-
-
-def _factorial(d: int) -> int:
-    return (1, 1, 2, 6)[d]
 
 
 def _check_divisions(m: int) -> None:
@@ -138,26 +121,17 @@ def build_cube_mesh(m: int) -> Mesh:
     vertices[:, 1] = ticks[(idx // (m + 1)) % (m + 1)]
     vertices[:, 2] = ticks[idx // (m + 1) ** 2]
 
-    def vid(i, j, k):
-        return i + (m + 1) * (j + (m + 1) * k)
-
-    perms = list(itertools.permutations(range(3)))
-    cells = np.empty((6 * m**3, 4), dtype=np.int64)
-    t = 0
-    for k in range(m):
-        for j in range(m):
-            for i in range(m):
-                for perm in perms:
-                    corner = [i, j, k]
-                    path = [vid(*corner)]
-                    for axis in perm:
-                        corner = corner.copy()
-                        corner[axis] += 1
-                        path.append(vid(*corner))
-                    if _perm_sign(perm) < 0:
-                        path[1], path[2] = path[2], path[1]
-                    cells[t] = path
-                    t += 1
+    # vertex-id offsets of the six corner paths, relative to the low corner
+    steps = np.array([1, m + 1, (m + 1) ** 2], dtype=np.int64)
+    paths = []
+    for perm in itertools.permutations(range(3)):
+        path = np.cumsum([0, *steps[list(perm)]])
+        if _perm_sign(perm) < 0:
+            path[[1, 2]] = path[[2, 1]]
+        paths.append(path)
+    k, j, i = np.indices((m, m, m), dtype=np.int64).reshape(3, -1)
+    low = i + (m + 1) * (j + (m + 1) * k)
+    cells = (low[:, None, None] + np.array(paths)).reshape(-1, 4)
 
     onb = (vertices == 0.0) | (vertices == 1.0)
     boundary = onb.any(axis=1)
@@ -169,23 +143,3 @@ def build_cube_mesh(m: int) -> Mesh:
 def _perm_sign(perm) -> int:
     inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
     return -1 if inversions % 2 else 1
-
-
-def interior_nodes(mesh: Mesh) -> np.ndarray:
-    """Interior node coordinates in interior-index order."""
-    return mesh.interior_nodes()
-
-
-def dump_mesh_csv(mesh: Mesh, path) -> None:
-    """Write vertices and cells as a two-section CSV file."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        axes = "xyz"[: mesh.dimension]
-        writer.writerow(["vertices"])
-        writer.writerow(["id", *axes, "boundary"])
-        for i, v in enumerate(mesh.vertices):
-            writer.writerow([i, *(repr(c) for c in v), int(mesh.boundary[i])])
-        writer.writerow(["cells"])
-        writer.writerow(["id", *(f"v{k}" for k in range(mesh.dimension + 1))])
-        for i, c in enumerate(mesh.cells):
-            writer.writerow([i, *map(int, c)])

@@ -15,7 +15,7 @@ import numpy as np
 
 from seampde.assembly import LoadVector, SymmetricSparseOperator
 from seampde.errors import SegmentationError
-from seampde.hifi import SnapshotMatrix, save_snapshots
+from seampde.hifi import SnapshotMatrix, write_snapshot_file
 from seampde.pod import GramSpectrum, PodBasis, eig_descending, gram, pod_basis
 
 
@@ -55,6 +55,10 @@ class SeamSolution:
         return self.alphas.shape[1] - 1
 
     @property
+    def num_dofs(self) -> int:
+        return len(self.models[0].basis.vector)
+
+    @property
     def num_segments(self) -> int:
         return self.alphas.shape[0]
 
@@ -67,6 +71,15 @@ class SeamSolution:
         segment, offset = divmod(j, cols)
         return self.alphas[segment, offset] * self.models[segment].basis.vector
 
+    def blocks(self):
+        """Each segment's dofs x (n+1) block beta alpha_k', in column order.
+
+        The blocks are Fortran-ordered, so ``block.T`` is already laid out
+        like the columns of a snapshot file.
+        """
+        return (np.outer(alpha, model.basis.vector).T
+                for model, alpha in zip(self.models, self.alphas))
+
     def to_matrix(self) -> np.ndarray:
         dofs = len(self.models[0].basis.vector)
         cols = self.segment_steps + 1
@@ -75,9 +88,6 @@ class SeamSolution:
             data[:, k * cols:(k + 1) * cols] = np.outer(model.basis.vector,
                                                         self.alphas[k])
         return data
-
-    def to_snapshots(self) -> SnapshotMatrix:
-        return SnapshotMatrix(self.to_matrix(), self.tau)
 
 
 def _load_values(load) -> np.ndarray:
@@ -144,8 +154,9 @@ def run_parallel_seam(snapshots: SnapshotMatrix, mass: SymmetricSparseOperator,
 
 
 def save_seam(solution: SeamSolution, path) -> None:
-    """Reconstructed columns in the snapshot binary format."""
-    save_snapshots(solution.to_snapshots(), path)
+    """Reconstructed columns in the snapshot binary format, one segment at a time."""
+    write_snapshot_file(path, solution.num_dofs, solution.num_columns,
+                        solution.tau, (block.T for block in solution.blocks()))
 
 
 def export_segment_metadata(solution: SeamSolution, path) -> None:

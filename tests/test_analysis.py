@@ -11,22 +11,53 @@ from seampde.analysis import (
     check_time_step_assumption,
     hoffman_wielandt_check,
     operator_norm,
+    column_error_norms,
     perturbation_quantity,
-    reference_matrix,
     reference_principal_eigenvalue,
     relative_l2_error,
     save_report_json,
 )
 from seampde.assembly import SymmetricSparseOperator, assemble_mass, assemble_stiffness
 from seampde.errors import DegenerateReferenceError
-from seampde.fields import parse_expression as expr
-from seampde.hifi import SnapshotMatrix
+from seampde.fields import ProblemSpec, parse_expression as expr
+from seampde.hifi import SnapshotMatrix, discretize, run_hifi
 from seampde.mesh import build_interval_mesh
 from seampde.pod import eig_descending, gram
+from seampde.seam import run_parallel_seam
 
 
 def diag_op(values):
     return SymmetricSparseOperator(sparse.diags(values, format="csr"))
+
+
+def reference_matrix(u0, norm_a, tau, n):
+    """Explicit rank-one reference columns (1 - tau*norm)^k u0, k = 0..n."""
+    r = 1.0 - tau * norm_a
+    return np.outer(u0, r ** np.arange(n + 1))
+
+
+def loop_column_errors(ref, red, mass):
+    """Per-column M-norms of ref - red and of ref, one matvec at a time."""
+    abs_err = np.empty(ref.shape[1])
+    ref_norm = np.empty(ref.shape[1])
+    for j in range(ref.shape[1]):
+        diff = ref[:, j] - red[:, j]
+        abs_err[j] = np.sqrt(diff @ (mass.matrix @ diff))
+        ref_norm[j] = np.sqrt(ref[:, j] @ (mass.matrix @ ref[:, j]))
+    return abs_err, ref_norm
+
+
+@pytest.fixture(scope="module")
+def segmented_run():
+    problem = ProblemSpec(
+        name="square", dimension=2, alpha_diag=(expr("1"), expr("1")),
+        c=expr("0"), f=expr("1"), u0=expr("sin(pi*x)*sin(pi*y)*(1+x)"),
+        T=0.035, tau=1e-3, divisions=8, segment_steps=8, segment_count=4)
+    disc = discretize(problem)
+    snapshots = run_hifi(problem, disc)
+    solution = run_parallel_seam(snapshots, disc.mass, disc.stiffness,
+                                 disc.load, segment_steps=problem.segment_steps)
+    return snapshots, solution, disc.mass
 
 
 def test_operator_norm_diagonal():
@@ -42,7 +73,7 @@ def test_operator_norm_against_dense_pencil():
     mass = assemble_mass(mesh)
     stiffness = assemble_stiffness(mesh, [expr("1")], expr("0"))
     top = operator_norm(mass, stiffness)
-    dense = scipy.linalg.eigh(stiffness.to_dense(), mass.to_dense(),
+    dense = scipy.linalg.eigh(stiffness.matrix.toarray(), mass.matrix.toarray(),
                               eigvals_only=True)
     assert top == pytest.approx(dense[-1], rel=1e-8)
 
@@ -184,6 +215,35 @@ def test_relative_error_shape_mismatch():
     mass = diag_op([1.0, 1.0])
     with pytest.raises(ValueError, match="shape"):
         relative_l2_error(np.ones((2, 3)), np.ones((2, 4)), mass, 0.1)
+
+
+def test_column_error_norms_match_loop_oracle(segmented_run):
+    snapshots, solution, mass = segmented_run
+    assert solution.num_segments == 4
+    abs_err, ref_norm = loop_column_errors(snapshots.data, solution.to_matrix(),
+                                           mass)
+    error_sq, reference_sq = column_error_norms(snapshots, solution, mass)
+    np.testing.assert_allclose(np.sqrt(error_sq), abs_err, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(np.sqrt(reference_sq), ref_norm, rtol=1e-12, atol=0)
+    # a plain dense array is one block and gives the same numbers
+    dense_sq, _ = column_error_norms(snapshots.data, solution.to_matrix(), mass)
+    np.testing.assert_allclose(dense_sq, error_sq, rtol=1e-12, atol=0)
+
+
+def test_relative_error_of_segmented_solution_matches_loop_oracle(segmented_run):
+    snapshots, solution, mass = segmented_run
+    abs_err, ref_norm = loop_column_errors(snapshots.data, solution.to_matrix(),
+                                           mass)
+    expected = np.sqrt(np.sum(abs_err**2) / np.sum(ref_norm**2))
+    error = relative_l2_error(snapshots, solution, mass, snapshots.tau)
+    assert error > 0
+    assert error == pytest.approx(expected, rel=1e-12)
+
+
+def test_relative_error_segmented_shape_mismatch(segmented_run):
+    snapshots, solution, mass = segmented_run
+    with pytest.raises(ValueError, match="shape"):
+        relative_l2_error(snapshots.data[:, :-1], solution, mass, snapshots.tau)
 
 
 def test_spectral_report_roundtrip(tmp_path):

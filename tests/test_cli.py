@@ -6,7 +6,9 @@ import pytest
 
 from seampde import pod
 from seampde.cli import RunConfig, execute, main, resolve_problem
-from seampde.hifi import SnapshotMatrix, load_snapshots, save_snapshots
+from seampde.fields import load_problem
+from seampde.hifi import SnapshotMatrix, discretize, load_snapshots, save_snapshots
+from seampde.seam import SeamSolution
 
 
 def run_cli(*argv):
@@ -187,6 +189,84 @@ def test_parallel_seam_solves_each_segment_once(tmp_path, monkeypatch):
     assert segments == [0, 1, 2]
     lines = (out / "eigenvalues.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 3 * 5
+
+
+def test_parallel_seam_never_builds_the_dense_reduced_matrix(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense reduced matrix rebuilt")
+
+    monkeypatch.setattr(SeamSolution, "to_matrix", refuse)
+    cfg = {
+        "name": "mini", "dimension": 1, "alpha": ["1"], "c": "0", "f": "1",
+        "u0": "sin(pi*x)", "tau": 0.025, "T": 0.95, "m": 6,
+        "segment_steps": 12, "segment_count": 3,
+    }
+    path = tmp_path / "mini.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli("--config", str(path), "--mode", "parallel-seam",
+                   "--out", str(out)) == 0
+    for name in ("seam.bin", "error.csv", "slices_t0.25.csv", "summary.json"):
+        assert (out / name).exists(), name
+
+
+def test_error_csv_matches_per_column_oracle(tmp_path):
+    cfg = {
+        "name": "mini2d", "dimension": 2, "alpha": ["1", "1"], "c": "1",
+        "f": "x", "u0": "sin(pi*x)*sin(pi*y)*(1+y)", "tau": 0.001,
+        "T": 0.029, "m": 7, "segment_steps": 9, "segment_count": 3,
+    }
+    path = tmp_path / "mini2d.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli("--config", str(path), "--mode", "parallel-seam",
+                   "--out", str(out)) == 0
+    mass = discretize(load_problem(path)).mass.matrix
+    ref = load_snapshots(out / "snapshots.bin").data
+    red = load_snapshots(out / "seam.bin").data
+    abs_err = np.empty(ref.shape[1])
+    ref_norm = np.empty(ref.shape[1])
+    for j in range(ref.shape[1]):
+        diff = ref[:, j] - red[:, j]
+        abs_err[j] = np.sqrt(diff @ (mass @ diff))
+        ref_norm[j] = np.sqrt(ref[:, j] @ (mass @ ref[:, j]))
+    rows = np.loadtxt(out / "error.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (30, 3)
+    np.testing.assert_allclose(rows[:, 0], 0.001 * np.arange(30), rtol=1e-15)
+    np.testing.assert_allclose(rows[:, 1], abs_err, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rows[:, 2], abs_err / ref_norm, rtol=1e-12, atol=0)
+    expected = np.sqrt(np.sum(abs_err**2) / np.sum(ref_norm**2))
+    assert read_json(out / "summary.json")["error_l2"] == pytest.approx(
+        expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["hifi", "parallel-seam"])
+def test_unevaluable_initial_data_exits_2(tmp_path, mode):
+    # m=2 puts the only interior node at x=0.5, where u0 divides by zero
+    cfg = {
+        "name": "pole", "dimension": 1, "alpha": ["1"], "c": "0", "f": "0",
+        "u0": "1/(x-0.5)", "tau": 0.001, "T": 0.009, "m": 2,
+        "segment_steps": 9, "segment_count": 1,
+    }
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli("--config", str(path), "--mode", mode, "--out", str(out)) == 2
+    assert not (out / "summary.json").exists()
+
+
+def test_all_zero_snapshots_exit_2(tmp_path):
+    cfg = {
+        "name": "zero", "dimension": 1, "alpha": ["1"], "c": "0", "f": "0",
+        "u0": "0", "tau": 0.001, "T": 0.019, "m": 6,
+        "segment_steps": 9, "segment_count": 2,
+    }
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli("--config", str(path), "--mode", "parallel-seam",
+                   "--out", str(out)) == 2
+    assert not (out / "summary.json").exists()
 
 
 def test_eigs_mode(tmp_path):

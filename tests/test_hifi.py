@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -13,11 +16,9 @@ from seampde.hifi import (
     backward_euler_step,
     cg_solve,
     discretize,
-    export_snapshots_csv,
     load_snapshots,
     run_hifi,
     save_snapshots,
-    truncate_to_segments,
     SnapshotMatrix,
 )
 from seampde.mesh import build_interval_mesh
@@ -73,8 +74,8 @@ def test_single_node_geometric_recurrence():
     mesh = build_interval_mesh(2)
     mass = assemble_mass(mesh)
     stiff = assemble_stiffness(mesh, [expr("1")], expr("0"))
-    np.testing.assert_allclose(mass.to_dense(), [[1 / 3]])
-    np.testing.assert_allclose(stiff.to_dense(), [[4.0]])
+    np.testing.assert_allclose(mass.matrix.toarray(), [[1 / 3]])
+    np.testing.assert_allclose(stiff.matrix.toarray(), [[4.0]])
     tau = 1e-3
     rho = (1 / 3) / (1 / 3 + 4 * tau)
     u = np.array([1.0])
@@ -164,20 +165,6 @@ def test_s3_shape():
     assert snaps.data.shape == (961, 441)
 
 
-# --- segmentation helper ----------------------------------------------------
-
-
-def test_truncate_to_segments():
-    data = np.arange(3 * 10, dtype=float).reshape(3, 10)
-    snaps = SnapshotMatrix(data, 0.1)
-    cut = truncate_to_segments(snaps, 2)  # 3 columns per segment -> keep 9
-    assert cut.num_columns == 9
-    same = truncate_to_segments(SnapshotMatrix(data[:, :9], 0.1), 2)
-    assert same.num_columns == 9
-    with pytest.raises(ValueError):
-        truncate_to_segments(SnapshotMatrix(data[:, :2], 0.1), 9)
-
-
 # --- persistence -------------------------------------------------------------
 
 
@@ -198,13 +185,59 @@ def test_load_rejects_garbage(tmp_path):
         load_snapshots(path)
 
 
-def test_csv_export(tmp_path):
-    snaps = run_hifi(small_problem(m=4, steps=3))
-    path = tmp_path / "snaps.csv"
-    export_snapshots_csv(snaps, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("t,u0")
-    assert len(lines) == 1 + snaps.num_columns
+def write_header(path, m, cols, tau=0.1, payload=b""):
+    path.write_bytes(b"SEAMSNP1" + struct.pack("<qqd", m, cols, tau) + payload)
+
+
+def test_load_rejects_short_header(tmp_path):
+    path = tmp_path / "short.bin"
+    path.write_bytes(b"SEAMSNP1" + struct.pack("<qq", 3, 4))  # no tau
+    with pytest.raises(ValueError, match="header"):
+        load_snapshots(path)
+
+
+def test_load_rejects_oversized_header_without_allocating(tmp_path):
+    path = tmp_path / "huge.bin"
+    write_header(path, 2**50, 1, payload=b"\0" * 64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="file has 96 bytes"):
+            load_snapshots(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the claimed 8 PiB, or any of it, was never requested
+
+
+def test_load_holds_one_copy_of_the_payload(tmp_path):
+    path = tmp_path / "snapshots.bin"
+    save_snapshots(SnapshotMatrix(np.ones((500, 1000)), 0.1), path)  # 4 MB
+    tracemalloc.start()
+    try:
+        back = load_snapshots(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.data.shape == (500, 1000)
+    assert peak < 1.5 * back.data.nbytes
+
+
+@pytest.mark.parametrize("m,cols", [(0, 3), (3, 0), (-1, 2)])
+def test_load_rejects_empty_shape(tmp_path, m, cols):
+    path = tmp_path / "empty.bin"
+    write_header(path, m, cols)
+    with pytest.raises(ValueError, match="claims"):
+        load_snapshots(path)
+
+
+@pytest.mark.parametrize("extra", [-8, 8])
+def test_load_rejects_size_mismatch(tmp_path, extra):
+    path = tmp_path / "snapshots.bin"
+    save_snapshots(SnapshotMatrix(np.ones((3, 4)), 0.1), path)
+    data = path.read_bytes()
+    path.write_bytes(data[:extra] if extra < 0 else data + b"\0" * extra)
+    with pytest.raises(ValueError, match="file has"):
+        load_snapshots(path)
 
 
 def test_snapshot_matrix_read_only():

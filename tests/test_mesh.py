@@ -4,15 +4,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from seampde.mesh import (
-    build_cube_mesh,
-    build_interval_mesh,
-    build_square_mesh,
-    dump_mesh_csv,
-    interior_nodes,
-)
+from seampde.assembly import element_geometry
+from seampde.mesh import build_cube_mesh, build_interval_mesh, build_square_mesh
 
 BUILDERS = {1: build_interval_mesh, 2: build_square_mesh, 3: build_cube_mesh}
+
+
+def cell_volumes(mesh):
+    volumes, _, _ = element_geometry(mesh)
+    return volumes
 
 
 def test_interval_m99_size():
@@ -30,7 +30,7 @@ def test_interval_smallest():
 
 def test_interval_uniform_partition():
     mesh = build_interval_mesh(10)
-    vols = mesh.cell_volumes()
+    vols = cell_volumes(mesh)
     np.testing.assert_allclose(vols, 0.1)
     assert abs(vols.sum() - 1.0) < 1e-12
 
@@ -52,7 +52,7 @@ def test_square_m4_counts_and_area():
     mesh = build_square_mesh(4)
     assert len(mesh.cells) == 32
     assert mesh.num_interior == 9
-    assert abs(mesh.cell_volumes().sum() - 1.0) < 1e-12
+    assert abs(cell_volumes(mesh).sum() - 1.0) < 1e-12
 
 
 def test_cube_counts():
@@ -61,7 +61,42 @@ def test_cube_counts():
     assert mesh.num_interior == 1
     mesh = build_cube_mesh(3)
     assert len(mesh.cells) == 162
-    assert abs(mesh.cell_volumes().sum() - 1.0) < 1e-12
+    assert abs(cell_volumes(mesh).sum() - 1.0) < 1e-12
+
+
+def loop_cube_cells(m):
+    """Kuhn cells cube by cube (x fastest), one axis permutation at a time."""
+    def vid(i, j, k):
+        return i + (m + 1) * (j + (m + 1) * k)
+
+    perms = list(itertools.permutations(range(3)))
+    cells = np.empty((6 * m**3, 4), dtype=np.int64)
+    t = 0
+    for k in range(m):
+        for j in range(m):
+            for i in range(m):
+                for perm in perms:
+                    corner = [i, j, k]
+                    path = [vid(*corner)]
+                    for axis in perm:
+                        corner = corner.copy()
+                        corner[axis] += 1
+                        path.append(vid(*corner))
+                    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+                    if inversions % 2:  # odd permutation: restore orientation
+                        path[1], path[2] = path[2], path[1]
+                    cells[t] = path
+                    t += 1
+    return cells
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_cube_cells_match_loop_oracle(m):
+    # same cells in the same order: COO->CSR sums duplicates in order, so
+    # any reordering would move every assembled entry by round-off
+    cells = build_cube_mesh(m).cells
+    assert cells.dtype == np.int64
+    assert np.array_equal(cells, loop_cube_cells(m))
 
 
 @pytest.mark.slow
@@ -73,7 +108,7 @@ def test_cube_m32_counts():
 
 def test_interior_nodes_interval_m4():
     mesh = build_interval_mesh(4)
-    np.testing.assert_allclose(interior_nodes(mesh), [[0.25], [0.5], [0.75]])
+    np.testing.assert_allclose(mesh.interior_nodes(), [[0.25], [0.5], [0.75]])
 
 
 @pytest.mark.parametrize("m", [2, 5])
@@ -90,7 +125,7 @@ def test_invalid_divisions_and_counts(d, m):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_volume_partition_exhaustive(d):
     for m in range(2, 9):
-        vols = BUILDERS[d](m).cell_volumes()
+        vols = cell_volumes(BUILDERS[d](m))
         assert np.all(vols > 0), f"d={d} m={m}: nonpositive cell volume"
         assert abs(vols.sum() - 1.0) < 1e-12, f"d={d} m={m}"
 
@@ -134,15 +169,3 @@ def test_mesh_arrays_read_only():
     mesh = build_interval_mesh(4)
     with pytest.raises(ValueError):
         mesh.vertices[0, 0] = 7.0
-
-
-def test_dump_mesh_csv(tmp_path):
-    mesh = build_square_mesh(2)
-    path = tmp_path / "mesh.csv"
-    dump_mesh_csv(mesh, path)
-    text = path.read_text().splitlines()
-    assert text[0] == "vertices"
-    assert "cells" in text
-    cells_at = text.index("cells")
-    assert len(text[2:cells_at]) == len(mesh.vertices)
-    assert len(text[cells_at + 2:]) == len(mesh.cells)

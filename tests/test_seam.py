@@ -4,7 +4,7 @@ import scipy.sparse as sparse
 
 from seampde.assembly import SymmetricSparseOperator
 from seampde.errors import DegenerateSnapshotError, SegmentationError
-from seampde.hifi import SnapshotMatrix, load_snapshots
+from seampde.hifi import SnapshotMatrix, load_snapshots, save_snapshots
 from seampde.pod import PodBasis
 from seampde.seam import (
     SeamModel,
@@ -186,3 +186,20 @@ def test_save_and_metadata_export(tmp_path):
     lines = meta_path.read_text().strip().splitlines()
     assert lines[0] == "segment,lambda0,system_coeff,mass_coeff,alpha0"
     assert len(lines) == 1 + solution.num_segments
+
+
+def test_save_seam_bytes_equal_dense_snapshot_file(tmp_path):
+    rng = np.random.default_rng(21)
+    segments = [rank_one_segment(7, 4, ratio, seed=k)[1]
+                + 1e-3 * rng.standard_normal((7, 4))
+                for k, ratio in enumerate((0.9, 0.7, 1.1))]
+    snaps = SnapshotMatrix(np.hstack(segments), 0.05)
+    solution = run_parallel_seam(snaps, identity_operator(7),
+                                 identity_operator(7), np.ones(7),
+                                 segment_steps=3)
+    assert solution.num_segments == 3
+    save_seam(solution, tmp_path / "seam.bin")
+    save_snapshots(SnapshotMatrix(solution.to_matrix(), solution.tau),
+                   tmp_path / "dense.bin")
+    assert ((tmp_path / "seam.bin").read_bytes()
+            == (tmp_path / "dense.bin").read_bytes())
