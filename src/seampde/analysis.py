@@ -215,7 +215,12 @@ def relative_l2_error(reference, reduced, mass: SymmetricSparseOperator,
     matrix; the time integral is a rectangle sum with weight tau over
     every column of the grid.
     """
-    error_sq, reference_sq = column_error_norms(reference, reduced, mass)
+    return space_time_error(*column_error_norms(reference, reduced, mass), tau)
+
+
+def space_time_error(error_sq: np.ndarray, reference_sq: np.ndarray,
+                     tau: float) -> float:
+    """Relative L2 error from the per-column norms of column_error_norms."""
     num = tau * error_sq.sum()
     den = tau * reference_sq.sum()
     if den == 0.0:

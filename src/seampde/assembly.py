@@ -121,13 +121,13 @@ def _scatter_symmetric(mesh: Mesh, local) -> sparse.csr_matrix:
     return coo.tocsr()
 
 
-def assemble_mass(mesh: Mesh) -> SymmetricSparseOperator:
+def assemble_mass(mesh: Mesh, geometry=None) -> SymmetricSparseOperator:
     """Exact mass matrix of the linear nodal basis on interior nodes.
 
     On a d-simplex T the basis-product integral is
     |T| * (1 + delta_ij) / ((d+1)(d+2)), with no quadrature error.
     """
-    volumes, _, _ = element_geometry(mesh)
+    volumes, _, _ = geometry or element_geometry(mesh)
     d = mesh.dimension
     base = volumes / ((d + 1) * (d + 2))
     return SymmetricSparseOperator(
@@ -135,7 +135,8 @@ def assemble_mass(mesh: Mesh) -> SymmetricSparseOperator:
     )
 
 
-def assemble_stiffness(mesh: Mesh, alpha_diag, c) -> SymmetricSparseOperator:
+def assemble_stiffness(mesh: Mesh, alpha_diag, c,
+                       geometry=None) -> SymmetricSparseOperator:
     """Stiffness of (alpha grad u, grad v) + (c u, v) with diagonal alpha.
 
     Coefficients are evaluated once per element at the centroid; the
@@ -145,7 +146,7 @@ def assemble_stiffness(mesh: Mesh, alpha_diag, c) -> SymmetricSparseOperator:
         raise ValueError(
             f"need {mesh.dimension} diagonal diffusion entries, got {len(alpha_diag)}"
         )
-    volumes, grads, centroids = element_geometry(mesh)
+    volumes, grads, centroids = geometry or element_geometry(mesh)
     env = _centroid_env(mesh, centroids)
     alpha = np.empty((len(mesh.cells), mesh.dimension))
     for axis, a in enumerate(alpha_diag):
@@ -161,9 +162,9 @@ def assemble_stiffness(mesh: Mesh, alpha_diag, c) -> SymmetricSparseOperator:
     return SymmetricSparseOperator(_scatter_symmetric(mesh, local))
 
 
-def assemble_load(mesh: Mesh, f, t: float = 0.0) -> LoadVector:
+def assemble_load(mesh: Mesh, f, t: float = 0.0, geometry=None) -> LoadVector:
     """Right-hand side F_k = sum_T f(centroid, t) * |T| / (d+1)."""
-    volumes, _, centroids = element_geometry(mesh)
+    volumes, _, centroids = geometry or element_geometry(mesh)
     env = _centroid_env(mesh, centroids, t)
     f_vals = np.broadcast_to(f(**env), len(mesh.cells))
     contrib = f_vals * volumes / (mesh.dimension + 1)

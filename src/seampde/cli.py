@@ -33,9 +33,9 @@ from seampde.analysis import (
     hoffman_wielandt_check,
     relative_l2_error,
     save_report_json,
+    space_time_error,
 )
 from seampde.errors import (
-    DegenerateReferenceError,
     DegenerateSnapshotError,
     EvaluationError,
     ExpressionError,
@@ -207,9 +207,8 @@ def _obtain_snapshots(problem: ProblemSpec, disc: Discretization,
     return snapshots
 
 
-def _write_error_csv(path, reference: SnapshotMatrix, reduced: SeamSolution,
-                     mass) -> None:
-    error_sq, reference_sq = column_error_norms(reference, reduced, mass)
+def _write_error_csv(path, tau: float, error_sq: np.ndarray,
+                     reference_sq: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "abs_error", "rel_error"])
@@ -220,7 +219,7 @@ def _write_error_csv(path, reference: SnapshotMatrix, reduced: SeamSolution,
                 rel = abs_err / ref_norm
             else:
                 rel = 0.0 if abs_err == 0 else float("inf")
-            writer.writerow([repr(j * reference.tau), repr(abs_err), repr(rel)])
+            writer.writerow([repr(j * tau), repr(abs_err), repr(rel)])
 
 
 def _write_slices(outdir, disc: Discretization, reference: SnapshotMatrix,
@@ -297,16 +296,13 @@ def execute(config: RunConfig) -> RunSummary:
         segment_steps = (snapshots.num_columns - 1 if config.mode == "seam"
                          else problem.segment_steps)
         solution = _reduce(snapshots, disc, segment_steps, config, summary)
-        try:
-            summary.error_l2 = relative_l2_error(snapshots, solution, disc.mass,
-                                                 problem.tau)
-        except DegenerateReferenceError:
-            summary.error_l2 = None
+        norms = column_error_norms(snapshots, solution, disc.mass)
+        summary.error_l2 = space_time_error(*norms, problem.tau)
         save_seam(solution, outdir / "seam.bin")
         export_segment_metadata(solution, outdir / "segments.csv")
         export_spectra_csv([model.spectrum for model in solution.models],
                            outdir / "eigenvalues.csv", head=5)
-        _write_error_csv(outdir / "error.csv", snapshots, solution, disc.mass)
+        _write_error_csv(outdir / "error.csv", snapshots.tau, *norms)
         _write_slices(outdir, disc, snapshots, solution)
 
     with open(outdir / "summary.json", "w") as fh:

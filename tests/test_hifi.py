@@ -1,12 +1,15 @@
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+import seampde.hifi as hifi
 from seampde.assembly import (
     SymmetricSparseOperator,
+    assemble_load,
     assemble_mass,
     assemble_stiffness,
 )
@@ -133,17 +136,51 @@ def test_energy_decay_heat1d_every_step():
 
 
 def test_residuals_at_random_steps():
-    problem = small_problem(m=12, steps=40, f="x")
-    disc = discretize(problem)
-    snaps = run_hifi(problem, disc)
-    system = disc.system_matrix(problem.tau)
-    mass = disc.mass.matrix
-    f = disc.load.values
+    # a decaying run, a time-dependent source and a run settling under a
+    # constant source exercise every branch of the CG start guess
     rng = np.random.default_rng(11)
-    for n in rng.integers(1, snaps.num_columns, size=10):
-        rhs = mass @ snaps.column(n - 1) + problem.tau * f
-        res = system @ snaps.column(n) - rhs
-        assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
+    for f in ("x", "x*t", "10"):
+        problem = small_problem(m=12, steps=40, f=f)
+        disc = discretize(problem)
+        snaps = run_hifi(problem, disc)
+        system = disc.system_matrix(problem.tau)
+        mass = disc.mass.matrix
+        for n in rng.integers(1, snaps.num_columns, size=10):
+            load = assemble_load(disc.mesh, problem.f, t=n * problem.tau).values
+            rhs = mass @ snaps.column(n - 1) + problem.tau * load
+            res = system @ snaps.column(n) - rhs
+            assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs), (f, n)
+
+
+def start_residuals(monkeypatch, problem):
+    """||b - A x0|| / ||b|| of every CG solve in one run_hifi call."""
+    residuals = []
+    solve = hifi.cg_solve
+
+    def recording(matrix, rhs, **kwargs):
+        x0 = kwargs["x0"]
+        residuals.append(np.linalg.norm(rhs - matrix @ x0) / np.linalg.norm(rhs))
+        return solve(matrix, rhs, **kwargs)
+
+    monkeypatch.setattr(hifi, "cg_solve", recording)
+    run_hifi(problem)
+    assert len(residuals) == problem.num_steps
+    return np.array(residuals)
+
+
+def test_start_guess_from_two_snapshots(monkeypatch):
+    # a plain warm start from U_{n-1} leaves about 0.17 here
+    residuals = start_residuals(monkeypatch,
+                                replace(scenario("heat3d"), divisions=8))
+    assert np.median(residuals[1:]) <= 1e-6
+
+
+def test_start_guess_exact_for_rank_one_run(monkeypatch):
+    # sin(4 pi x) is a discrete eigenvector: consecutive snapshots are
+    # parallel, the two-snapshot Gram matrix is singular, and the
+    # projection onto U_{n-1} alone is already the solution
+    residuals = start_residuals(monkeypatch, scenario("heat1d"))
+    assert residuals.max() <= 1e-12
 
 
 def test_determinism_bit_identical():
