@@ -5,6 +5,15 @@ linear nodal basis functions, so the mass matrix is exact. Variable
 coefficients (diagonal diffusion, reaction, source) are frozen at each
 element centroid, a one-point rule that keeps symmetry and is exact for
 constant coefficients.
+
+Both operators are summed into one shared sparsity pattern: the
+interior-node CSR ``indptr`` and ``indices`` (int32), plus, for each of the
+(d+1)^2 local entries (i, j), an int32 map from element to nonzero slot.
+Each operator sums its per-element values into that pattern with
+``np.bincount``, so mass and stiffness share ``indptr`` and ``indices``
+and M + tau*S is a sum of data arrays. The pattern is built once per
+discretization from the element-node incidence matrix, without a key list
+over all element entries.
 """
 
 from __future__ import annotations
@@ -66,7 +75,9 @@ class LoadVector:
 def element_geometry(mesh: Mesh):
     """Volumes (nc,), basis gradients (nc, d+1, d), centroids (nc, d)."""
     p = mesh.vertices[mesh.cells]
+    centroids = p.mean(axis=1)
     edges = p[:, 1:, :] - p[:, :1, :]
+    del p  # the largest temporary; freed before the inverses are formed
     d = mesh.dimension
     if d == 1:
         det = edges[:, 0, 0]
@@ -82,11 +93,11 @@ def element_geometry(mesh: Mesh):
     else:
         det = np.linalg.det(edges)
         inv = np.linalg.inv(edges)
+    del edges
     volumes = det / (1, 1, 2, 6)[d]
     grads = np.empty((len(mesh.cells), d + 1, d))
     grads[:, 1:, :] = np.transpose(inv, (0, 2, 1))
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-    centroids = p.mean(axis=1)
     return volumes, grads, centroids
 
 
@@ -97,31 +108,70 @@ def _centroid_env(mesh: Mesh, centroids: np.ndarray, t: float = 0.0) -> dict:
     return env
 
 
-def _scatter_symmetric(mesh: Mesh, local) -> sparse.csr_matrix:
-    """Sum (d+1)x(d+1) per-element blocks into the interior-node matrix.
+@dataclass(frozen=True)
+class SparsityPattern:
+    """Interior-node CSR pattern of a mesh, with each element entry's slot.
 
-    ``local(i, j)`` returns the per-element values for one block entry.
-    Duplicate (row, col) pairs are accumulated by the COO->CSR conversion.
+    ``slots[i, j, e]`` is the nonzero that local entry (i, j) of element e
+    sums into, or ``nnz`` (a slot that is dropped) when either node lies on
+    the boundary.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray  # (d+1, d+1, nc) int32
+
+
+def sparsity_pattern(mesh: Mesh) -> SparsityPattern:
+    """Couple every two interior nodes that share an element.
+
+    The pattern is the Gram product of the element-node incidence matrix,
+    so no per-entry key list of all elements is formed; the slot map is
+    then found one local (i, j) pair at a time.
     """
     nodes = mesh.interior_index[mesh.cells]  # (nc, d+1), -1 on boundary
+    keep = nodes >= 0
+    n = mesh.num_interior
+    incidence = sparse.csr_matrix(
+        (np.ones(keep.sum(), dtype=bool), nodes[keep],
+         np.concatenate([[0], np.cumsum(keep.sum(axis=1))])),
+        shape=(len(nodes), n),
+    )
+    coupling = (incidence.T @ incidence).tocsr()
+    coupling.sort_indices()
+    keys = (np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(coupling.indptr))
+            + coupling.indices)
     dim = mesh.dimension + 1
-    rows, cols, vals = [], [], []
+    slots = np.empty((dim, dim, len(nodes)), dtype=np.int32)
     for i in range(dim):
         for j in range(dim):
             ri, rj = nodes[:, i], nodes[:, j]
-            keep = (ri >= 0) & (rj >= 0)
-            rows.append(ri[keep])
-            cols.append(rj[keep])
-            vals.append(np.broadcast_to(local(i, j), len(keep))[keep])
-    m = mesh.num_interior
-    coo = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, m),
-    )
-    return coo.tocsr()
+            slot = np.searchsorted(keys, ri * n + rj)
+            slot[(ri < 0) | (rj < 0)] = len(keys)
+            slots[i, j] = slot
+    return SparsityPattern(coupling.indptr, coupling.indices, slots)
 
 
-def assemble_mass(mesh: Mesh, geometry=None) -> SymmetricSparseOperator:
+def _sum_into(pattern: SparsityPattern, local) -> SymmetricSparseOperator:
+    """Sum (d+1)x(d+1) per-element blocks into the shared pattern.
+
+    ``local(i, j)`` returns the per-element values for one block entry.
+    """
+    dim, _, cells = pattern.slots.shape
+    size = len(pattern.indices) + 1  # the last slot collects boundary entries
+    data = np.zeros(size)
+    for i in range(dim):
+        for j in range(dim):
+            data += np.bincount(pattern.slots[i, j],
+                                weights=np.broadcast_to(local(i, j), cells),
+                                minlength=size)
+    n = len(pattern.indptr) - 1
+    return SymmetricSparseOperator(sparse.csr_matrix(
+        (data[:-1], pattern.indices, pattern.indptr), shape=(n, n)))
+
+
+def assemble_mass(mesh: Mesh, geometry=None,
+                  pattern=None) -> SymmetricSparseOperator:
     """Exact mass matrix of the linear nodal basis on interior nodes.
 
     On a d-simplex T the basis-product integral is
@@ -130,13 +180,12 @@ def assemble_mass(mesh: Mesh, geometry=None) -> SymmetricSparseOperator:
     volumes, _, _ = geometry or element_geometry(mesh)
     d = mesh.dimension
     base = volumes / ((d + 1) * (d + 2))
-    return SymmetricSparseOperator(
-        _scatter_symmetric(mesh, lambda i, j: base * (2 if i == j else 1))
-    )
+    return _sum_into(pattern or sparsity_pattern(mesh),
+                     lambda i, j: base * (2 if i == j else 1))
 
 
-def assemble_stiffness(mesh: Mesh, alpha_diag, c,
-                       geometry=None) -> SymmetricSparseOperator:
+def assemble_stiffness(mesh: Mesh, alpha_diag, c, geometry=None,
+                       pattern=None) -> SymmetricSparseOperator:
     """Stiffness of (alpha grad u, grad v) + (c u, v) with diagonal alpha.
 
     Coefficients are evaluated once per element at the centroid; the
@@ -159,7 +208,7 @@ def assemble_stiffness(mesh: Mesh, alpha_diag, c,
         diffusion = volumes * np.einsum("ta,ta->t", alpha * grads[:, i], grads[:, j])
         return diffusion + c_vals * mass_base * (2 if i == j else 1)
 
-    return SymmetricSparseOperator(_scatter_symmetric(mesh, local))
+    return _sum_into(pattern or sparsity_pattern(mesh), local)
 
 
 def assemble_load(mesh: Mesh, f, t: float = 0.0, geometry=None) -> LoadVector:

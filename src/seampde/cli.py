@@ -10,7 +10,8 @@ bench          wall-time comparison of the full solve vs the reduced replay
 hw-selftest    eigenvalue-displacement inequality suite on random matrices
 
 Exit codes: 0 success, 2 configuration error (bad options or files, a
-field expression that cannot be parsed or evaluated, all-zero
+snapshot file whose dofs, tau or column count differ from the problem's,
+a field expression that cannot be parsed or evaluated, all-zero
 snapshots), 3 solver failure, 4 segmentation (divisibility) violation,
 1 failed self-test.
 """
@@ -200,6 +201,11 @@ def _obtain_snapshots(problem: ProblemSpec, disc: Discretization,
                 f"snapshot file has tau {snapshots.tau!r}, problem has "
                 f"{problem.tau!r}"
             )
+        if snapshots.num_columns != problem.num_steps + 1:
+            raise ValueError(
+                f"snapshot file has {snapshots.num_columns} columns, problem "
+                f"has {problem.num_steps + 1}"
+            )
         return snapshots
     start = time.perf_counter()
     snapshots = run_hifi(problem, disc)
@@ -233,15 +239,14 @@ def _write_slices(outdir, disc: Discretization, reference: SnapshotMatrix,
         if abs(index * reference.tau - t) > reference.tau / 2:
             continue
         header = axes + ["hifi"] + (["seam"] if reduced is not None else [])
-        reduced_column = reduced.column(index) if reduced is not None else None
+        columns = [points, reference.column(index)]
+        if reduced is not None:
+            columns.append(reduced.column(index))
         with open(outdir / f"slices_t{t}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for row, point in enumerate(points):
-                record = [repr(c) for c in point] + [repr(reference.data[row, index])]
-                if reduced_column is not None:
-                    record.append(repr(reduced_column[row]))
-                writer.writerow(record)
+            # plain Python floats, written as their shortest round-trip repr
+            writer.writerows(np.column_stack(columns).tolist())
 
 
 def _reduce(snapshots: SnapshotMatrix, disc: Discretization, segment_steps: int,
@@ -249,11 +254,8 @@ def _reduce(snapshots: SnapshotMatrix, disc: Discretization, segment_steps: int,
     start = time.perf_counter()
     solution = run_parallel_seam(snapshots, disc.mass, disc.stiffness, disc.load,
                                  segment_steps=segment_steps)
-    summary.offline_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    for model in solution.models:
-        seam_online(model, segment_steps)
-    summary.online_seconds = time.perf_counter() - start
+    summary.online_seconds = solution.online_seconds
+    summary.offline_seconds = time.perf_counter() - start - solution.online_seconds
     lam0 = [model.basis.lam0 for model in solution.models]
     summary.lambda0_first = lam0[0]
     summary.lambda0_last = lam0[-1]

@@ -26,6 +26,7 @@ from seampde.assembly import (
     assemble_stiffness,
     element_geometry,
     interpolate_initial,
+    sparsity_pattern,
 )
 from seampde.errors import SolverFailure
 from seampde.fields import ProblemSpec
@@ -67,7 +68,11 @@ class SnapshotMatrix:
 
 @dataclass(frozen=True)
 class Discretization:
-    """Mesh and assembled operators for one problem."""
+    """Mesh and assembled operators for one problem.
+
+    Mass and stiffness share one CSR pattern (``indptr`` and ``indices``),
+    so the system matrix is a sum of their data arrays.
+    """
 
     mesh: Mesh
     mass: SymmetricSparseOperator
@@ -75,8 +80,17 @@ class Discretization:
     load: LoadVector
     initial: np.ndarray
 
+    def __post_init__(self):
+        mass, stiffness = self.mass.matrix, self.stiffness.matrix
+        if not (np.shares_memory(mass.indices, stiffness.indices)
+                and np.shares_memory(mass.indptr, stiffness.indptr)):
+            raise ValueError("mass and stiffness must share one sparsity pattern")
+
     def system_matrix(self, tau: float) -> sparse.csr_matrix:
-        return (self.mass.matrix + tau * self.stiffness.matrix).tocsr()
+        mass = self.mass.matrix
+        return sparse.csr_matrix(
+            (mass.data + tau * self.stiffness.matrix.data, mass.indices,
+             mass.indptr), shape=mass.shape)
 
 
 _BUILDERS = {1: build_interval_mesh, 2: build_square_mesh, 3: build_cube_mesh}
@@ -85,14 +99,17 @@ _BUILDERS = {1: build_interval_mesh, 2: build_square_mesh, 3: build_cube_mesh}
 def discretize(problem: ProblemSpec) -> Discretization:
     """Assemble mesh, operators, load at t=0, and the initial vector.
 
-    One element-geometry pass serves the three assemblers; it is not kept.
+    One sparsity pattern serves both operators and one element-geometry
+    pass serves the three assemblers; neither is kept.
     """
     mesh = _BUILDERS[problem.dimension](problem.divisions)
+    pattern = sparsity_pattern(mesh)
     geometry = element_geometry(mesh)
     return Discretization(
         mesh=mesh,
-        mass=assemble_mass(mesh, geometry),
-        stiffness=assemble_stiffness(mesh, problem.alpha_diag, problem.c, geometry),
+        mass=assemble_mass(mesh, geometry, pattern),
+        stiffness=assemble_stiffness(mesh, problem.alpha_diag, problem.c,
+                                     geometry, pattern),
         load=assemble_load(mesh, problem.f, 0.0, geometry),
         initial=interpolate_initial(mesh, problem.u0),
     )
@@ -104,9 +121,14 @@ def cg_solve(matrix, rhs: np.ndarray, *, rtol: float = CG_RTOL,
 
     Converges when the 2-norm residual drops below ``rtol * ||rhs||``;
     raises SolverFailure (carrying the final relative residual) at the
-    iteration cap, which defaults to 10x the system dimension.
+    iteration cap, which defaults to 10x the system dimension, and before
+    the first iteration when ``rhs`` or ``x0`` is not finite.
     """
     a = matrix.matrix if isinstance(matrix, SymmetricSparseOperator) else matrix
+    for name, vector in (("right-hand side", rhs), ("start vector", x0)):
+        if vector is not None and not np.isfinite(vector).all():
+            raise SolverFailure(f"conjugate gradients got a non-finite {name}",
+                                float("nan"))
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
@@ -174,9 +196,10 @@ def run_hifi(problem: ProblemSpec, disc: Discretization | None = None) -> Snapsh
     """Step the full discretization and collect all N+1 solution columns.
 
     The load vector is reassembled each step only when the source term
-    depends on t; all built-in scenarios are autonomous. Each solution's
-    A U is formed once, by the step that produced it, for the next two
-    start guesses.
+    depends on t, from element volumes and centroids computed once for the
+    run; all built-in scenarios are autonomous. Each solution's A U is
+    formed once, by the step that produced it, for the next two start
+    guesses.
     """
     if disc is None:
         disc = discretize(problem)
@@ -184,6 +207,9 @@ def run_hifi(problem: ProblemSpec, disc: Discretization | None = None) -> Snapsh
     mass = disc.mass.matrix
     system = disc.system_matrix(problem.tau)
     time_dependent = problem.f.depends_on("t")
+    if time_dependent:
+        volumes, _, centroids = element_geometry(disc.mesh)
+        geometry = (volumes, None, centroids)
     f = disc.load.values
     data = np.empty((len(disc.initial), n_steps + 1), order="F")
     data[:, 0] = disc.initial
@@ -192,7 +218,8 @@ def run_hifi(problem: ProblemSpec, disc: Discretization | None = None) -> Snapsh
     u_prev = au_prev = None
     for n in range(1, n_steps + 1):
         if time_dependent:
-            f = assemble_load(disc.mesh, problem.f, t=n * problem.tau).values
+            f = assemble_load(disc.mesh, problem.f, n * problem.tau,
+                              geometry).values
         rhs = mass @ u + problem.tau * f
         start = _projected_start(rhs, u, au, u_prev, au_prev)
         u_prev, au_prev = u, au

@@ -9,6 +9,7 @@ run costs O(1) work per step instead of a linear solve.
 from __future__ import annotations
 
 import csv
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,7 @@ class SeamSolution:
     models: tuple
     alphas: np.ndarray  # (segments, n+1)
     tau: float
+    online_seconds: float | None = None  # wall time of the replay that made alphas
 
     def __post_init__(self):
         self.alphas.setflags(write=False)
@@ -128,9 +130,10 @@ def seam_online(model: SeamModel, steps: int) -> np.ndarray:
 def run_parallel_seam(snapshots: SnapshotMatrix, mass: SymmetricSparseOperator,
                       stiffness: SymmetricSparseOperator, load,
                       segment_steps: int | None = None) -> SeamSolution:
-    """Reduce every segment of a snapshot matrix independently.
+    """Reduce every segment of a snapshot matrix independently, then replay.
 
-    The column count must be an exact multiple of segment_steps+1.
+    The column count must be an exact multiple of segment_steps+1. The
+    solution records the wall time of the replay.
     """
     if segment_steps is None:
         if snapshots.problem is None:
@@ -149,8 +152,10 @@ def run_parallel_seam(snapshots: SnapshotMatrix, mass: SymmetricSparseOperator,
         seam_offline(snapshots.data[:, k * cols:(k + 1) * cols], mass,
                      stiffness, load, tau, segment_id=k)
         for k in range(segments))
+    start = time.perf_counter()
     alphas = np.vstack([seam_online(model, segment_steps) for model in models])
-    return SeamSolution(models, alphas, tau)
+    online_seconds = time.perf_counter() - start
+    return SeamSolution(models, alphas, tau, online_seconds)
 
 
 def save_seam(solution: SeamSolution, path) -> None:

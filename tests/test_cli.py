@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from seampde import pod
+from seampde import cli, pod
 from seampde.cli import RunConfig, execute, main, resolve_problem
 from seampde.fields import load_problem
 from seampde.hifi import SnapshotMatrix, discretize, load_snapshots, save_snapshots
@@ -286,7 +286,7 @@ def test_eigs_mode(tmp_path):
     assert (out / "eigenvalues.csv").exists()
 
 
-def test_divisibility_violation_exit_4(tmp_path):
+def test_snapshot_column_count_mismatch_exits_2(tmp_path):
     cfg = {
         "name": "mini", "dimension": 1, "alpha": ["1"], "c": "0", "f": "0",
         "u0": "x", "tau": 0.001, "T": 0.01, "m": 6,
@@ -296,11 +296,32 @@ def test_divisibility_violation_exit_4(tmp_path):
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert run_cli("--config", str(path), "--mode", "hifi", "--out", str(out)) == 0
-    # 11 stored columns cannot split into segments of 4
+    # 11 stored columns, but the problem asks for 4 (same dofs and tau)
     cfg["segment_steps"] = 3
-    cfg["segment_count"] = 1
     cfg["T"] = 0.003
     path.write_text(json.dumps(cfg))
+    for mode in ("seam", "parallel-seam", "eigs"):
+        result = tmp_path / mode
+        assert run_cli("--config", str(path), "--mode", mode, "--out", str(result),
+                       "--snapshots", str(out / "snapshots.bin")) == 2
+        assert not (result / "summary.json").exists()
+
+
+def test_divisibility_violation_exit_4(tmp_path, monkeypatch):
+    cfg = {
+        "name": "mini", "dimension": 1, "alpha": ["1"], "c": "0", "f": "0",
+        "u0": "x", "tau": 0.001, "T": 0.01, "m": 6,
+        "segment_steps": 10, "segment_count": 1,
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli("--config", str(path), "--mode", "hifi", "--out", str(out)) == 0
+    # Checked CLI inputs always split evenly, so the violation comes from
+    # the reduction itself: 11 columns cannot split into segments of 4.
+    reduce = cli.run_parallel_seam
+    monkeypatch.setattr(cli, "run_parallel_seam",
+                        lambda *args, segment_steps: reduce(*args, segment_steps=3))
     assert run_cli("--config", str(path), "--mode", "parallel-seam",
                    "--out", str(tmp_path / "out3"),
                    "--snapshots", str(out / "snapshots.bin")) == 4
@@ -362,6 +383,46 @@ def test_slices_written_when_horizon_allows(tmp_path):
         assert lines[0] == "x,hifi,seam"
         assert len(lines) == 1 + 5  # header + one row per interior node
     assert not (out / "slices_t1.0.csv").exists()  # horizon ends at 0.975
+
+
+def test_slice_fields_are_plain_numbers(tmp_path):
+    cfg = {
+        "name": "mini2d", "dimension": 2, "alpha": ["1", "1"], "c": "0",
+        "f": "x", "u0": "sin(pi*x)*sin(pi*y)", "tau": 0.025, "T": 0.95,
+        "m": 5, "segment_steps": 12, "segment_count": 3,
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli("--config", str(path), "--mode", "parallel-seam",
+                   "--out", str(out)) == 0
+    points = discretize(load_problem(path)).mesh.interior_nodes()
+    reference = load_snapshots(out / "snapshots.bin").data
+    reduced = load_snapshots(out / "seam.bin").data
+    for t in (0.25, 0.5, 0.75):
+        raw = (out / f"slices_t{t}.csv").read_bytes()
+        assert raw.count(b"\r\n") == 1 + len(points)
+        lines = raw.decode().splitlines()
+        assert lines[0] == "x,y,hifi,seam"
+        values = np.array([[float(field) for field in line.split(",")]
+                           for line in lines[1:]])
+        index = round(t / cfg["tau"])
+        np.testing.assert_array_equal(values[:, :2], points)
+        np.testing.assert_array_equal(values[:, 2], reference[:, index])
+        np.testing.assert_array_equal(values[:, 3], reduced[:, index])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_load_exits_3(tmp_path):
+    cfg = {
+        "name": "mini", "dimension": 1, "alpha": ["1"], "c": "0",
+        "f": "1e308*(1+x)*t", "u0": "x", "tau": 0.001, "T": 0.01, "m": 6,
+        "segment_steps": 10, "segment_count": 1,
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("--config", str(path), "--mode", "hifi",
+                   "--out", str(tmp_path / "out")) == 3
 
 
 def test_heat3d_defaults_to_desk_scale():

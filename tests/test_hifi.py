@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+import seampde.assembly as assembly
 import seampde.hifi as hifi
 from seampde.assembly import (
     SymmetricSparseOperator,
@@ -67,6 +68,30 @@ def test_cg_failure_reports_residual():
     with pytest.raises(SolverFailure) as err:
         cg_solve(a, np.ones(3), maxiter=0)
     assert err.value.residual > 0
+
+
+class CountingMatrix:
+    """Wraps a matrix and counts its products with vectors."""
+
+    def __init__(self, matrix):
+        self.matrix_ = matrix
+        self.shape = matrix.shape
+        self.matvecs = 0
+
+    def __matmul__(self, x):
+        self.matvecs += 1
+        return self.matrix_ @ x
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["rhs", "x0"])
+def test_cg_rejects_non_finite_input_before_iterating(bad, where):
+    a = CountingMatrix(sparse.eye(50, format="csr") * 2.0)
+    rhs, x0 = np.ones(50), np.zeros(50)
+    {"rhs": rhs, "x0": x0}[where][7] = bad
+    with pytest.raises(SolverFailure, match="non-finite"):
+        cg_solve(a, rhs, x0=x0)
+    assert a.matvecs == 0
 
 
 # --- single steps ---------------------------------------------------------
@@ -188,6 +213,31 @@ def test_determinism_bit_identical():
     first = run_hifi(problem)
     second = run_hifi(problem)
     assert np.array_equal(first.data, second.data)
+
+
+def test_time_dependent_run_computes_geometry_once(monkeypatch):
+    problem = small_problem(m=10, steps=30, f="x*t", u0="x*(1-x)",
+                            dimension=2)
+    disc = discretize(problem)
+    calls = []
+    geometry = hifi.element_geometry
+
+    def counting(mesh):
+        calls.append(mesh)
+        return geometry(mesh)
+
+    monkeypatch.setattr(hifi, "element_geometry", counting)
+    monkeypatch.setattr(assembly, "element_geometry", counting)
+    once = run_hifi(problem, disc)
+    assert len(calls) == 1
+    monkeypatch.setattr(hifi, "element_geometry", geometry)
+    monkeypatch.setattr(assembly, "element_geometry", geometry)
+
+    # a rerun that assembles the load, geometry included, on every step
+    assemble = hifi.assemble_load
+    monkeypatch.setattr(hifi, "assemble_load",
+                        lambda mesh, f, t, geometry=None: assemble(mesh, f, t))
+    assert np.array_equal(once.data, run_hifi(problem, disc).data)
 
 
 def test_time_dependent_source_differs_from_frozen():
