@@ -21,11 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from seampde.assembly import SymmetricSparseOperator
-from seampde.errors import (
-    DegenerateReferenceError,
-    SegmentationError,
-    StagnationError,
-)
+from seampde.errors import DegenerateReferenceError, StagnationError
 from seampde.hifi import SnapshotMatrix, cg_solve
 from seampde.pod import GramSpectrum, eig_descending, gram, jacobi_eigh
 from seampde.seam import SeamSolution
@@ -265,23 +261,11 @@ class SpectralReport:
 def build_spectral_report(snapshots: SnapshotMatrix,
                           mass: SymmetricSparseOperator,
                           stiffness: SymmetricSparseOperator,
-                          segment_steps: int | None = None,
+                          segment_steps: int,
                           head: int = 5) -> SpectralReport:
     """Eigenanalyze every segment and compare the first one to the reference."""
-    if segment_steps is None:
-        if snapshots.problem is None:
-            raise ValueError("segment_steps not given and snapshots carry "
-                             "no problem metadata")
-        segment_steps = snapshots.problem.segment_steps
-    cols = segment_steps + 1
-    if snapshots.num_columns % cols != 0:
-        raise SegmentationError(f"{snapshots.num_columns} columns do not split "
-                                f"into segments of {cols}")
-    segments = snapshots.num_columns // cols
-    spectra = []
-    for k in range(segments):
-        block = snapshots.data[:, k * cols:(k + 1) * cols]
-        spectra.append(eig_descending(gram(block), segment=k))
+    spectra = [eig_descending(gram(block), segment=k)
+               for k, block in enumerate(snapshots.segments(segment_steps))]
     tau = snapshots.tau
     norm_a = operator_norm(mass, stiffness)
     with warnings.catch_warnings():

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
+from seampde.errors import EvaluationError
 from seampde.mesh import Mesh
 
 
@@ -227,7 +228,10 @@ def assemble_load(mesh: Mesh, f, t: float = 0.0, geometry=None) -> LoadVector:
 
 
 def interpolate_initial(mesh: Mesh, u0) -> np.ndarray:
-    """Nodal interpolant of the initial data on interior nodes."""
+    """Nodal interpolant of u0 on interior nodes, which must all be finite."""
     pts = mesh.interior_nodes()
     env = {name: pts[:, axis] for axis, name in enumerate("xyz"[: mesh.dimension])}
-    return np.asarray(np.broadcast_to(u0(**env), mesh.num_interior), dtype=float).copy()
+    values = np.asarray(np.broadcast_to(u0(**env), mesh.num_interior), dtype=float).copy()
+    if not np.isfinite(values).all():
+        raise EvaluationError("initial data is not finite at every interior node")
+    return values

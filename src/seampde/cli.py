@@ -9,11 +9,13 @@ eigs           per-segment Gram spectra and the rank-one-reference report
 bench          wall-time comparison of the full solve vs the reduced replay
 hw-selftest    eigenvalue-displacement inequality suite on random matrices
 
-Exit codes: 0 success, 2 configuration error (bad options or files, a
-snapshot file whose dofs, tau or column count differ from the problem's,
-a field expression that cannot be parsed or evaluated, all-zero
-snapshots), 3 solver failure, 4 segmentation (divisibility) violation,
-1 failed self-test.
+Exit codes: 0 success; 2 configuration error (bad options or files, a
+problem that breaks a rule of fields.ProblemSpec, given by flag or by
+config key alike, a snapshot file whose dofs, tau or column count differ
+from the problem's, a field expression that cannot be parsed or
+evaluated, initial data that is not finite, all-zero snapshots); 3
+solver failure; 4 segmentation (divisibility) violation; 1 failed
+self-test. Problem and snapshot-header checks run before any compute.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--scenario",
                         help=f"one of: {', '.join(SCENARIO_NAMES)}")
-    parser.add_argument("--config", help="JSON problem file (alternative to --scenario)")
+    parser.add_argument("--config", dest="config_path",
+                        help="JSON problem file (alternative to --scenario)")
     parser.add_argument("--mode", choices=MODES, default="parallel-seam")
     parser.add_argument("--m", type=int, help="divisions per axis override")
     parser.add_argument("--tau", type=float, help="time step override")
@@ -142,71 +145,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
-    return RunConfig(
-        mode=args.mode, scenario=args.scenario, config_path=args.config,
-        m=args.m, tau=args.tau, big_t=args.big_t, n=args.n, f=args.f,
-        out=args.out, snapshots_path=args.snapshots_path, large=args.large,
-        repeats=args.repeats,
-    )
+    return RunConfig(**vars(args))
 
 
 def resolve_problem(config: RunConfig) -> ProblemSpec:
-    """Scenario or config file plus overrides, type-checked before any compute."""
+    """Scenario or config file plus overrides, checked before any compute."""
     if config.scenario and config.config_path:
         raise ValueError("give either --scenario or --config, not both")
+    m = config.m
     if config.config_path:
         if config.f is not None:
             raise ValueError("--f applies to scenarios; put f in the config file")
         problem = load_problem(config.config_path)
     elif config.scenario:
         problem = scenario(config.scenario, config.f)
-        if config.scenario == "heat3d" and not config.large and config.m is None:
-            # desk-scale default; the full m=32 preset sits behind --large
-            problem = replace(problem, divisions=16)
+        if config.scenario == "heat3d" and not config.large and m is None:
+            m = 16  # desk-scale default; the full m=32 preset sits behind --large
     else:
         raise ValueError("a scenario name or a config file is required")
-    updates = {}
-    if config.m is not None:
-        if config.m < 2:
-            raise ValueError("--m must be at least 2")
-        updates["divisions"] = config.m
-    if config.tau is not None:
-        if config.tau <= 0:
-            raise ValueError("--tau must be positive")
-        updates["tau"] = config.tau
-    if config.n is not None:
-        if config.n < 1:
-            raise ValueError("--n must be at least 1")
-        updates["segment_steps"] = config.n
-    if updates and config.big_t is None:
-        tau = updates.get("tau", problem.tau)
-        steps = updates.get("segment_steps", problem.segment_steps)
-        updates["T"] = (problem.segment_count * (steps + 1) - 1) * tau
-    elif config.big_t is not None:
-        updates["T"] = config.big_t
-    return replace(problem, **updates) if updates else problem
+    return problem.with_overrides(m, config.tau, config.n, None, config.big_t)
 
 
 def _obtain_snapshots(problem: ProblemSpec, disc: Discretization,
                       config: RunConfig, summary: RunSummary) -> SnapshotMatrix:
     if config.snapshots_path:
-        snapshots = load_snapshots(config.snapshots_path, problem)
-        if snapshots.num_dofs != disc.mesh.num_interior:
-            raise ValueError(
-                f"snapshot file has {snapshots.num_dofs} dofs, problem has "
-                f"{disc.mesh.num_interior}"
-            )
-        if snapshots.tau != problem.tau:
-            raise ValueError(
-                f"snapshot file has tau {snapshots.tau!r}, problem has "
-                f"{problem.tau!r}"
-            )
-        if snapshots.num_columns != problem.num_steps + 1:
-            raise ValueError(
-                f"snapshot file has {snapshots.num_columns} columns, problem "
-                f"has {problem.num_steps + 1}"
-            )
-        return snapshots
+        return load_snapshots(config.snapshots_path, problem)
     start = time.perf_counter()
     snapshots = run_hifi(problem, disc)
     summary.hifi_seconds = time.perf_counter() - start

@@ -301,9 +301,25 @@ class ProblemSpec:
     def num_steps(self) -> int:
         return self.segment_count * (self.segment_steps + 1) - 1
 
+    @property
+    def num_dofs(self) -> int:
+        """Interior nodes of the uniform mesh, one unknown each."""
+        return (self.divisions - 1) ** self.dimension
+
     def __post_init__(self):
-        if self.tau <= 0 or self.T <= 0:
-            raise ValueError("tau and T must be positive")
+        if self.dimension not in (1, 2, 3):
+            raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension!r}")
+        if len(self.alpha_diag) != self.dimension:
+            raise ValueError(f"{len(self.alpha_diag)} diffusion entries for "
+                             f"{self.dimension} axes")
+        if self.divisions < 2:
+            raise ValueError(f"m must be at least 2, got {self.divisions}")
+        if self.segment_steps < 1 or self.segment_count < 1:
+            raise ValueError(f"n = {self.segment_steps} and the segment count "
+                             f"{self.segment_count} must be at least 1")
+        if not (0 < self.tau < math.inf and 0 < self.T < math.inf):
+            raise ValueError(f"tau = {self.tau!r} and T = {self.T!r} must be "
+                             "finite and positive")
         if abs(self.num_steps * self.tau - self.T) > 1e-9 * self.T:
             raise ValueError(
                 f"horizon mismatch: {self.segment_count} segments of "
@@ -311,6 +327,16 @@ class ProblemSpec:
                 f"{self.num_steps * self.tau!r}, spec says T = {self.T!r}"
             )
         self._warn_if_alpha_negative()
+
+    def with_overrides(self, m, tau, n, segments, T) -> ProblemSpec:
+        """Each given value replaces its field and None keeps it; without T
+        the horizon is recomputed, so it stays segment-exact."""
+        tau = self.tau if tau is None else float(tau)
+        n = self.segment_steps if n is None else int(n)
+        segments = self.segment_count if segments is None else int(segments)
+        T = (segments * (n + 1) - 1) * tau if T is None else float(T)
+        return replace(self, divisions=self.divisions if m is None else int(m),
+                       tau=tau, segment_steps=n, segment_count=segments, T=T)
 
     def _warn_if_alpha_negative(self):
         sample = np.linspace(0.0, 1.0, 9)
@@ -328,7 +354,6 @@ class ProblemSpec:
 def _spec(name, dimension, alpha, c, f, u0, tau, divisions, segment_steps,
           segment_count):
     alpha_fields = tuple(parse_expression(a) for a in alpha)
-    steps = segment_count * (segment_steps + 1) - 1
     return ProblemSpec(
         name=name,
         dimension=dimension,
@@ -336,7 +361,7 @@ def _spec(name, dimension, alpha, c, f, u0, tau, divisions, segment_steps,
         c=parse_expression(c),
         f=parse_expression(f),
         u0=parse_expression(u0),
-        T=steps * tau,
+        T=(segment_count * (segment_steps + 1) - 1) * tau,
         tau=tau,
         divisions=divisions,
         segment_steps=segment_steps,
@@ -413,26 +438,10 @@ def problem_from_config(config: dict) -> ProblemSpec:
     config = dict(config)
     if "scenario" in config:
         base = scenario(config.pop("scenario"), config.pop("f", None))
-        updates = {}
-        if "m" in config:
-            updates["divisions"] = int(config.pop("m"))
-        if "tau" in config:
-            updates["tau"] = float(config.pop("tau"))
-        if "n" in config:
-            updates["segment_steps"] = int(config.pop("n"))
-        if "segments" in config:
-            updates["segment_count"] = int(config.pop("segments"))
-        if "T" in config:
-            updates["T"] = float(config.pop("T"))
+        overrides = [config.pop(key, None) for key in ("m", "tau", "n", "segments", "T")]
         if config:
             raise ValueError(f"unknown config keys: {sorted(config)}")
-        if updates and "T" not in updates:
-            # keep the horizon segment-exact under tau/n overrides
-            tau = updates.get("tau", base.tau)
-            steps = updates.get("segment_steps", base.segment_steps)
-            count = updates.get("segment_count", base.segment_count)
-            updates["T"] = (count * (steps + 1) - 1) * tau
-        return replace(base, **updates)
+        return base.with_overrides(*overrides)
 
     required = {"dimension", "alpha", "c", "f", "u0", "T", "tau", "m",
                 "segment_steps", "segment_count"}

@@ -28,7 +28,7 @@ from seampde.assembly import (
     interpolate_initial,
     sparsity_pattern,
 )
-from seampde.errors import SolverFailure
+from seampde.errors import SegmentationError, SolverFailure
 from seampde.fields import ProblemSpec
 from seampde.mesh import Mesh, build_cube_mesh, build_interval_mesh, build_square_mesh
 
@@ -48,7 +48,6 @@ class SnapshotMatrix:
 
     data: np.ndarray
     tau: float
-    problem: ProblemSpec | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "data", np.asfortranarray(self.data, dtype=float))
@@ -64,6 +63,17 @@ class SnapshotMatrix:
 
     def column(self, k: int) -> np.ndarray:
         return self.data[:, k]
+
+    def segments(self, segment_steps: int):
+        """Views of the consecutive blocks of segment_steps+1 columns.
+
+        Raises SegmentationError at once unless the columns split exactly.
+        """
+        cols = segment_steps + 1
+        if cols < 1 or self.num_columns % cols != 0:
+            raise SegmentationError(f"{self.num_columns} snapshot columns do not "
+                                    f"split into segments of {cols}")
+        return (self.data[:, k:k + cols] for k in range(0, self.num_columns, cols))
 
 
 @dataclass(frozen=True)
@@ -226,7 +236,7 @@ def run_hifi(problem: ProblemSpec, disc: Discretization | None = None) -> Snapsh
         u = cg_solve(system, rhs, x0=start)
         au = system @ u
         data[:, n] = u
-    return SnapshotMatrix(data, problem.tau, problem)
+    return SnapshotMatrix(data, problem.tau)
 
 
 def write_snapshot_file(path, num_dofs: int, num_columns: int, tau: float,
@@ -250,7 +260,11 @@ def save_snapshots(snapshots: SnapshotMatrix, path) -> None:
 
 
 def load_snapshots(path, problem: ProblemSpec | None = None) -> SnapshotMatrix:
-    """Read a snapshot file, checking its header against the file size first."""
+    """Read a snapshot file, checking its header before the payload.
+
+    The header must match the file size and, when ``problem`` is given,
+    the problem's dof count, column count N+1 and time step.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -266,5 +280,10 @@ def load_snapshots(path, problem: ProblemSpec | None = None) -> SnapshotMatrix:
         if size != expected:
             raise ValueError(f"{path}: header claims {m} x {cols} values "
                              f"({expected} bytes), file has {size} bytes")
+        if problem is not None:
+            wanted = (problem.num_dofs, problem.num_steps + 1, problem.tau)
+            if (m, cols, tau) != wanted:
+                raise ValueError(f"{path}: snapshot file has (dofs, columns, tau) "
+                                 f"= {(m, cols, tau)}, problem has {wanted}")
         raw = np.frombuffer(fh.read(8 * m * cols), dtype="<f8")
-    return SnapshotMatrix(raw.reshape(cols, m).T, tau, problem)
+    return SnapshotMatrix(raw.reshape(cols, m).T, tau)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from seampde.assembly import LoadVector, SymmetricSparseOperator
-from seampde.errors import SegmentationError
 from seampde.hifi import SnapshotMatrix, write_snapshot_file
 from seampde.pod import GramSpectrum, PodBasis, eig_descending, gram, pod_basis
 
@@ -129,29 +128,16 @@ def seam_online(model: SeamModel, steps: int) -> np.ndarray:
 
 def run_parallel_seam(snapshots: SnapshotMatrix, mass: SymmetricSparseOperator,
                       stiffness: SymmetricSparseOperator, load,
-                      segment_steps: int | None = None) -> SeamSolution:
+                      segment_steps: int) -> SeamSolution:
     """Reduce every segment of a snapshot matrix independently, then replay.
 
     The column count must be an exact multiple of segment_steps+1. The
     solution records the wall time of the replay.
     """
-    if segment_steps is None:
-        if snapshots.problem is None:
-            raise SegmentationError("segment_steps not given and snapshots "
-                                    "carry no problem metadata")
-        segment_steps = snapshots.problem.segment_steps
-    cols = segment_steps + 1
-    total = snapshots.num_columns
-    if cols < 1 or total % cols != 0:
-        raise SegmentationError(
-            f"{total} snapshot columns do not split into segments of {cols}"
-        )
-    segments = total // cols
     tau = snapshots.tau
     models = tuple(
-        seam_offline(snapshots.data[:, k * cols:(k + 1) * cols], mass,
-                     stiffness, load, tau, segment_id=k)
-        for k in range(segments))
+        seam_offline(block, mass, stiffness, load, tau, segment_id=k)
+        for k, block in enumerate(snapshots.segments(segment_steps)))
     start = time.perf_counter()
     alphas = np.vstack([seam_online(model, segment_steps) for model in models])
     online_seconds = time.perf_counter() - start

@@ -27,7 +27,8 @@ from seampde.seam import run_parallel_seam
 
 
 def diag_op(values):
-    return SymmetricSparseOperator(sparse.diags(values, format="csr"))
+    return SymmetricSparseOperator(
+        sparse.diags(np.asarray(values, dtype=float), format="csr"))
 
 
 def reference_matrix(u0, norm_a, tau, n):
@@ -267,13 +268,14 @@ def test_spectral_report_roundtrip(tmp_path):
     assert loaded["tau_norm_a"] == pytest.approx(0.01 * report.norm_a)
 
 
-def test_spectral_report_bad_segmentation():
+@pytest.mark.parametrize("segment_steps", [3, -1])
+def test_spectral_report_bad_segmentation(segment_steps):
     from seampde.errors import SegmentationError
 
     snaps = SnapshotMatrix(np.ones((3, 10)), 0.1)
     mass = diag_op([1.0, 1.0, 1.0])
     with pytest.raises(SegmentationError, match="split"):
-        build_spectral_report(snaps, mass, mass, segment_steps=3)
+        build_spectral_report(snaps, mass, mass, segment_steps=segment_steps)
 
 
 def test_record_holds_flags():

@@ -60,9 +60,42 @@ def test_scenario_and_config_conflict(tmp_path):
     assert run_cli("--scenario", "heat1d", "--config", str(cfg)) == 2
 
 
-def test_bad_override_exits_2(tmp_path):
-    assert run_cli("--scenario", "heat1d", "--m", "1",
-                   "--out", str(tmp_path / "x")) == 2
+MINI = {
+    "name": "mini", "dimension": 1, "alpha": ["1"], "c": "0", "f": "0",
+    "u0": "x", "tau": 0.001, "T": 0.01, "m": 6,
+    "segment_steps": 10, "segment_count": 1,
+}
+
+
+@pytest.mark.parametrize("config,flags", [
+    pytest.param({**MINI, "dimension": 4, "alpha": ["1"] * 4, "m": 2}, [],
+                 id="dimension-4"),
+    pytest.param({**MINI, "segment_steps": -2, "segment_count": -2, "T": 0.001},
+                 [], id="negative-segments"),
+    pytest.param({**MINI, "segment_steps": 0, "segment_count": 3, "T": 0.002},
+                 [], id="config-n-0"),
+    pytest.param({"scenario": "s3", "m": 4, "n": 0}, [], id="scenario-n-0"),
+    pytest.param({**MINI, "dimension": 2}, [], id="alpha-count"),
+    pytest.param({**MINI, "m": 1}, [], id="config-m-1"),
+    pytest.param(None, ["--m", "1"], id="flag-m-1"),
+    pytest.param(None, ["--n", "0"], id="flag-n-0"),
+    pytest.param(None, ["--tau", "0"], id="flag-tau-0"),
+    pytest.param(None, ["--T", "0.5"], id="flag-T-mismatch"),
+])
+def test_bad_override_exits_2(tmp_path, monkeypatch, config, flags):
+    def no_hifi(*args, **kwargs):
+        raise AssertionError("hifi ran on a rejected problem")
+
+    monkeypatch.setattr(cli, "run_hifi", no_hifi)
+    if config is None:
+        problem = ["--scenario", "heat1d"]
+    else:
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(config))
+        problem = ["--config", str(path)]
+    out = tmp_path / "out"
+    assert run_cli(*problem, *flags, "--mode", "hifi", "--out", str(out)) == 2
+    assert not (out / "snapshots.bin").exists()
 
 
 def test_missing_problem_exits_2():
@@ -410,6 +443,15 @@ def test_slice_fields_are_plain_numbers(tmp_path):
         np.testing.assert_array_equal(values[:, :2], points)
         np.testing.assert_array_equal(values[:, 2], reference[:, index])
         np.testing.assert_array_equal(values[:, 3], reduced[:, index])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_initial_data_exits_2(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**MINI, "u0": "1e308*(1+x)"}))
+    out = tmp_path / "out"
+    assert run_cli("--config", str(path), "--mode", "hifi", "--out", str(out)) == 2
+    assert not (out / "snapshots.bin").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

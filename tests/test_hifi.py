@@ -309,6 +309,25 @@ def test_load_holds_one_copy_of_the_payload(tmp_path):
     assert peak < 1.5 * back.data.nbytes
 
 
+@pytest.mark.parametrize("mismatch", ["dofs", "columns", "tau"])
+def test_load_rejects_problem_mismatch_before_reading(tmp_path, mismatch):
+    problem = small_problem(m=1001, steps=499)  # 1000 dofs x 500 columns, 4 MB
+    header = {"dofs": problem.num_dofs, "columns": problem.num_steps + 1,
+              "tau": problem.tau}
+    header[mismatch] += 1
+    path = tmp_path / "snapshots.bin"
+    write_header(path, header["dofs"], header["columns"], header["tau"],
+                 payload=bytes(8 * header["dofs"] * header["columns"]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="problem has"):
+            load_snapshots(path, problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the payload was never read
+
+
 @pytest.mark.parametrize("m,cols", [(0, 3), (3, 0), (-1, 2)])
 def test_load_rejects_empty_shape(tmp_path, m, cols):
     path = tmp_path / "empty.bin"

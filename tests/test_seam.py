@@ -113,18 +113,12 @@ def test_sign_invariance_of_reconstruction():
     np.testing.assert_allclose(original, mirrored, atol=1e-14)
 
 
-def test_divisibility_violation():
+@pytest.mark.parametrize("segment_steps", [3, -1])
+def test_divisibility_violation(segment_steps):
     snaps = SnapshotMatrix(np.ones((4, 10)), 0.1)
     with pytest.raises(SegmentationError):
         run_parallel_seam(snaps, identity_operator(4), identity_operator(4),
-                          np.zeros(4), segment_steps=3)
-
-
-def test_missing_segment_steps_without_problem():
-    snaps = SnapshotMatrix(np.ones((4, 10)), 0.1)
-    with pytest.raises(SegmentationError, match="metadata"):
-        run_parallel_seam(snaps, identity_operator(4), identity_operator(4),
-                          np.zeros(4))
+                          np.zeros(4), segment_steps=segment_steps)
 
 
 def test_column_accessor():
