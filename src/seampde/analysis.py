@@ -22,7 +22,7 @@ import numpy as np
 
 from seampde.assembly import SymmetricSparseOperator
 from seampde.errors import DegenerateReferenceError, StagnationError
-from seampde.hifi import SnapshotMatrix, cg_solve
+from seampde.hifi import SnapshotMatrix, cg_solve, galerkin_start
 from seampde.pod import GramSpectrum, eig_descending, gram, jacobi_eigh
 from seampde.seam import SeamSolution
 
@@ -32,27 +32,27 @@ def operator_norm(mass: SymmetricSparseOperator,
                   rtol: float = 1e-10, maxiter: int = 10000) -> float:
     """Largest generalized eigenvalue of (S, M) by power iteration.
 
-    Equals the 2-norm of the symmetrized evolution operator. Every
-    application solves one mass system with conjugate gradients; the
-    start vector is a fixed pseudo-random draw so results are
-    deterministic.
+    Equals the 2-norm of the symmetrized evolution operator. Each step
+    solves M w = S v by CG, started by ``galerkin_start`` (A = M) on the last
+    two M-normalized iterates (on v alone, giving (v.Sv) v, at first); their
+    M v come free with the normalization. The first v is a fixed random draw.
     """
     m = mass.matrix
     s = stiffness.matrix
-    v = np.random.default_rng(0).standard_normal(m.shape[0])
-    v /= np.sqrt(v @ (m @ v))
-    estimate = None
+    w = np.random.default_rng(0).standard_normal(m.shape[0])
+    v = mv = estimate = None
     for _ in range(maxiter):
+        mw = m @ w
+        norm_w = np.sqrt(w @ mw)
+        if norm_w == 0.0:
+            return 0.0  # stiffness annihilates the iterate: S is zero on it
+        v_prev, mv_prev, v, mv = v, mv, w / norm_w, mw / norm_w
         sv = s @ v
         current = float(v @ sv)
         if estimate is not None and abs(current - estimate) <= rtol * abs(current):
             return current
         estimate = current
-        w = cg_solve(m, sv, x0=v * current)
-        norm_w = np.sqrt(w @ (m @ w))
-        if norm_w == 0.0:
-            return 0.0  # stiffness annihilates the iterate: S is zero on it
-        v = w / norm_w
+        w = cg_solve(m, sv, x0=galerkin_start(sv, v, mv, v_prev, mv_prev))
     raise StagnationError(
         f"power iteration stagnated after {maxiter} iterations "
         f"(last estimate {estimate!r})"

@@ -166,16 +166,6 @@ def resolve_problem(config: RunConfig) -> ProblemSpec:
     return problem.with_overrides(m, config.tau, config.n, None, config.big_t)
 
 
-def _obtain_snapshots(problem: ProblemSpec, disc: Discretization,
-                      config: RunConfig, summary: RunSummary) -> SnapshotMatrix:
-    if config.snapshots_path:
-        return load_snapshots(config.snapshots_path, problem)
-    start = time.perf_counter()
-    snapshots = run_hifi(problem, disc)
-    summary.hifi_seconds = time.perf_counter() - start
-    return snapshots
-
-
 def _write_error_csv(path, tau: float, error_sq: np.ndarray,
                      reference_sq: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
@@ -238,12 +228,16 @@ def execute(config: RunConfig) -> RunSummary:
     summary.dofs = disc.mesh.num_interior
 
     outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     if config.mode == "bench":
         return _run_bench(problem, disc, config, summary, outdir)
 
-    snapshots = _obtain_snapshots(problem, disc, config, summary)
+    if config.snapshots_path:
+        snapshots = load_snapshots(config.snapshots_path, problem)
+    else:
+        start = time.perf_counter()
+        snapshots = run_hifi(problem, disc)
+        summary.hifi_seconds = time.perf_counter() - start
+    outdir.mkdir(parents=True, exist_ok=True)  # not for a rejected snapshot file
     if not config.snapshots_path:
         save_snapshots(snapshots, outdir / "snapshots.bin")
 
@@ -313,6 +307,7 @@ def _run_bench(problem, disc, config, summary, outdir) -> RunSummary:
         },
         "note": "online time excludes snapshot generation and basis extraction",
     })
+    outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "bench.json", "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -282,7 +283,8 @@ class ProblemSpec:
     ``segment_steps`` is the per-segment step count n (a segment holds
     n+1 snapshot columns) and ``segment_count`` the number of segments,
     so a segment-exact run takes segment_count*(segment_steps+1) - 1
-    backward-Euler steps.
+    backward-Euler steps (``T=None`` sets that horizon). The counts are
+    whole numbers: ints, or floats with an integral value.
     """
 
     name: str
@@ -307,6 +309,12 @@ class ProblemSpec:
         return (self.divisions - 1) ** self.dimension
 
     def __post_init__(self):
+        for name in ("dimension", "divisions", "segment_steps", "segment_count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
+                    isinstance(value, float) and value.is_integer())):
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.dimension not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension!r}")
         if len(self.alpha_diag) != self.dimension:
@@ -317,6 +325,8 @@ class ProblemSpec:
         if self.segment_steps < 1 or self.segment_count < 1:
             raise ValueError(f"n = {self.segment_steps} and the segment count "
                              f"{self.segment_count} must be at least 1")
+        if self.T is None:
+            object.__setattr__(self, "T", self.num_steps * self.tau)
         if not (0 < self.tau < math.inf and 0 < self.T < math.inf):
             raise ValueError(f"tau = {self.tau!r} and T = {self.T!r} must be "
                              "finite and positive")
@@ -331,12 +341,10 @@ class ProblemSpec:
     def with_overrides(self, m, tau, n, segments, T) -> ProblemSpec:
         """Each given value replaces its field and None keeps it; without T
         the horizon is recomputed, so it stays segment-exact."""
-        tau = self.tau if tau is None else float(tau)
-        n = self.segment_steps if n is None else int(n)
-        segments = self.segment_count if segments is None else int(segments)
-        T = (segments * (n + 1) - 1) * tau if T is None else float(T)
-        return replace(self, divisions=self.divisions if m is None else int(m),
-                       tau=tau, segment_steps=n, segment_count=segments, T=T)
+        given = {"divisions": m, "segment_steps": n, "segment_count": segments,
+                 "tau": tau if tau is None else float(tau)}
+        return replace(self, T=T if T is None else float(T),
+                       **{k: v for k, v in given.items() if v is not None})
 
     def _warn_if_alpha_negative(self):
         sample = np.linspace(0.0, 1.0, 9)
@@ -361,7 +369,7 @@ def _spec(name, dimension, alpha, c, f, u0, tau, divisions, segment_steps,
         c=parse_expression(c),
         f=parse_expression(f),
         u0=parse_expression(u0),
-        T=(segment_count * (segment_steps + 1) - 1) * tau,
+        T=None,
         tau=tau,
         divisions=divisions,
         segment_steps=segment_steps,
@@ -450,16 +458,16 @@ def problem_from_config(config: dict) -> ProblemSpec:
         raise ValueError(f"explicit problem config missing keys: {sorted(missing)}")
     return ProblemSpec(
         name=config.get("name", "custom"),
-        dimension=int(config["dimension"]),
+        dimension=config["dimension"],
         alpha_diag=tuple(parse_expression(a) for a in config["alpha"]),
         c=parse_expression(config["c"]),
         f=parse_expression(config["f"]),
         u0=parse_expression(config["u0"]),
         T=float(config["T"]),
         tau=float(config["tau"]),
-        divisions=int(config["m"]),
-        segment_steps=int(config["segment_steps"]),
-        segment_count=int(config["segment_count"]),
+        divisions=config["m"],
+        segment_steps=config["segment_steps"],
+        segment_count=config["segment_count"],
     )
 
 

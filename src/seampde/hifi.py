@@ -180,13 +180,14 @@ def backward_euler_step(mass: SymmetricSparseOperator,
     return cg_solve(system, rhs, x0=u_prev)
 
 
-def _projected_start(rhs: np.ndarray, u1: np.ndarray, au1: np.ndarray,
-                     u2: np.ndarray | None, au2: np.ndarray | None) -> np.ndarray:
+def galerkin_start(rhs: np.ndarray, u1: np.ndarray, au1: np.ndarray,
+                   u2: np.ndarray | None, au2: np.ndarray | None) -> np.ndarray:
     """Galerkin projection of A^{-1} rhs onto span{u1, u2}, given A u1 and A u2.
 
-    u2 is orthogonalized against u1 in the A-inner product, so no product
-    of two Gram entries is formed. Without u2, or when u2 is parallel to
-    u1, the projection is onto u1 alone; a zero u1 gives a zero start.
+    The CG start of run_hifi (A = M + tau*S, last two snapshots) and of
+    analysis.operator_norm (A = M, last two power iterates). u2 is
+    A-orthogonalized against u1, so no product of two Gram entries is formed;
+    without u2, or parallel to u1, it is (u1.rhs / u1.A u1) u1 (zero for u1 = 0).
     """
     g11 = u1 @ au1
     if not g11 > 0.0:
@@ -231,7 +232,7 @@ def run_hifi(problem: ProblemSpec, disc: Discretization | None = None) -> Snapsh
             f = assemble_load(disc.mesh, problem.f, n * problem.tau,
                               geometry).values
         rhs = mass @ u + problem.tau * f
-        start = _projected_start(rhs, u, au, u_prev, au_prev)
+        start = galerkin_start(rhs, u, au, u_prev, au_prev)
         u_prev, au_prev = u, au
         u = cg_solve(system, rhs, x0=start)
         au = system @ u

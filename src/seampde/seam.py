@@ -60,10 +60,6 @@ class SeamSolution:
         return len(self.models[0].basis.vector)
 
     @property
-    def num_segments(self) -> int:
-        return self.alphas.shape[0]
-
-    @property
     def num_columns(self) -> int:
         return self.alphas.size
 

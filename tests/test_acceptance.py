@@ -123,7 +123,7 @@ def case_record(name, f="0", divisions=None):
     cols = problem.segment_steps + 1
     lam0, tails, identity_gaps = [], [], []
     lam1_first = None
-    for k in range(solution.num_segments):
+    for k in range(len(solution.models)):
         block = snapshots.data[:, k * cols:(k + 1) * cols]
         spectrum = eig_descending(gram(block), segment=k)
         values = spectrum.eigenvalues

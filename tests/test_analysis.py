@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,8 +21,8 @@ from seampde.analysis import (
 )
 from seampde.assembly import SymmetricSparseOperator, assemble_mass, assemble_stiffness
 from seampde.errors import DegenerateReferenceError
-from seampde.fields import ProblemSpec, parse_expression as expr
-from seampde.hifi import SnapshotMatrix, discretize, run_hifi
+from seampde.fields import ProblemSpec, parse_expression as expr, scenario
+from seampde.hifi import SnapshotMatrix, cg_solve, discretize, run_hifi
 from seampde.mesh import build_interval_mesh
 from seampde.pod import eig_descending, gram
 from seampde.seam import run_parallel_seam
@@ -81,6 +83,56 @@ def test_operator_norm_against_dense_pencil():
 
 def test_operator_norm_zero_stiffness():
     assert operator_norm(diag_op([1.0, 2.0]), diag_op([0.0, 0.0])) == 0.0
+
+
+class CountingMatrix:
+    """Sparse matrix stand-in that counts its products with a vector."""
+
+    def __init__(self, matrix):
+        self.inner = matrix
+        self.shape = matrix.shape
+        self.products = 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.inner @ x
+
+
+def counting(operator):
+    return SimpleNamespace(matrix=CountingMatrix(operator.matrix))
+
+
+def one_vector_power_iteration(mass, stiffness, rtol=1e-10, maxiter=10000):
+    """Reference operator norm: each mass solve starts from (v.Sv) v."""
+    m, s = mass.matrix, stiffness.matrix
+    v = np.random.default_rng(0).standard_normal(m.shape[0])
+    v /= np.sqrt(v @ (m @ v))
+    estimate = None
+    for _ in range(maxiter):
+        sv = s @ v
+        current = float(v @ sv)
+        if estimate is not None and abs(current - estimate) <= rtol * abs(current):
+            return current
+        estimate = current
+        w = cg_solve(m, sv, x0=v * current)
+        v = w / np.sqrt(w @ (m @ w))
+    raise AssertionError("reference power iteration did not converge")
+
+
+@pytest.mark.parametrize("problem", [
+    replace(scenario("heat3d"), divisions=16),
+    scenario("s1"),
+], ids=["heat3d-m16", "s1"])
+def test_operator_norm_matches_one_vector_start_with_fewer_mass_products(problem):
+    disc = discretize(problem)
+    ref_mass, ref_stiff = counting(disc.mass), counting(disc.stiffness)
+    mass, stiff = counting(disc.mass), counting(disc.stiffness)
+    reference = one_vector_power_iteration(ref_mass, ref_stiff)
+    value = operator_norm(mass, stiff)
+    assert value == pytest.approx(reference, rel=1e-13, abs=0)
+    # one stiffness product per power step on both sides
+    assert stiff.matrix.products == ref_stiff.matrix.products
+    assert mass.matrix.products < ref_mass.matrix.products
 
 
 def test_time_step_check_arithmetic():
@@ -220,7 +272,7 @@ def test_relative_error_shape_mismatch():
 
 def test_column_error_norms_match_loop_oracle(segmented_run):
     snapshots, solution, mass = segmented_run
-    assert solution.num_segments == 4
+    assert len(solution.models) == 4
     abs_err, ref_norm = loop_column_errors(snapshots.data, solution.to_matrix(),
                                            mass)
     error_sq, reference_sq = column_error_norms(snapshots, solution, mass)

@@ -81,6 +81,17 @@ MINI = {
     pytest.param(None, ["--n", "0"], id="flag-n-0"),
     pytest.param(None, ["--tau", "0"], id="flag-tau-0"),
     pytest.param(None, ["--T", "0.5"], id="flag-T-mismatch"),
+    pytest.param({"scenario": "heat1d", "n": 99.5}, [], id="scenario-n-fractional"),
+    pytest.param({"scenario": "heat1d", "m": 6.9}, [], id="scenario-m-fractional"),
+    pytest.param({"scenario": "s3", "segments": 2.5}, [],
+                 id="scenario-segments-fractional"),
+    pytest.param({"scenario": "heat1d", "n": True}, [], id="scenario-n-bool"),
+    pytest.param({**MINI, "m": 6.9}, [], id="config-m-fractional"),
+    pytest.param({**MINI, "dimension": 1.5}, [], id="config-dimension-fractional"),
+    pytest.param({**MINI, "dimension": True}, [], id="config-dimension-bool"),
+    pytest.param({**MINI, "segment_steps": 10.5}, [], id="config-n-fractional"),
+    pytest.param({**MINI, "segment_count": 1.5}, [], id="config-segments-fractional"),
+    pytest.param({**MINI, "m": "6"}, [], id="config-m-string"),
 ])
 def test_bad_override_exits_2(tmp_path, monkeypatch, config, flags):
     def no_hifi(*args, **kwargs):
@@ -155,6 +166,7 @@ def test_snapshot_reuse_dof_mismatch(tmp_path):
     assert run_cli("--config", str(path), "--mode", "seam",
                    "--out", str(tmp_path / "out2"),
                    "--snapshots", str(out / "snapshots.bin")) == 2
+    assert not (tmp_path / "out2").exists()
 
 
 def test_snapshot_reuse_tau_mismatch(tmp_path):
@@ -171,7 +183,7 @@ def test_snapshot_reuse_tau_mismatch(tmp_path):
     assert run_cli("--config", str(path), "--mode", "seam", "--tau", "0.002",
                    "--out", str(tmp_path / "out2"),
                    "--snapshots", str(out / "snapshots.bin")) == 2
-    assert not (tmp_path / "out2" / "summary.json").exists()
+    assert not (tmp_path / "out2").exists()
 
 
 @pytest.mark.parametrize("mode", ["eigs", "parallel-seam"])
@@ -333,11 +345,11 @@ def test_snapshot_column_count_mismatch_exits_2(tmp_path):
     cfg["segment_steps"] = 3
     cfg["T"] = 0.003
     path.write_text(json.dumps(cfg))
-    for mode in ("seam", "parallel-seam", "eigs"):
+    for mode in ("hifi", "seam", "parallel-seam", "eigs"):
         result = tmp_path / mode
         assert run_cli("--config", str(path), "--mode", mode, "--out", str(result),
                        "--snapshots", str(out / "snapshots.bin")) == 2
-        assert not (result / "summary.json").exists()
+        assert not result.exists()
 
 
 def test_divisibility_violation_exit_4(tmp_path, monkeypatch):

@@ -214,6 +214,16 @@ def test_config_scenario_with_overrides():
     assert spec.T == pytest.approx(100 * 4e-4)
 
 
+def test_integral_float_counts_become_ints():
+    spec = problem_from_config({"scenario": "heat1d", "m": 9.0, "n": 100.0,
+                                "segments": 2.0})
+    assert (spec.divisions, spec.segment_steps, spec.segment_count) == (9, 100, 2)
+    assert all(type(v) is int for v in (spec.divisions, spec.segment_steps,
+                                        spec.segment_count, spec.dimension))
+    assert spec == problem_from_config({"scenario": "heat1d", "m": 9, "n": 100,
+                                        "segments": 2})
+
+
 def test_config_unknown_key():
     with pytest.raises(ValueError, match="unknown config keys"):
         problem_from_config({"scenario": "s1", "bogus": 3})

@@ -20,6 +20,7 @@ from seampde.hifi import (
     backward_euler_step,
     cg_solve,
     discretize,
+    galerkin_start,
     load_snapshots,
     run_hifi,
     save_snapshots,
@@ -206,6 +207,39 @@ def test_start_guess_exact_for_rank_one_run(monkeypatch):
     # projection onto U_{n-1} alone is already the solution
     residuals = start_residuals(monkeypatch, scenario("heat1d"))
     assert residuals.max() <= 1e-12
+
+
+def spd_system(size=50, seed=5):
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((size, size))
+    return q @ q.T + size * np.eye(size), rng
+
+
+def test_galerkin_start_solves_the_two_by_two_system():
+    a, rng = spd_system()
+    rhs, u1, u2 = rng.standard_normal((3, len(a)))
+    basis = np.column_stack([u1, u2])
+    coeffs = np.linalg.solve(basis.T @ a @ basis, basis.T @ rhs)
+    start = galerkin_start(rhs, u1, a @ u1, u2, a @ u2)
+    np.testing.assert_allclose(start, basis @ coeffs, rtol=1e-12, atol=1e-14)
+
+
+def test_galerkin_start_parallel_pair_falls_back_to_u1():
+    a, rng = spd_system()
+    rhs, u1 = rng.standard_normal((2, len(a)))
+    u2 = -3.0 * u1
+    alone = ((u1 @ rhs) / (u1 @ a @ u1)) * u1
+    start = galerkin_start(rhs, u1, a @ u1, u2, a @ u2)
+    np.testing.assert_allclose(start, alone, rtol=1e-13, atol=1e-15)
+
+
+def test_galerkin_start_without_u2_is_the_one_vector_start():
+    # operator_norm's first step: with v M-normalized this is (v.Sv) v
+    a, rng = spd_system()
+    rhs, u1 = rng.standard_normal((2, len(a)))
+    au1 = a @ u1
+    start = galerkin_start(rhs, u1, au1, None, None)
+    assert np.array_equal(start, ((u1 @ rhs) / (u1 @ au1)) * u1)
 
 
 def test_determinism_bit_identical():

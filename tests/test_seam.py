@@ -91,7 +91,7 @@ def test_single_segment_matches_offline_online_exactly():
     load = rng.standard_normal(10)
     snaps = SnapshotMatrix(seg, 0.1)
     solution = run_parallel_seam(snaps, mass, stiffness, load, segment_steps=5)
-    assert solution.num_segments == 1
+    assert len(solution.models) == 1
     model = seam_offline(snaps.data, mass, stiffness, load, 0.1)
     alphas = seam_online(model, 5)
     assert np.array_equal(solution.alphas[0], alphas)
@@ -149,7 +149,7 @@ def test_galerkin_error_tracks_projection_error():
     projection_sq = 0.0
     galerkin_sq = 0.0
     scale = 0.0
-    for k in range(solution.num_segments):
+    for k in range(len(solution.models)):
         block = snaps.data[:, k * cols:(k + 1) * cols]
         spectrum = eig_descending(gram(block))
         projection_sq += spectrum.eigenvalues[1:].sum()
@@ -179,7 +179,7 @@ def test_save_and_metadata_export(tmp_path):
     export_segment_metadata(solution, meta_path)
     lines = meta_path.read_text().strip().splitlines()
     assert lines[0] == "segment,lambda0,system_coeff,mass_coeff,alpha0"
-    assert len(lines) == 1 + solution.num_segments
+    assert len(lines) == 1 + len(solution.models)
 
 
 def test_save_seam_bytes_equal_dense_snapshot_file(tmp_path):
@@ -191,7 +191,7 @@ def test_save_seam_bytes_equal_dense_snapshot_file(tmp_path):
     solution = run_parallel_seam(snaps, identity_operator(7),
                                  identity_operator(7), np.ones(7),
                                  segment_steps=3)
-    assert solution.num_segments == 3
+    assert len(solution.models) == 3
     save_seam(solution, tmp_path / "seam.bin")
     save_snapshots(SnapshotMatrix(solution.to_matrix(), solution.tau),
                    tmp_path / "dense.bin")
