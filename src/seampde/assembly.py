@@ -62,17 +62,6 @@ class SymmetricSparseOperator:
         return f"SymmetricSparseOperator(dim={self.dim}, nnz={self.nnz})"
 
 
-@dataclass(frozen=True)
-class LoadVector:
-    """Assembled right-hand side together with the time it was built for."""
-
-    values: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-
 def element_geometry(mesh: Mesh):
     """Volumes (nc,), basis gradients (nc, d+1, d), centroids (nc, d)."""
     p = mesh.vertices[mesh.cells]
@@ -100,13 +89,6 @@ def element_geometry(mesh: Mesh):
     grads[:, 1:, :] = np.transpose(inv, (0, 2, 1))
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
     return volumes, grads, centroids
-
-
-def _centroid_env(mesh: Mesh, centroids: np.ndarray, t: float = 0.0) -> dict:
-    env = {"t": t}
-    for axis, name in enumerate("xyz"[: mesh.dimension]):
-        env[name] = centroids[:, axis]
-    return env
 
 
 @dataclass(frozen=True)
@@ -197,11 +179,10 @@ def assemble_stiffness(mesh: Mesh, alpha_diag, c, geometry=None,
             f"need {mesh.dimension} diagonal diffusion entries, got {len(alpha_diag)}"
         )
     volumes, grads, centroids = geometry or element_geometry(mesh)
-    env = _centroid_env(mesh, centroids)
     alpha = np.empty((len(mesh.cells), mesh.dimension))
     for axis, a in enumerate(alpha_diag):
-        alpha[:, axis] = a(**env)
-    c_vals = np.broadcast_to(c(**env), len(mesh.cells))
+        alpha[:, axis] = a(*centroids.T)
+    c_vals = np.broadcast_to(c(*centroids.T), len(mesh.cells))
     d = mesh.dimension
     mass_base = volumes / ((d + 1) * (d + 2))
 
@@ -212,11 +193,10 @@ def assemble_stiffness(mesh: Mesh, alpha_diag, c, geometry=None,
     return _sum_into(pattern or sparsity_pattern(mesh), local)
 
 
-def assemble_load(mesh: Mesh, f, t: float = 0.0, geometry=None) -> LoadVector:
-    """Right-hand side F_k = sum_T f(centroid, t) * |T| / (d+1)."""
+def assemble_load(mesh: Mesh, f, t: float = 0.0, geometry=None) -> np.ndarray:
+    """Read-only right-hand side F_k = sum_T f(centroid, t) * |T| / (d+1)."""
     volumes, _, centroids = geometry or element_geometry(mesh)
-    env = _centroid_env(mesh, centroids, t)
-    f_vals = np.broadcast_to(f(**env), len(mesh.cells))
+    f_vals = np.broadcast_to(f(*centroids.T, t=t), len(mesh.cells))
     contrib = f_vals * volumes / (mesh.dimension + 1)
     values = np.zeros(mesh.num_interior)
     nodes = mesh.interior_index[mesh.cells]
@@ -224,14 +204,14 @@ def assemble_load(mesh: Mesh, f, t: float = 0.0, geometry=None) -> LoadVector:
         ri = nodes[:, i]
         keep = ri >= 0
         np.add.at(values, ri[keep], contrib[keep])
-    return LoadVector(values, t)
+    values.setflags(write=False)
+    return values
 
 
 def interpolate_initial(mesh: Mesh, u0) -> np.ndarray:
     """Nodal interpolant of u0 on interior nodes, which must all be finite."""
-    pts = mesh.interior_nodes()
-    env = {name: pts[:, axis] for axis, name in enumerate("xyz"[: mesh.dimension])}
-    values = np.asarray(np.broadcast_to(u0(**env), mesh.num_interior), dtype=float).copy()
+    u = u0(*mesh.interior_nodes().T)
+    values = np.asarray(np.broadcast_to(u, mesh.num_interior), dtype=float).copy()
     if not np.isfinite(values).all():
         raise EvaluationError("initial data is not finite at every interior node")
     return values

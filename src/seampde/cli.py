@@ -221,6 +221,8 @@ def execute(config: RunConfig) -> RunSummary:
 
     if config.mode == "hw-selftest":
         return _run_hw_selftest(config)
+    if config.mode == "bench" and config.repeats < 1:
+        raise ValueError("--repeats must be at least 1")
 
     problem = resolve_problem(config)
     summary = RunSummary(scenario=problem.name, mode=config.mode, dofs=0)
@@ -272,8 +274,6 @@ def execute(config: RunConfig) -> RunSummary:
 
 def _run_bench(problem, disc, config, summary, outdir) -> RunSummary:
     """Median-of-repeats timings for the full solve vs the reduced replay."""
-    if config.repeats < 1:
-        raise ValueError("--repeats must be at least 1")
     hifi_samples = []
     snapshots = None
     for _ in range(config.repeats):

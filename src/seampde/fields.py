@@ -349,9 +349,8 @@ class ProblemSpec:
     def _warn_if_alpha_negative(self):
         sample = np.linspace(0.0, 1.0, 9)
         grids = np.meshgrid(*([sample] * self.dimension))
-        env = dict(zip("xyz", grids))
         for a in self.alpha_diag:
-            if np.any(a(**env) < 0):
+            if np.any(a(*grids) < 0):
                 warnings.warn(
                     f"diffusion coefficient {a.to_string()} is negative "
                     "somewhere on the sample grid",

@@ -19,7 +19,6 @@ import numpy as np
 import scipy.sparse as sparse
 
 from seampde.assembly import (
-    LoadVector,
     SymmetricSparseOperator,
     assemble_load,
     assemble_mass,
@@ -87,7 +86,7 @@ class Discretization:
     mesh: Mesh
     mass: SymmetricSparseOperator
     stiffness: SymmetricSparseOperator
-    load: LoadVector
+    load: np.ndarray
     initial: np.ndarray
 
     def __post_init__(self):
@@ -170,13 +169,12 @@ def cg_solve(matrix, rhs: np.ndarray, *, rtol: float = CG_RTOL,
 
 def backward_euler_step(mass: SymmetricSparseOperator,
                         stiffness: SymmetricSparseOperator,
-                        load, u_prev: np.ndarray, tau: float) -> np.ndarray:
+                        load: np.ndarray, u_prev: np.ndarray, tau: float) -> np.ndarray:
     """One implicit Euler step: solve (M + tau*S) u = M u_prev + tau*F."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    f = load.values if isinstance(load, LoadVector) else np.asarray(load)
     system = mass.matrix + tau * stiffness.matrix
-    rhs = mass.matrix @ u_prev + tau * f
+    rhs = mass.matrix @ u_prev + tau * load
     return cg_solve(system, rhs, x0=u_prev)
 
 
@@ -221,7 +219,7 @@ def run_hifi(problem: ProblemSpec, disc: Discretization | None = None) -> Snapsh
     if time_dependent:
         volumes, _, centroids = element_geometry(disc.mesh)
         geometry = (volumes, None, centroids)
-    f = disc.load.values
+    f = disc.load
     data = np.empty((len(disc.initial), n_steps + 1), order="F")
     data[:, 0] = disc.initial
     u = disc.initial.copy()
@@ -229,8 +227,7 @@ def run_hifi(problem: ProblemSpec, disc: Discretization | None = None) -> Snapsh
     u_prev = au_prev = None
     for n in range(1, n_steps + 1):
         if time_dependent:
-            f = assemble_load(disc.mesh, problem.f, n * problem.tau,
-                              geometry).values
+            f = assemble_load(disc.mesh, problem.f, n * problem.tau, geometry)
         rhs = mass @ u + problem.tau * f
         start = galerkin_start(rhs, u, au, u_prev, au_prev)
         u_prev, au_prev = u, au

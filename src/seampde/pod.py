@@ -105,7 +105,6 @@ class PodBasis:
     vector: np.ndarray
     lam0: float
     weights: np.ndarray
-    rank: int = 1
 
     def __post_init__(self):
         self.vector.setflags(write=False)
@@ -120,8 +119,7 @@ def gram(segment: np.ndarray) -> np.ndarray:
     return segment.T @ segment
 
 
-def eig_descending(x: np.ndarray, k: int | None = None,
-                   segment: int | None = None) -> GramSpectrum:
+def eig_descending(x: np.ndarray, segment: int | None = None) -> GramSpectrum:
     """Descending eigenvalues of a symmetric matrix, clamped at zero.
 
     Non-finite entries and asymmetry beyond 1e-10 relative are rejected;
@@ -136,8 +134,6 @@ def eig_descending(x: np.ndarray, k: int | None = None,
     scale = np.abs(x).max() if x.size else 0.0
     if scale > 0 and np.abs(x - x.T).max() > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
-    if k is not None and not 1 <= k <= x.shape[0]:
-        raise ValueError(f"k must be in 1..{x.shape[0]}, got {k}")
     values, vectors = np.linalg.eigh(x)
     values, vectors = values[::-1], vectors[:, ::-1]
     floor = -1e-12 * max(np.trace(x), 0.0)
@@ -150,16 +146,13 @@ def eig_descending(x: np.ndarray, k: int | None = None,
     b0 = vectors[:, 0]
     if b0[np.argmax(np.abs(b0))] < 0:
         b0 = -b0
-    if k is not None:
-        values = values[:k]
     return GramSpectrum(segment, values, b0.copy())
 
 
-def pod_basis(segment_data: np.ndarray, spectrum: GramSpectrum | None = None) -> PodBasis:
-    """Rank-1 basis (1/sqrt(lam0)) * segment @ b0; unit 2-norm by construction."""
+def pod_basis(segment_data: np.ndarray, spectrum: GramSpectrum) -> PodBasis:
+    """Rank-1 basis (1/sqrt(lam0)) * segment @ b0 from the segment's Gram
+    spectrum; unit 2-norm by construction."""
     segment_data = np.asarray(segment_data, dtype=float)
-    if spectrum is None:
-        spectrum = eig_descending(gram(segment_data))
     lam0 = float(spectrum.eigenvalues[0])
     trace = float(np.einsum("ij,ij->", segment_data, segment_data))
     if lam0 <= np.finfo(float).eps * trace or trace == 0.0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seampde.assembly import LoadVector, SymmetricSparseOperator
+from seampde.assembly import SymmetricSparseOperator
 from seampde.hifi import SnapshotMatrix, write_snapshot_file
 from seampde.pod import GramSpectrum, PodBasis, eig_descending, gram, pod_basis
 
@@ -87,12 +87,8 @@ class SeamSolution:
         return data
 
 
-def _load_values(load) -> np.ndarray:
-    return load.values if isinstance(load, LoadVector) else np.asarray(load)
-
-
 def seam_offline(segment_data: np.ndarray, mass: SymmetricSparseOperator,
-                 stiffness: SymmetricSparseOperator, load, tau: float,
+                 stiffness: SymmetricSparseOperator, load: np.ndarray, tau: float,
                  segment_id: int | None = None) -> SeamModel:
     """Extract the rank-1 basis of a snapshot block and reduce the operators."""
     segment_data = np.asarray(segment_data, dtype=float)
@@ -101,7 +97,7 @@ def seam_offline(segment_data: np.ndarray, mass: SymmetricSparseOperator,
     beta = basis.vector
     system_coeff = float(beta @ (mass.matrix @ beta) + tau * (beta @ (stiffness.matrix @ beta)))
     mass_coeff = float(beta @ (mass.matrix @ beta))
-    load_coeff = float(beta @ _load_values(load))
+    load_coeff = float(beta @ load)
     alpha0 = float(beta @ segment_data[:, 0])
     return SeamModel(basis, system_coeff, mass_coeff, load_coeff, alpha0, tau,
                      spectrum)

@@ -186,7 +186,7 @@ def direct_snapshots(problem, disc):
     """
     lu = splu((disc.mass.matrix + problem.tau * disc.stiffness.matrix).tocsc())
     mass = disc.mass.matrix
-    source = problem.tau * disc.load.values
+    source = problem.tau * disc.load
     u = disc.initial.copy()
     yield u
     for _ in range(problem.num_steps):

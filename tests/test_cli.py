@@ -383,6 +383,17 @@ def test_bench_mode(tmp_path):
     assert "machine" in bench and "note" in bench
 
 
+def test_bench_rejects_repeats_before_compute(tmp_path, monkeypatch):
+    def no_discretize(*args, **kwargs):
+        raise AssertionError("discretize ran before --repeats was checked")
+
+    monkeypatch.setattr(cli, "discretize", no_discretize)
+    out = tmp_path / "bench"
+    assert run_cli("--scenario", "heat1d", "--mode", "bench", "--repeats", "0",
+                   "--out", str(out)) == 2
+    assert not out.exists()
+
+
 def test_hw_selftest_mode(tmp_path, capsys):
     out = tmp_path / "hw"
     assert run_cli("--mode", "hw-selftest", "--out", str(out)) == 0

@@ -172,7 +172,7 @@ def test_residuals_at_random_steps():
         system = disc.system_matrix(problem.tau)
         mass = disc.mass.matrix
         for n in rng.integers(1, snaps.num_columns, size=10):
-            load = assemble_load(disc.mesh, problem.f, t=n * problem.tau).values
+            load = assemble_load(disc.mesh, problem.f, t=n * problem.tau)
             rhs = mass @ snaps.column(n - 1) + problem.tau * load
             res = system @ snaps.column(n) - rhs
             assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs), (f, n)

@@ -64,39 +64,68 @@ def test_cube_counts():
     assert abs(cell_volumes(mesh).sum() - 1.0) < 1e-12
 
 
-def loop_cube_cells(m):
-    """Kuhn cells cube by cube (x fastest), one axis permutation at a time."""
-    def vid(i, j, k):
-        return i + (m + 1) * (j + (m + 1) * k)
+def loop_square_cells(m):
+    """Two triangles per square, (a, b, c) and (a, c, d) counterclockwise
+    from the low corner a, squares x fastest."""
+    def vid(i, j):
+        return i + (m + 1) * j
 
-    perms = list(itertools.permutations(range(3)))
-    cells = np.empty((6 * m**3, 4), dtype=np.int64)
+    cells = np.empty((2 * m * m, 3), dtype=np.int64)
     t = 0
-    for k in range(m):
-        for j in range(m):
-            for i in range(m):
-                for perm in perms:
-                    corner = [i, j, k]
-                    path = [vid(*corner)]
-                    for axis in perm:
-                        corner = corner.copy()
-                        corner[axis] += 1
-                        path.append(vid(*corner))
-                    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-                    if inversions % 2:  # odd permutation: restore orientation
-                        path[1], path[2] = path[2], path[1]
-                    cells[t] = path
-                    t += 1
+    for j in range(m):
+        for i in range(m):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            cells[t] = (a, b, c)
+            cells[t + 1] = (a, c, d)
+            t += 2
     return cells
 
 
+def loop_kuhn_mesh(d, m):
+    """Vertices, Kuhn cells and interior numbering of (0,1)^d, one grid
+    point and one cube at a time (x fastest), one axis permutation at a
+    time."""
+    def vid(corner):
+        return sum(c * (m + 1) ** axis for axis, c in enumerate(corner))
+
+    corners = [corner[::-1] for corner in itertools.product(range(m + 1), repeat=d)]
+    vertices = np.array([[c / m for c in corner] for corner in corners])
+    interior = np.full(len(corners), -1, dtype=np.int64)
+    interior_count = itertools.count()
+    cells = []
+    for corner in corners:
+        if all(0 < c < m for c in corner):
+            interior[vid(corner)] = next(interior_count)
+        if max(corner) == m:
+            continue
+        for perm in itertools.permutations(range(d)):
+            point = list(corner)
+            path = [vid(point)]
+            for axis in perm:
+                point[axis] += 1
+                path.append(vid(point))
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            if inversions % 2:  # odd permutation: restore orientation
+                path[1], path[2] = path[2], path[1]
+            cells.append(path)
+    return vertices, np.array(cells, dtype=np.int64), interior
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_cube_cells_match_loop_oracle(m):
-    # same cells in the same order: COO->CSR sums duplicates in order, so
-    # any reordering would move every assembled entry by round-off
-    cells = build_cube_mesh(m).cells
-    assert cells.dtype == np.int64
-    assert np.array_equal(cells, loop_cube_cells(m))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kuhn_mesh_matches_loop_oracle(d, m):
+    # same cells in the same order: each operator is summed cell by cell
+    # with np.bincount into the shared pattern, so any reordering would
+    # move assembled entries by round-off
+    mesh = BUILDERS[d](m)
+    vertices, cells, interior = loop_kuhn_mesh(d, m)
+    for got, want in ((mesh.vertices, vertices), (mesh.cells, cells),
+                      (mesh.interior_index, interior)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    if d == 2:
+        assert np.array_equal(mesh.cells, loop_square_cells(m))
 
 
 @pytest.mark.slow

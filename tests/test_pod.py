@@ -131,13 +131,6 @@ def test_eig_descending_matches_jacobi_on_s1_gram_blocks():
         np.testing.assert_allclose(spectrum.leading_vector, b0, rtol=0, atol=1e-10)
 
 
-def test_eig_rejects_bad_k():
-    with pytest.raises(ValueError):
-        eig_descending(np.eye(3), k=4)
-    spectrum = eig_descending(np.diag([5.0, 1.0, 3.0]), k=2)
-    np.testing.assert_allclose(spectrum.eigenvalues, [5.0, 3.0])
-
-
 def test_eig_clamps_roundoff_negatives():
     x = np.diag([1.0, -1e-15])
     spectrum = eig_descending(x)
@@ -170,7 +163,7 @@ def test_pod_basis_exact_rank_one():
     v = rng.standard_normal(30)
     v /= np.linalg.norm(v)
     seg = np.outer(v, 2.0 * 0.9 ** np.arange(10))
-    basis = pod_basis(seg)
+    basis = pod_basis(seg, eig_descending(gram(seg)))
     assert abs(np.linalg.norm(basis.vector) - 1) < 1e-12
     np.testing.assert_allclose(np.abs(basis.vector), np.abs(v), atol=1e-10)
     assert projection_residual(seg, basis) < 1e-12
@@ -179,20 +172,23 @@ def test_pod_basis_exact_rank_one():
 def test_pod_basis_unit_norm_on_generic_data():
     rng = np.random.default_rng(8)
     seg = rng.standard_normal((25, 7))
-    basis = pod_basis(seg)
+    basis = pod_basis(seg, eig_descending(gram(seg)))
     assert abs(np.linalg.norm(basis.vector) - 1) < 1e-12
 
 
 def test_pod_basis_zero_segment_degenerate():
+    zeros = np.zeros((10, 4))
+    spectrum = eig_descending(gram(zeros))
     with pytest.raises(DegenerateSnapshotError):
-        pod_basis(np.zeros((10, 4)))
+        pod_basis(zeros, spectrum)
 
 
 def test_pod_basis_deterministic():
     rng = np.random.default_rng(12)
     seg = rng.standard_normal((18, 6))
-    first = pod_basis(seg)
-    second = pod_basis(seg.copy())
+    first = pod_basis(seg, eig_descending(gram(seg)))
+    copy = seg.copy()
+    second = pod_basis(copy, eig_descending(gram(copy)))
     assert np.array_equal(first.vector, second.vector)
 
 
