@@ -26,7 +26,6 @@ from seampde.analysis import (
     relative_l2_error,
 )
 from seampde.assembly import (
-    SymmetricSparseOperator,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
@@ -68,7 +67,6 @@ from seampde.mesh import (
 )
 from seampde.pod import (
     GramSpectrum,
-    PodBasis,
     eig_descending,
     gram,
     jacobi_eigh,
@@ -91,7 +89,6 @@ __all__ = [
     "ExpressionError",
     "GramSpectrum",
     "Mesh",
-    "PodBasis",
     "ProblemSpec",
     "ScalarField",
     "SeamError",
@@ -101,7 +98,6 @@ __all__ = [
     "SnapshotMatrix",
     "SolverFailure",
     "StagnationError",
-    "SymmetricSparseOperator",
     "assemble_load",
     "assemble_mass",
     "assemble_stiffness",

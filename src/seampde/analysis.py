@@ -19,16 +19,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 
-from seampde.assembly import SymmetricSparseOperator
 from seampde.errors import DegenerateReferenceError, StagnationError
 from seampde.hifi import SnapshotMatrix, cg_solve, galerkin_start
-from seampde.pod import GramSpectrum, eig_descending, gram, jacobi_eigh
+from seampde.pod import SPECTRUM_HEAD, GramSpectrum, eig_descending, gram, jacobi_eigh
 from seampde.seam import SeamSolution
 
 
-def operator_norm(mass: SymmetricSparseOperator,
-                  stiffness: SymmetricSparseOperator, *,
+def operator_norm(mass: sparse.csr_matrix, stiffness: sparse.csr_matrix, *,
                   rtol: float = 1e-10, maxiter: int = 10000) -> float:
     """Largest generalized eigenvalue of (S, M) by power iteration.
 
@@ -37,22 +36,20 @@ def operator_norm(mass: SymmetricSparseOperator,
     two M-normalized iterates (on v alone, giving (v.Sv) v, at first); their
     M v come free with the normalization. The first v is a fixed random draw.
     """
-    m = mass.matrix
-    s = stiffness.matrix
-    w = np.random.default_rng(0).standard_normal(m.shape[0])
+    w = np.random.default_rng(0).standard_normal(mass.shape[0])
     v = mv = estimate = None
     for _ in range(maxiter):
-        mw = m @ w
+        mw = mass @ w
         norm_w = np.sqrt(w @ mw)
         if norm_w == 0.0:
             return 0.0  # stiffness annihilates the iterate: S is zero on it
         v_prev, mv_prev, v, mv = v, mv, w / norm_w, mw / norm_w
-        sv = s @ v
+        sv = stiffness @ v
         current = float(v @ sv)
         if estimate is not None and abs(current - estimate) <= rtol * abs(current):
             return current
         estimate = current
-        w = cg_solve(m, sv, x0=galerkin_start(sv, v, mv, v_prev, mv_prev))
+        w = cg_solve(mass, sv, x0=galerkin_start(sv, v, mv, v_prev, mv_prev))
     raise StagnationError(
         f"power iteration stagnated after {maxiter} iterations "
         f"(last estimate {estimate!r})"
@@ -173,7 +170,7 @@ def hoffman_wielandt_check(a: np.ndarray, e: np.ndarray) -> HoffmanWielandtRecor
     )
 
 
-def column_error_norms(reference, reduced, mass: SymmetricSparseOperator):
+def column_error_norms(reference, reduced, mass: sparse.csr_matrix):
     """Squared M-norms of the error and of the reference, one per column.
 
     A SeamSolution is expanded one segment block at a time, so the dense
@@ -197,13 +194,13 @@ def column_error_norms(reference, reduced, mass: SymmetricSparseOperator):
         part = slice(start, start + block.shape[1])
         columns = ref[:, part]
         diff = columns - block
-        error_sq[part] = np.einsum("ij,ij->j", diff, mass.matrix @ diff)
-        reference_sq[part] = np.einsum("ij,ij->j", columns, mass.matrix @ columns)
+        error_sq[part] = np.einsum("ij,ij->j", diff, mass @ diff)
+        reference_sq[part] = np.einsum("ij,ij->j", columns, mass @ columns)
         start = part.stop
     return error_sq, reference_sq
 
 
-def relative_l2_error(reference, reduced, mass: SymmetricSparseOperator,
+def relative_l2_error(reference, reduced, mass: sparse.csr_matrix,
                       tau: float) -> float:
     """Space-time relative L2 error of a reduced run against its reference.
 
@@ -229,7 +226,6 @@ class SpectralReport:
     """Per-segment eigenvalue heads plus the rank-one-reference diagnostics."""
 
     spectra: tuple          # GramSpectrum per segment
-    head: int
     norm_a: float
     time_step: TimeStepCheck
     lambda0_ref: np.longdouble
@@ -244,9 +240,9 @@ class SpectralReport:
         return {
             "schema": 1,
             "segments": [
-                {"segment": s.segment,
-                 "eigenvalues": [float(v) for v in s.eigenvalues[: self.head]]}
-                for s in self.spectra
+                {"segment": k,
+                 "eigenvalues": [float(v) for v in s.eigenvalues[:SPECTRUM_HEAD]]}
+                for k, s in enumerate(self.spectra)
             ],
             "norm_a": self.norm_a,
             "tau_norm_a": self.time_step.product,
@@ -258,14 +254,12 @@ class SpectralReport:
         }
 
 
-def build_spectral_report(snapshots: SnapshotMatrix,
-                          mass: SymmetricSparseOperator,
-                          stiffness: SymmetricSparseOperator,
-                          segment_steps: int,
-                          head: int = 5) -> SpectralReport:
+def build_spectral_report(snapshots: SnapshotMatrix, mass: sparse.csr_matrix,
+                          stiffness: sparse.csr_matrix,
+                          segment_steps: int) -> SpectralReport:
     """Eigenanalyze every segment and compare the first one to the reference."""
-    spectra = [eig_descending(gram(block), segment=k)
-               for k, block in enumerate(snapshots.segments(segment_steps))]
+    spectra = [eig_descending(gram(block))
+               for block in snapshots.segments(segment_steps)]
     tau = snapshots.tau
     norm_a = operator_norm(mass, stiffness)
     with warnings.catch_warnings():
@@ -275,7 +269,6 @@ def build_spectral_report(snapshots: SnapshotMatrix,
     record = perturbation_quantity(spectra[0], lambda0_ref, segment_steps, tau)
     return SpectralReport(
         spectra=tuple(spectra),
-        head=head,
         norm_a=norm_a,
         time_step=check_time_step_assumption(tau, norm_a),
         lambda0_ref=lambda0_ref,

@@ -27,41 +27,6 @@ from seampde.errors import EvaluationError
 from seampde.mesh import Mesh
 
 
-class SymmetricSparseOperator:
-    """Symmetric sparse matrix in compressed-row form, both triangles stored.
-
-    Construction verifies value symmetry to 1e-14 relative; the wrapped
-    matrix is treated as immutable afterwards.
-    """
-
-    def __init__(self, matrix: sparse.spmatrix):
-        matrix = sparse.csr_matrix(matrix)
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"operator must be square, got {matrix.shape}")
-        scale = abs(matrix).max() if matrix.nnz else 0.0
-        if matrix.nnz:
-            skew = abs(matrix - matrix.T).max()
-            if skew > 1e-14 * scale:
-                raise ValueError(
-                    f"matrix is not symmetric (relative skew {skew / scale:.2e})"
-                )
-        self.matrix = matrix
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def nnz(self) -> int:
-        return self.matrix.nnz
-
-    def __matmul__(self, x):
-        return self.matrix @ x
-
-    def __repr__(self):
-        return f"SymmetricSparseOperator(dim={self.dim}, nnz={self.nnz})"
-
-
 def element_geometry(mesh: Mesh):
     """Volumes (nc,), basis gradients (nc, d+1, d), centroids (nc, d)."""
     p = mesh.vertices[mesh.cells]
@@ -135,10 +100,12 @@ def sparsity_pattern(mesh: Mesh) -> SparsityPattern:
     return SparsityPattern(coupling.indptr, coupling.indices, slots)
 
 
-def _sum_into(pattern: SparsityPattern, local) -> SymmetricSparseOperator:
+def _sum_into(pattern: SparsityPattern, local) -> sparse.csr_matrix:
     """Sum (d+1)x(d+1) per-element blocks into the shared pattern.
 
     ``local(i, j)`` returns the per-element values for one block entry.
+    Every operator is built here, so each is checked once for value
+    symmetry to 1e-14 relative; the result is treated as immutable.
     """
     dim, _, cells = pattern.slots.shape
     size = len(pattern.indices) + 1  # the last slot collects boundary entries
@@ -149,12 +116,18 @@ def _sum_into(pattern: SparsityPattern, local) -> SymmetricSparseOperator:
                                 weights=np.broadcast_to(local(i, j), cells),
                                 minlength=size)
     n = len(pattern.indptr) - 1
-    return SymmetricSparseOperator(sparse.csr_matrix(
-        (data[:-1], pattern.indices, pattern.indptr), shape=(n, n)))
+    matrix = sparse.csr_matrix((data[:-1], pattern.indices, pattern.indptr),
+                               shape=(n, n))
+    if matrix.nnz:
+        scale = abs(matrix).max()
+        skew = abs(matrix - matrix.T).max()
+        if skew > 1e-14 * scale:
+            raise ValueError(
+                f"matrix is not symmetric (relative skew {skew / scale:.2e})")
+    return matrix
 
 
-def assemble_mass(mesh: Mesh, geometry=None,
-                  pattern=None) -> SymmetricSparseOperator:
+def assemble_mass(mesh: Mesh, geometry=None, pattern=None) -> sparse.csr_matrix:
     """Exact mass matrix of the linear nodal basis on interior nodes.
 
     On a d-simplex T the basis-product integral is
@@ -168,11 +141,12 @@ def assemble_mass(mesh: Mesh, geometry=None,
 
 
 def assemble_stiffness(mesh: Mesh, alpha_diag, c, geometry=None,
-                       pattern=None) -> SymmetricSparseOperator:
+                       pattern=None) -> sparse.csr_matrix:
     """Stiffness of (alpha grad u, grad v) + (c u, v) with diagonal alpha.
 
-    Coefficients are evaluated once per element at the centroid; the
-    gradient term is otherwise exact for linear elements.
+    Coefficients are evaluated once per element at the centroid, where
+    they must all be finite; the gradient term is otherwise exact for
+    linear elements.
     """
     if len(alpha_diag) != mesh.dimension:
         raise ValueError(
@@ -183,6 +157,9 @@ def assemble_stiffness(mesh: Mesh, alpha_diag, c, geometry=None,
     for axis, a in enumerate(alpha_diag):
         alpha[:, axis] = a(*centroids.T)
     c_vals = np.broadcast_to(c(*centroids.T), len(mesh.cells))
+    if not (np.isfinite(alpha).all() and np.isfinite(c_vals).all()):
+        raise EvaluationError(
+            "diffusion or reaction coefficient is not finite at every centroid")
     d = mesh.dimension
     mass_base = volumes / ((d + 1) * (d + 2))
 

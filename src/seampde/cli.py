@@ -13,9 +13,9 @@ Exit codes: 0 success; 2 configuration error (bad options or files, a
 problem that breaks a rule of fields.ProblemSpec, given by flag or by
 config key alike, a snapshot file whose dofs, tau or column count differ
 from the problem's, a field expression that cannot be parsed or
-evaluated, initial data that is not finite, all-zero snapshots); 3
-solver failure; 4 segmentation (divisibility) violation; 1 failed
-self-test. Problem and snapshot-header checks run before any compute.
+evaluated, initial data or a coefficient that is not finite, all-zero
+snapshots); 3 solver failure; 4 segmentation (divisibility) violation; 1
+failed self-test. Problem and snapshot-header checks run before any compute.
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ def _reduce(snapshots: SnapshotMatrix, disc: Discretization, segment_steps: int,
                                  segment_steps=segment_steps)
     summary.online_seconds = solution.online_seconds
     summary.offline_seconds = time.perf_counter() - start - solution.online_seconds
-    lam0 = [model.basis.lam0 for model in solution.models]
+    lam0 = [float(model.spectrum.eigenvalues[0]) for model in solution.models]
     summary.lambda0_first = lam0[0]
     summary.lambda0_last = lam0[-1]
     return solution
@@ -249,7 +249,7 @@ def execute(config: RunConfig) -> RunSummary:
         report = build_spectral_report(snapshots, disc.mass, disc.stiffness,
                                        segment_steps=problem.segment_steps)
         save_report_json(report, outdir / "report.json")
-        export_spectra_csv(report.spectra, outdir / "eigenvalues.csv", head=5)
+        export_spectra_csv(report.spectra, outdir / "eigenvalues.csv")
         lam0 = report.leading_eigenvalues()
         summary.lambda0_first = float(lam0[0])
         summary.lambda0_last = float(lam0[-1])
@@ -262,7 +262,7 @@ def execute(config: RunConfig) -> RunSummary:
         save_seam(solution, outdir / "seam.bin")
         export_segment_metadata(solution, outdir / "segments.csv")
         export_spectra_csv([model.spectrum for model in solution.models],
-                           outdir / "eigenvalues.csv", head=5)
+                           outdir / "eigenvalues.csv")
         _write_error_csv(outdir / "error.csv", snapshots.tau, *norms)
         _write_slices(outdir, disc, snapshots, solution)
 

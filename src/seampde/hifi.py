@@ -19,7 +19,6 @@ import numpy as np
 import scipy.sparse as sparse
 
 from seampde.assembly import (
-    SymmetricSparseOperator,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
@@ -84,22 +83,20 @@ class Discretization:
     """
 
     mesh: Mesh
-    mass: SymmetricSparseOperator
-    stiffness: SymmetricSparseOperator
+    mass: sparse.csr_matrix
+    stiffness: sparse.csr_matrix
     load: np.ndarray
     initial: np.ndarray
 
     def __post_init__(self):
-        mass, stiffness = self.mass.matrix, self.stiffness.matrix
-        if not (np.shares_memory(mass.indices, stiffness.indices)
-                and np.shares_memory(mass.indptr, stiffness.indptr)):
+        if not (np.shares_memory(self.mass.indices, self.stiffness.indices)
+                and np.shares_memory(self.mass.indptr, self.stiffness.indptr)):
             raise ValueError("mass and stiffness must share one sparsity pattern")
 
     def system_matrix(self, tau: float) -> sparse.csr_matrix:
-        mass = self.mass.matrix
         return sparse.csr_matrix(
-            (mass.data + tau * self.stiffness.matrix.data, mass.indices,
-             mass.indptr), shape=mass.shape)
+            (self.mass.data + tau * self.stiffness.data, self.mass.indices,
+             self.mass.indptr), shape=self.mass.shape)
 
 
 _BUILDERS = {1: build_interval_mesh, 2: build_square_mesh, 3: build_cube_mesh}
@@ -130,10 +127,10 @@ def cg_solve(matrix, rhs: np.ndarray, *, rtol: float = CG_RTOL,
 
     Converges when the 2-norm residual drops below ``rtol * ||rhs||``;
     raises SolverFailure (carrying the final relative residual) at the
-    iteration cap, which defaults to 10x the system dimension, and before
-    the first iteration when ``rhs`` or ``x0`` is not finite.
+    iteration cap, which defaults to 10x the system dimension, at once on a
+    curvature p.Ap that is not positive (NaN included), and before the
+    first iteration when ``rhs`` or ``x0`` is not finite.
     """
-    a = matrix.matrix if isinstance(matrix, SymmetricSparseOperator) else matrix
     for name, vector in (("right-hand side", rhs), ("start vector", x0)):
         if vector is not None and not np.isfinite(vector).all():
             raise SolverFailure(f"conjugate gradients got a non-finite {name}",
@@ -142,18 +139,18 @@ def cg_solve(matrix, rhs: np.ndarray, *, rtol: float = CG_RTOL,
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
     if maxiter is None:
-        maxiter = 10 * a.shape[0]
+        maxiter = 10 * matrix.shape[0]
     x = np.zeros_like(rhs) if x0 is None else x0.astype(float, copy=True)
-    r = rhs - a @ x
+    r = rhs - matrix @ x
     res = np.linalg.norm(r)
     if res <= rtol * rhs_norm:
         return x
     p = r.copy()
     rs = r @ r
     for _ in range(maxiter):
-        ap = a @ p
+        ap = matrix @ p
         denom = p @ ap
-        if denom <= 0.0:
+        if not denom > 0.0:
             raise SolverFailure("conjugate gradients broke down", res / rhs_norm)
         step = rs / denom
         x += step * p
@@ -167,14 +164,13 @@ def cg_solve(matrix, rhs: np.ndarray, *, rtol: float = CG_RTOL,
     raise SolverFailure("conjugate gradients did not converge", res / rhs_norm)
 
 
-def backward_euler_step(mass: SymmetricSparseOperator,
-                        stiffness: SymmetricSparseOperator,
+def backward_euler_step(mass: sparse.csr_matrix, stiffness: sparse.csr_matrix,
                         load: np.ndarray, u_prev: np.ndarray, tau: float) -> np.ndarray:
     """One implicit Euler step: solve (M + tau*S) u = M u_prev + tau*F."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    system = mass.matrix + tau * stiffness.matrix
-    rhs = mass.matrix @ u_prev + tau * load
+    system = mass + tau * stiffness
+    rhs = mass @ u_prev + tau * load
     return cg_solve(system, rhs, x0=u_prev)
 
 
@@ -213,7 +209,7 @@ def run_hifi(problem: ProblemSpec, disc: Discretization | None = None) -> Snapsh
     if disc is None:
         disc = discretize(problem)
     n_steps = problem.num_steps
-    mass = disc.mass.matrix
+    mass = disc.mass
     system = disc.system_matrix(problem.tau)
     time_dependent = problem.f.depends_on("t")
     if time_dependent:

@@ -21,6 +21,8 @@ import numpy as np
 from seampde.errors import DegenerateSnapshotError, StagnationError
 
 _MAX_SWEEPS = 50
+# Leading eigenvalues per segment that eigenvalues.csv and report.json keep.
+SPECTRUM_HEAD = 5
 
 
 def _jacobi_kernel(a, v, tol, max_sweeps):
@@ -89,26 +91,12 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class GramSpectrum:
     """Eigenvalues of one snapshot block's Gram matrix, plus the top eigenvector."""
 
-    segment: int | None
     eigenvalues: np.ndarray  # descending, clamped at zero
     leading_vector: np.ndarray  # unit norm, largest-magnitude entry positive
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
         self.leading_vector.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class PodBasis:
-    """Rank-1 POD basis: unit vector, its eigenvalue, and the Gram weights."""
-
-    vector: np.ndarray
-    lam0: float
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.vector.setflags(write=False)
-        self.weights.setflags(write=False)
 
 
 def gram(segment: np.ndarray) -> np.ndarray:
@@ -119,7 +107,7 @@ def gram(segment: np.ndarray) -> np.ndarray:
     return segment.T @ segment
 
 
-def eig_descending(x: np.ndarray, segment: int | None = None) -> GramSpectrum:
+def eig_descending(x: np.ndarray) -> GramSpectrum:
     """Descending eigenvalues of a symmetric matrix, clamped at zero.
 
     Non-finite entries and asymmetry beyond 1e-10 relative are rejected;
@@ -146,12 +134,12 @@ def eig_descending(x: np.ndarray, segment: int | None = None) -> GramSpectrum:
     b0 = vectors[:, 0]
     if b0[np.argmax(np.abs(b0))] < 0:
         b0 = -b0
-    return GramSpectrum(segment, values, b0.copy())
+    return GramSpectrum(values, b0.copy())
 
 
-def pod_basis(segment_data: np.ndarray, spectrum: GramSpectrum) -> PodBasis:
-    """Rank-1 basis (1/sqrt(lam0)) * segment @ b0 from the segment's Gram
-    spectrum; unit 2-norm by construction."""
+def pod_basis(segment_data: np.ndarray, spectrum: GramSpectrum) -> np.ndarray:
+    """Read-only rank-1 basis beta = (1/sqrt(lam0)) * segment @ b0 from the
+    segment's Gram spectrum; unit 2-norm by construction."""
     segment_data = np.asarray(segment_data, dtype=float)
     lam0 = float(spectrum.eigenvalues[0])
     trace = float(np.einsum("ij,ij->", segment_data, segment_data))
@@ -160,29 +148,28 @@ def pod_basis(segment_data: np.ndarray, spectrum: GramSpectrum) -> PodBasis:
             "snapshot block is numerically zero; no POD basis exists"
         )
     beta = segment_data @ spectrum.leading_vector / np.sqrt(lam0)
-    return PodBasis(beta, lam0, spectrum.leading_vector)
+    beta.setflags(write=False)
+    return beta
 
 
-def projection_residual(segment_data: np.ndarray, basis: PodBasis) -> float:
+def projection_residual(segment_data: np.ndarray, beta: np.ndarray) -> float:
     """Total squared misfit sum_k ||U_k - (beta . U_k) beta||^2.
 
     Equals the sum of the non-principal Gram eigenvalues exactly (POD
     optimality identity), which the test suite checks.
     """
     segment_data = np.asarray(segment_data, dtype=float)
-    coeffs = basis.vector @ segment_data
-    residual = segment_data - np.outer(basis.vector, coeffs)
+    coeffs = beta @ segment_data
+    residual = segment_data - np.outer(beta, coeffs)
     return float(np.einsum("ij,ij->", residual, residual))
 
 
-def export_spectra_csv(spectra, path, head: int | None = None) -> None:
-    """Write rows (segment, eigen_index, eigenvalue), optionally top `head` only."""
+def export_spectra_csv(spectra, path) -> None:
+    """Write rows (segment, eigen_index, eigenvalue), the top SPECTRUM_HEAD
+    of each spectrum; segments are numbered by their position."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["segment", "index", "eigenvalue"])
-        for spectrum in spectra:
-            values = spectrum.eigenvalues
-            if head is not None:
-                values = values[:head]
-            for index, value in enumerate(values):
-                writer.writerow([spectrum.segment, index, repr(float(value))])
+        for segment, spectrum in enumerate(spectra):
+            for index, value in enumerate(spectrum.eigenvalues[:SPECTRUM_HEAD]):
+                writer.writerow([segment, index, repr(float(value))])

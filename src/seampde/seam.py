@@ -13,23 +13,24 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 
-from seampde.assembly import SymmetricSparseOperator
 from seampde.hifi import SnapshotMatrix, write_snapshot_file
-from seampde.pod import GramSpectrum, PodBasis, eig_descending, gram, pod_basis
+from seampde.pod import GramSpectrum, eig_descending, gram, pod_basis
 
 
 @dataclass(frozen=True)
 class SeamModel:
-    """One segment's reduced model: basis plus the scalar recurrence data."""
+    """One segment's reduced model: basis beta, the Gram spectrum it came
+    from, and the scalar recurrence data."""
 
-    basis: PodBasis
+    basis: np.ndarray  # beta, unit 2-norm
+    spectrum: GramSpectrum
     system_coeff: float  # beta' (M + tau S) beta
     mass_coeff: float    # beta' M beta
     load_coeff: float | np.ndarray  # beta' F, per step when the source varies
     alpha0: float
     tau: float
-    spectrum: GramSpectrum | None = None  # the Gram spectrum beta came from
 
     def __post_init__(self):
         if not self.system_coeff > 0 or not self.mass_coeff > 0:
@@ -57,7 +58,7 @@ class SeamSolution:
 
     @property
     def num_dofs(self) -> int:
-        return len(self.models[0].basis.vector)
+        return len(self.models[0].basis)
 
     @property
     def num_columns(self) -> int:
@@ -66,7 +67,7 @@ class SeamSolution:
     def column(self, j: int) -> np.ndarray:
         cols = self.segment_steps + 1
         segment, offset = divmod(j, cols)
-        return self.alphas[segment, offset] * self.models[segment].basis.vector
+        return self.alphas[segment, offset] * self.models[segment].basis
 
     def blocks(self):
         """Each segment's dofs x (n+1) block beta alpha_k', in column order.
@@ -74,33 +75,30 @@ class SeamSolution:
         The blocks are Fortran-ordered, so ``block.T`` is already laid out
         like the columns of a snapshot file.
         """
-        return (np.outer(alpha, model.basis.vector).T
+        return (np.outer(alpha, model.basis).T
                 for model, alpha in zip(self.models, self.alphas))
 
     def to_matrix(self) -> np.ndarray:
-        dofs = len(self.models[0].basis.vector)
         cols = self.segment_steps + 1
-        data = np.empty((dofs, self.num_columns), order="F")
+        data = np.empty((self.num_dofs, self.num_columns), order="F")
         for k, model in enumerate(self.models):
-            data[:, k * cols:(k + 1) * cols] = np.outer(model.basis.vector,
-                                                        self.alphas[k])
+            data[:, k * cols:(k + 1) * cols] = np.outer(model.basis, self.alphas[k])
         return data
 
 
-def seam_offline(segment_data: np.ndarray, mass: SymmetricSparseOperator,
-                 stiffness: SymmetricSparseOperator, load: np.ndarray, tau: float,
-                 segment_id: int | None = None) -> SeamModel:
+def seam_offline(segment_data: np.ndarray, mass: sparse.csr_matrix,
+                 stiffness: sparse.csr_matrix, load: np.ndarray,
+                 tau: float) -> SeamModel:
     """Extract the rank-1 basis of a snapshot block and reduce the operators."""
     segment_data = np.asarray(segment_data, dtype=float)
-    spectrum = eig_descending(gram(segment_data), segment=segment_id)
-    basis = pod_basis(segment_data, spectrum)
-    beta = basis.vector
-    system_coeff = float(beta @ (mass.matrix @ beta) + tau * (beta @ (stiffness.matrix @ beta)))
-    mass_coeff = float(beta @ (mass.matrix @ beta))
+    spectrum = eig_descending(gram(segment_data))
+    beta = pod_basis(segment_data, spectrum)
+    system_coeff = float(beta @ (mass @ beta) + tau * (beta @ (stiffness @ beta)))
+    mass_coeff = float(beta @ (mass @ beta))
     load_coeff = float(beta @ load)
     alpha0 = float(beta @ segment_data[:, 0])
-    return SeamModel(basis, system_coeff, mass_coeff, load_coeff, alpha0, tau,
-                     spectrum)
+    return SeamModel(beta, spectrum, system_coeff, mass_coeff, load_coeff,
+                     alpha0, tau)
 
 
 def seam_online(model: SeamModel, steps: int) -> np.ndarray:
@@ -118,8 +116,8 @@ def seam_online(model: SeamModel, steps: int) -> np.ndarray:
     return alphas
 
 
-def run_parallel_seam(snapshots: SnapshotMatrix, mass: SymmetricSparseOperator,
-                      stiffness: SymmetricSparseOperator, load,
+def run_parallel_seam(snapshots: SnapshotMatrix, mass: sparse.csr_matrix,
+                      stiffness: sparse.csr_matrix, load,
                       segment_steps: int) -> SeamSolution:
     """Reduce every segment of a snapshot matrix independently, then replay.
 
@@ -127,9 +125,8 @@ def run_parallel_seam(snapshots: SnapshotMatrix, mass: SymmetricSparseOperator,
     solution records the wall time of the replay.
     """
     tau = snapshots.tau
-    models = tuple(
-        seam_offline(block, mass, stiffness, load, tau, segment_id=k)
-        for k, block in enumerate(snapshots.segments(segment_steps)))
+    models = tuple(seam_offline(block, mass, stiffness, load, tau)
+                   for block in snapshots.segments(segment_steps))
     start = time.perf_counter()
     alphas = np.vstack([seam_online(model, segment_steps) for model in models])
     online_seconds = time.perf_counter() - start
@@ -149,6 +146,6 @@ def export_segment_metadata(solution: SeamSolution, path) -> None:
         writer.writerow(["segment", "lambda0", "system_coeff", "mass_coeff",
                          "alpha0"])
         for k, model in enumerate(solution.models):
-            writer.writerow([k, repr(model.basis.lam0),
+            writer.writerow([k, repr(float(model.spectrum.eigenvalues[0])),
                              repr(model.system_coeff),
                              repr(model.mass_coeff), repr(model.alpha0)])

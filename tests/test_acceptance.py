@@ -125,14 +125,13 @@ def case_record(name, f="0", divisions=None):
     lam1_first = None
     for k in range(len(solution.models)):
         block = snapshots.data[:, k * cols:(k + 1) * cols]
-        spectrum = eig_descending(gram(block), segment=k)
+        spectrum = eig_descending(gram(block))
         values = spectrum.eigenvalues
         lam0.append(values[0])
         if k == 0 and len(values) > 1:
             lam1_first = float(values[1])
         tails.append(float(np.sum(values[1:] ** 2)))
-        basis = pod_basis(block, spectrum)
-        residual = projection_residual(block, basis)
+        residual = projection_residual(block, pod_basis(block, spectrum))
         trace = values.sum()
         gap = abs(residual - values[1:].sum()) / trace if trace > 0 else 0.0
         identity_gaps.append(gap)
@@ -143,7 +142,7 @@ def case_record(name, f="0", divisions=None):
         hifi_seconds=hifi_seconds,
         online_seconds=online_seconds,
         error_l2=error,
-        projection_error=m_projection_error(snapshots.data, disc.mass.matrix,
+        projection_error=m_projection_error(snapshots.data, disc.mass,
                                             problem.segment_steps),
         lam0=np.array(lam0),
         lam1_first=lam1_first,
@@ -184,8 +183,8 @@ def direct_snapshots(problem, disc):
     vector with the program: every backward-Euler step is a sparse LU
     solve instead of CG. The source must not depend on t.
     """
-    lu = splu((disc.mass.matrix + problem.tau * disc.stiffness.matrix).tocsc())
-    mass = disc.mass.matrix
+    lu = splu((disc.mass + problem.tau * disc.stiffness).tocsc())
+    mass = disc.mass
     source = problem.tau * disc.load
     u = disc.initial.copy()
     yield u

@@ -7,7 +7,6 @@ import scipy.sparse as sparse
 
 import seampde.assembly as assembly
 from seampde.assembly import (
-    SymmetricSparseOperator,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
@@ -23,7 +22,7 @@ ZERO = expr("0")
 
 def test_mass_1d_closed_form():
     mesh = build_interval_mesh(4)
-    M = assemble_mass(mesh).matrix.toarray()
+    M = assemble_mass(mesh).toarray()
     h = 0.25
     np.testing.assert_allclose(np.diag(M), 2 * h / 3)
     np.testing.assert_allclose(np.diag(M, 1), h / 6)
@@ -34,49 +33,49 @@ def test_mass_1d_closed_form():
 @pytest.mark.parametrize("mesh", [build_interval_mesh(5), build_square_mesh(3),
                                   build_cube_mesh(2)])
 def test_mass_partition_of_unity_bound(mesh):
-    M = assemble_mass(mesh).matrix
+    M = assemble_mass(mesh)
     total = M.sum()
     assert 0 < total < 1.0  # boundary basis mass is missing from interior rows
 
 
 def test_mass_exactly_symmetric():
-    M = assemble_mass(build_square_mesh(4)).matrix
+    M = assemble_mass(build_square_mesh(4))
     assert (M != M.T).nnz == 0
 
 
 def test_mass_row_sums_positive_and_1d_diagonally_dominant():
-    M1 = assemble_mass(build_interval_mesh(7)).matrix.toarray()
+    M1 = assemble_mass(build_interval_mesh(7)).toarray()
     assert np.all(M1.sum(axis=1) > 0)
     off = np.abs(M1).sum(axis=1) - np.abs(np.diag(M1))
     assert np.all(np.diag(M1) >= off)
-    M2 = assemble_mass(build_square_mesh(5)).matrix.toarray()
+    M2 = assemble_mass(build_square_mesh(5)).toarray()
     assert np.all(M2.sum(axis=1) > 0)
 
 
 def test_stiffness_1d_closed_form():
     mesh = build_interval_mesh(4)
-    S = assemble_stiffness(mesh, [ONE], ZERO).matrix.toarray()
+    S = assemble_stiffness(mesh, [ONE], ZERO).toarray()
     np.testing.assert_allclose(np.diag(S), 8.0)
     np.testing.assert_allclose(np.diag(S, 1), -4.0)
 
 
 def test_stiffness_reaction_only_equals_mass():
     mesh = build_square_mesh(4)
-    S = assemble_stiffness(mesh, [ZERO, ZERO], ONE).matrix.toarray()
-    M = assemble_mass(mesh).matrix.toarray()
+    S = assemble_stiffness(mesh, [ZERO, ZERO], ONE).toarray()
+    M = assemble_mass(mesh).toarray()
     np.testing.assert_allclose(S, M, atol=1e-15)
 
 
 def test_stiffness_symmetric_positive_semidefinite():
     mesh = build_square_mesh(4)
-    S = assemble_stiffness(mesh, [ONE, ONE], ZERO).matrix.toarray()
+    S = assemble_stiffness(mesh, [ONE, ONE], ZERO).toarray()
     np.testing.assert_allclose(S, S.T, atol=0)
     assert np.linalg.eigvalsh(S).min() >= -1e-12
 
 
 def test_stiffness_positive_on_random_vectors():
     mesh = build_square_mesh(4)
-    S = assemble_stiffness(mesh, [ONE, ONE], ZERO).matrix
+    S = assemble_stiffness(mesh, [ONE, ONE], ZERO)
     rng = np.random.default_rng(7)
     for _ in range(100):
         x = rng.standard_normal(S.shape[0])
@@ -86,7 +85,7 @@ def test_stiffness_positive_on_random_vectors():
 def test_stiffness_variable_alpha_symmetric():
     mesh = build_square_mesh(6)
     S = assemble_stiffness(mesh, [expr("x^2"), expr("y^2")],
-                           expr("pi^2*(1-2*x^2*y^2)")).matrix
+                           expr("pi^2*(1-2*x^2*y^2)"))
     assert abs(S - S.T).max() < 1e-14 * abs(S).max()
 
 
@@ -98,7 +97,7 @@ def test_stiffness_wrong_alpha_count():
 def test_refinement_keeps_invariants():
     for m in (3, 6):
         mesh = build_square_mesh(m)
-        S = assemble_stiffness(mesh, [ONE, ONE], ONE).matrix.toarray()
+        S = assemble_stiffness(mesh, [ONE, ONE], ONE).toarray()
         np.testing.assert_allclose(S, S.T, atol=0)
         assert np.linalg.eigvalsh(S).min() > 0  # c=1 makes it definite
 
@@ -159,15 +158,10 @@ def test_interpolate_3d_center_node_zero():
 
 
 def test_operator_validates_symmetry():
-    bad = sparse.csr_matrix(np.array([[1.0, 2.0], [0.5, 1.0]]))
+    # an element block with local entry (0, 1) but not (1, 0) is asymmetric
+    pattern = assembly.sparsity_pattern(build_square_mesh(4))
     with pytest.raises(ValueError, match="not symmetric"):
-        SymmetricSparseOperator(bad)
-
-
-def test_operator_algebra():
-    M = assemble_mass(build_interval_mesh(5))
-    x = np.arange(M.dim, dtype=float)
-    np.testing.assert_allclose(M @ x, M.matrix.toarray() @ x)
+        assembly._sum_into(pattern, lambda i, j: 1.0 if (i, j) == (0, 1) else 0.0)
 
 
 def test_load_vector_read_only():
@@ -204,11 +198,11 @@ def coo_scatter(mesh, local) -> sparse.csr_matrix:
 
 def assembled_both_ways(monkeypatch, mesh, assemble):
     """``assemble()`` on the shared pattern, then again through coo_scatter."""
-    shared = assemble().matrix
+    shared = assemble()
     monkeypatch.setattr(
         assembly, "_sum_into",
-        lambda pattern, local: SymmetricSparseOperator(coo_scatter(mesh, local)))
-    return shared, assemble().matrix
+        lambda pattern, local: coo_scatter(mesh, local))
+    return shared, assemble()
 
 
 S3 = scenario("s3")
@@ -238,7 +232,7 @@ def test_shared_pattern_matches_coo_scatter(monkeypatch, mesh, operator):
 
 def test_operators_share_one_pattern():
     disc = discretize(replace(scenario("s3"), divisions=6))
-    mass, stiffness = disc.mass.matrix, disc.stiffness.matrix
+    mass, stiffness = disc.mass, disc.stiffness
     assert mass.indices.dtype == np.int32 and mass.indptr.dtype == np.int32
     assert np.shares_memory(mass.indices, stiffness.indices)
     assert np.shares_memory(mass.indptr, stiffness.indptr)
@@ -249,7 +243,7 @@ def test_system_matrix_equals_sparse_sum(name):
     problem = scenario(name)
     disc = discretize(replace(problem, divisions=min(problem.divisions, 8)))
     a = disc.system_matrix(problem.tau)
-    b = disc.mass.matrix + problem.tau * disc.stiffness.matrix
+    b = disc.mass + problem.tau * disc.stiffness
     assert (a != b).nnz == 0
 
 

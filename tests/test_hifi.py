@@ -9,7 +9,6 @@ import scipy.sparse as sparse
 import seampde.assembly as assembly
 import seampde.hifi as hifi
 from seampde.assembly import (
-    SymmetricSparseOperator,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
@@ -95,6 +94,15 @@ def test_cg_rejects_non_finite_input_before_iterating(bad, where):
     assert a.matvecs == 0
 
 
+def test_cg_breaks_down_at_once_on_nan_curvature():
+    diagonal = np.full(50, 2.0)
+    diagonal[7] = np.nan
+    a = CountingMatrix(sparse.diags(diagonal, format="csr"))
+    with pytest.raises(SolverFailure, match="broke down"):
+        cg_solve(a, np.ones(50))
+    assert a.matvecs <= 2  # the residual and one search direction
+
+
 # --- single steps ---------------------------------------------------------
 
 
@@ -103,8 +111,8 @@ def test_single_node_geometric_recurrence():
     mesh = build_interval_mesh(2)
     mass = assemble_mass(mesh)
     stiff = assemble_stiffness(mesh, [expr("1")], expr("0"))
-    np.testing.assert_allclose(mass.matrix.toarray(), [[1 / 3]])
-    np.testing.assert_allclose(stiff.matrix.toarray(), [[4.0]])
+    np.testing.assert_allclose(mass.toarray(), [[1 / 3]])
+    np.testing.assert_allclose(stiff.toarray(), [[4.0]])
     tau = 1e-3
     rho = (1 / 3) / (1 / 3 + 4 * tau)
     u = np.array([1.0])
@@ -146,7 +154,7 @@ def test_energy_decay_without_source():
     problem = small_problem(m=16, steps=50)
     disc = discretize(problem)
     snaps = run_hifi(problem, disc)
-    m = disc.mass.matrix
+    m = disc.mass
     energies = [u @ (m @ u) for u in snaps.data.T]
     diffs = np.diff(energies)
     assert np.all(diffs <= 1e-15)
@@ -156,7 +164,7 @@ def test_energy_decay_heat1d_every_step():
     problem = scenario("heat1d")
     disc = discretize(problem)
     snaps = run_hifi(problem, disc)
-    m = disc.mass.matrix
+    m = disc.mass
     energies = np.array([u @ (m @ u) for u in snaps.data.T])
     assert np.all(np.diff(energies) <= 0.0)
 
@@ -170,7 +178,7 @@ def test_residuals_at_random_steps():
         disc = discretize(problem)
         snaps = run_hifi(problem, disc)
         system = disc.system_matrix(problem.tau)
-        mass = disc.mass.matrix
+        mass = disc.mass
         for n in rng.integers(1, snaps.num_columns, size=10):
             load = assemble_load(disc.mesh, problem.f, t=n * problem.tau)
             rhs = mass @ snaps.column(n - 1) + problem.tau * load

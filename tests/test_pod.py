@@ -163,17 +163,18 @@ def test_pod_basis_exact_rank_one():
     v = rng.standard_normal(30)
     v /= np.linalg.norm(v)
     seg = np.outer(v, 2.0 * 0.9 ** np.arange(10))
-    basis = pod_basis(seg, eig_descending(gram(seg)))
-    assert abs(np.linalg.norm(basis.vector) - 1) < 1e-12
-    np.testing.assert_allclose(np.abs(basis.vector), np.abs(v), atol=1e-10)
-    assert projection_residual(seg, basis) < 1e-12
+    beta = pod_basis(seg, eig_descending(gram(seg)))
+    assert abs(np.linalg.norm(beta) - 1) < 1e-12
+    np.testing.assert_allclose(np.abs(beta), np.abs(v), atol=1e-10)
+    assert projection_residual(seg, beta) < 1e-12
+    assert not beta.flags.writeable
 
 
 def test_pod_basis_unit_norm_on_generic_data():
     rng = np.random.default_rng(8)
     seg = rng.standard_normal((25, 7))
-    basis = pod_basis(seg, eig_descending(gram(seg)))
-    assert abs(np.linalg.norm(basis.vector) - 1) < 1e-12
+    beta = pod_basis(seg, eig_descending(gram(seg)))
+    assert abs(np.linalg.norm(beta) - 1) < 1e-12
 
 
 def test_pod_basis_zero_segment_degenerate():
@@ -189,17 +190,16 @@ def test_pod_basis_deterministic():
     first = pod_basis(seg, eig_descending(gram(seg)))
     copy = seg.copy()
     second = pod_basis(copy, eig_descending(gram(copy)))
-    assert np.array_equal(first.vector, second.vector)
+    assert np.array_equal(first, second)
 
 
 def test_projection_residual_orthonormal_columns():
     q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((9, 3)))
     basis_vec = q[:, 0]
     spectrum = eig_descending(gram(q))
-    basis = pod_basis(q, GramSpectrum(None, spectrum.eigenvalues,
-                                      np.array([1.0, 0.0, 0.0])))
+    beta = pod_basis(q, GramSpectrum(spectrum.eigenvalues, np.array([1.0, 0.0, 0.0])))
     # beta equals the first column exactly; two unit residuals remain
-    assert projection_residual(q, basis) == pytest.approx(2.0, abs=1e-12)
+    assert projection_residual(q, beta) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_projection_identity_random_segments():
@@ -207,8 +207,7 @@ def test_projection_identity_random_segments():
     for rows, cols in [(20, 10), (12, 5), (7, 7), (16, 2)]:
         seg = rng.standard_normal((rows, cols)) * rng.uniform(0.1, 3)
         spectrum = eig_descending(gram(seg))
-        basis = pod_basis(seg, spectrum)
-        residual = projection_residual(seg, basis)
+        residual = projection_residual(seg, pod_basis(seg, spectrum))
         tail = spectrum.eigenvalues[1:].sum()
         scale = spectrum.eigenvalues.sum()
         assert abs(residual - tail) <= 1e-10 * scale
@@ -223,13 +222,16 @@ def test_trace_identity():
 
 
 def test_export_spectra_csv(tmp_path):
+    assert pod.SPECTRUM_HEAD == 5
     spectra = [
-        GramSpectrum(0, np.array([3.0, 1.0, 0.5]), np.array([1.0, 0, 0])),
-        GramSpectrum(1, np.array([2.0, 0.25, 0.1]), np.array([1.0, 0, 0])),
+        GramSpectrum(np.array([3.0, 1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125]),
+                     np.eye(7)[0]),
+        GramSpectrum(np.array([2.0, 0.25, 0.1]), np.eye(3)[0]),
     ]
     path = tmp_path / "spectra.csv"
-    export_spectra_csv(spectra, path, head=2)
+    export_spectra_csv(spectra, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "segment,index,eigenvalue"
-    assert len(lines) == 5
-    assert lines[1].startswith("0,0,3.0")
+    # the first spectrum is cut after five values; segments count from 0
+    assert lines[1:] == ["0,0,3.0", "0,1,1.0", "0,2,0.5", "0,3,0.25", "0,4,0.125",
+                         "1,0,2.0", "1,1,0.25", "1,2,0.1"]

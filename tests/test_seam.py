@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from seampde.assembly import SymmetricSparseOperator
 from seampde.errors import DegenerateSnapshotError, SegmentationError
 from seampde.hifi import SnapshotMatrix, load_snapshots, save_snapshots
-from seampde.pod import PodBasis
+from seampde.pod import GramSpectrum
 from seampde.seam import (
     SeamModel,
     export_segment_metadata,
@@ -17,7 +16,10 @@ from seampde.seam import (
 
 
 def identity_operator(n):
-    return SymmetricSparseOperator(sparse.eye(n, format="csr"))
+    return sparse.eye(n, format="csr")
+
+
+UNIT = (np.array([1.0]), GramSpectrum(np.array([1.0]), np.array([1.0])))
 
 
 def rank_one_segment(n_dofs, n_cols, ratio, seed=0):
@@ -43,31 +45,27 @@ def test_offline_zero_segment():
 
 
 def test_online_hand_iterated_recurrence():
-    basis = PodBasis(np.array([1.0]), 1.0, np.array([1.0]))
-    model = SeamModel(basis, system_coeff=2.0, mass_coeff=1.0, load_coeff=1.0,
+    model = SeamModel(*UNIT, system_coeff=2.0, mass_coeff=1.0, load_coeff=1.0,
                       alpha0=0.0, tau=1.0)
     np.testing.assert_allclose(seam_online(model, 3), [0.0, 0.5, 0.75, 0.875])
 
 
 def test_online_geometric_decay_without_load():
-    basis = PodBasis(np.array([1.0]), 1.0, np.array([1.0]))
-    model = SeamModel(basis, system_coeff=1.25, mass_coeff=1.0, load_coeff=0.0,
+    model = SeamModel(*UNIT, system_coeff=1.25, mass_coeff=1.0, load_coeff=0.0,
                       alpha0=3.0, tau=0.7)
     alphas = seam_online(model, 6)
     np.testing.assert_allclose(alphas, 3.0 * 0.8 ** np.arange(7), rtol=1e-14)
 
 
 def test_online_per_step_load():
-    basis = PodBasis(np.array([1.0]), 1.0, np.array([1.0]))
-    model = SeamModel(basis, system_coeff=1.0, mass_coeff=1.0,
+    model = SeamModel(*UNIT, system_coeff=1.0, mass_coeff=1.0,
                       load_coeff=np.array([1.0, 2.0]), alpha0=0.0, tau=1.0)
     np.testing.assert_allclose(seam_online(model, 2), [0.0, 1.0, 3.0])
 
 
 def test_model_rejects_nonpositive_coefficients():
-    basis = PodBasis(np.array([1.0]), 1.0, np.array([1.0]))
     with pytest.raises(ValueError, match="positive"):
-        SeamModel(basis, system_coeff=0.0, mass_coeff=1.0, load_coeff=0.0,
+        SeamModel(*UNIT, system_coeff=0.0, mass_coeff=1.0, load_coeff=0.0,
                   alpha0=0.0, tau=0.1)
 
 
@@ -96,7 +94,7 @@ def test_single_segment_matches_offline_online_exactly():
     alphas = seam_online(model, 5)
     assert np.array_equal(solution.alphas[0], alphas)
     np.testing.assert_allclose(solution.to_matrix(),
-                               np.outer(model.basis.vector, alphas))
+                               np.outer(model.basis, alphas))
 
 
 def test_sign_invariance_of_reconstruction():
@@ -104,12 +102,11 @@ def test_sign_invariance_of_reconstruction():
     seg = rng.standard_normal((14, 7))
     mass = identity_operator(14)
     model = seam_offline(seg, mass, mass, np.zeros(14), 0.2)
-    flipped_basis = PodBasis(-model.basis.vector, model.basis.lam0,
-                             -model.basis.weights)
-    flipped = SeamModel(flipped_basis, model.system_coeff, model.mass_coeff,
-                        -np.asarray(model.load_coeff), -model.alpha0, model.tau)
-    original = np.outer(model.basis.vector, seam_online(model, 6))
-    mirrored = np.outer(flipped.basis.vector, seam_online(flipped, 6))
+    flipped = SeamModel(-model.basis, model.spectrum, model.system_coeff,
+                        model.mass_coeff, -np.asarray(model.load_coeff),
+                        -model.alpha0, model.tau)
+    original = np.outer(model.basis, seam_online(model, 6))
+    mirrored = np.outer(flipped.basis, seam_online(flipped, 6))
     np.testing.assert_allclose(original, mirrored, atol=1e-14)
 
 
@@ -154,7 +151,7 @@ def test_galerkin_error_tracks_projection_error():
         spectrum = eig_descending(gram(block))
         projection_sq += spectrum.eigenvalues[1:].sum()
         scale += spectrum.eigenvalues.sum()
-        reconstructed = np.outer(solution.models[k].basis.vector,
+        reconstructed = np.outer(solution.models[k].basis,
                                  solution.alphas[k])
         diff = block - reconstructed
         galerkin_sq += float(np.einsum("ij,ij->", diff, diff))
