@@ -52,7 +52,6 @@ from seampde.fields import (
 from seampde.hifi import (
     Discretization,
     SnapshotMatrix,
-    backward_euler_step,
     cg_solve,
     discretize,
     load_snapshots,
@@ -71,7 +70,6 @@ from seampde.pod import (
     gram,
     jacobi_eigh,
     pod_basis,
-    projection_residual,
 )
 from seampde.seam import (
     SeamModel,
@@ -101,7 +99,6 @@ __all__ = [
     "assemble_load",
     "assemble_mass",
     "assemble_stiffness",
-    "backward_euler_step",
     "build_cube_mesh",
     "build_interval_mesh",
     "build_spectral_report",
@@ -121,7 +118,6 @@ __all__ = [
     "perturbation_quantity",
     "pod_basis",
     "problem_from_config",
-    "projection_residual",
     "reference_principal_eigenvalue",
     "relative_l2_error",
     "run_hifi",

@@ -14,7 +14,6 @@ quantities are carried in extended precision (numpy longdouble).
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -26,9 +25,12 @@ from seampde.hifi import SnapshotMatrix, cg_solve, galerkin_start
 from seampde.pod import SPECTRUM_HEAD, GramSpectrum, eig_descending, gram, jacobi_eigh
 from seampde.seam import SeamSolution
 
+# operator_norm's stopping rule: relative change of the estimate, step cap
+_POWER_RTOL = 1e-10
+_POWER_MAXITER = 10000
 
-def operator_norm(mass: sparse.csr_matrix, stiffness: sparse.csr_matrix, *,
-                  rtol: float = 1e-10, maxiter: int = 10000) -> float:
+
+def operator_norm(mass: sparse.csr_matrix, stiffness: sparse.csr_matrix) -> float:
     """Largest generalized eigenvalue of (S, M) by power iteration.
 
     Equals the 2-norm of the symmetrized evolution operator. Each step
@@ -38,7 +40,7 @@ def operator_norm(mass: sparse.csr_matrix, stiffness: sparse.csr_matrix, *,
     """
     w = np.random.default_rng(0).standard_normal(mass.shape[0])
     v = mv = estimate = None
-    for _ in range(maxiter):
+    for _ in range(_POWER_MAXITER):
         mw = mass @ w
         norm_w = np.sqrt(w @ mw)
         if norm_w == 0.0:
@@ -46,12 +48,13 @@ def operator_norm(mass: sparse.csr_matrix, stiffness: sparse.csr_matrix, *,
         v_prev, mv_prev, v, mv = v, mv, w / norm_w, mw / norm_w
         sv = stiffness @ v
         current = float(v @ sv)
-        if estimate is not None and abs(current - estimate) <= rtol * abs(current):
+        if (estimate is not None
+                and abs(current - estimate) <= _POWER_RTOL * abs(current)):
             return current
         estimate = current
         w = cg_solve(mass, sv, x0=galerkin_start(sv, v, mv, v_prev, mv_prev))
     raise StagnationError(
-        f"power iteration stagnated after {maxiter} iterations "
+        f"power iteration stagnated after {_POWER_MAXITER} iterations "
         f"(last estimate {estimate!r})"
     )
 
@@ -170,27 +173,21 @@ def hoffman_wielandt_check(a: np.ndarray, e: np.ndarray) -> HoffmanWielandtRecor
     )
 
 
-def column_error_norms(reference, reduced, mass: sparse.csr_matrix):
+def column_error_norms(reference: SnapshotMatrix, reduced: SeamSolution,
+                       mass: sparse.csr_matrix):
     """Squared M-norms of the error and of the reference, one per column.
 
-    A SeamSolution is expanded one segment block at a time, so the dense
-    reduced matrix is never formed; a plain array is a single block.
-    Returns ``(error_sq, reference_sq)``.
+    The reduced solution is expanded one segment block at a time, so the
+    dense reduced matrix is never formed. Returns ``(error_sq, reference_sq)``.
     """
-    ref = (reference.data if isinstance(reference, SnapshotMatrix)
-           else np.asarray(reference, dtype=float))
-    if isinstance(reduced, SeamSolution):
-        shape = (reduced.num_dofs, reduced.num_columns)
-        blocks = reduced.blocks()
-    else:
-        blocks = [np.asarray(reduced, dtype=float)]
-        shape = blocks[0].shape
+    ref = reference.data
+    shape = (reduced.num_dofs, reduced.num_columns)
     if ref.shape != shape:
         raise ValueError(f"shape mismatch: {ref.shape} vs {shape}")
     error_sq = np.empty(shape[1])
     reference_sq = np.empty(shape[1])
     start = 0
-    for block in blocks:
+    for block in reduced.blocks():
         part = slice(start, start + block.shape[1])
         columns = ref[:, part]
         diff = columns - block
@@ -200,8 +197,8 @@ def column_error_norms(reference, reduced, mass: sparse.csr_matrix):
     return error_sq, reference_sq
 
 
-def relative_l2_error(reference, reduced, mass: sparse.csr_matrix,
-                      tau: float) -> float:
+def relative_l2_error(reference: SnapshotMatrix, reduced: SeamSolution,
+                      mass: sparse.csr_matrix, tau: float) -> float:
     """Space-time relative L2 error of a reduced run against its reference.
 
     The spatial integral is exact on the FE space through the mass
@@ -276,12 +273,6 @@ def build_spectral_report(snapshots: SnapshotMatrix, mass: sparse.csr_matrix,
         segment_steps=segment_steps,
         tau=tau,
     )
-
-
-def save_report_json(report: SpectralReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")
 
 
 def _json_number(value):

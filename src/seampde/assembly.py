@@ -127,21 +127,21 @@ def _sum_into(pattern: SparsityPattern, local) -> sparse.csr_matrix:
     return matrix
 
 
-def assemble_mass(mesh: Mesh, geometry=None, pattern=None) -> sparse.csr_matrix:
+def assemble_mass(mesh: Mesh, geometry, pattern: SparsityPattern) -> sparse.csr_matrix:
     """Exact mass matrix of the linear nodal basis on interior nodes.
 
     On a d-simplex T the basis-product integral is
     |T| * (1 + delta_ij) / ((d+1)(d+2)), with no quadrature error.
+    ``geometry`` is the mesh's element_geometry.
     """
-    volumes, _, _ = geometry or element_geometry(mesh)
+    volumes, _, _ = geometry
     d = mesh.dimension
     base = volumes / ((d + 1) * (d + 2))
-    return _sum_into(pattern or sparsity_pattern(mesh),
-                     lambda i, j: base * (2 if i == j else 1))
+    return _sum_into(pattern, lambda i, j: base * (2 if i == j else 1))
 
 
-def assemble_stiffness(mesh: Mesh, alpha_diag, c, geometry=None,
-                       pattern=None) -> sparse.csr_matrix:
+def assemble_stiffness(mesh: Mesh, alpha_diag, c, geometry,
+                       pattern: SparsityPattern) -> sparse.csr_matrix:
     """Stiffness of (alpha grad u, grad v) + (c u, v) with diagonal alpha.
 
     Coefficients are evaluated once per element at the centroid, where
@@ -152,7 +152,7 @@ def assemble_stiffness(mesh: Mesh, alpha_diag, c, geometry=None,
         raise ValueError(
             f"need {mesh.dimension} diagonal diffusion entries, got {len(alpha_diag)}"
         )
-    volumes, grads, centroids = geometry or element_geometry(mesh)
+    volumes, grads, centroids = geometry
     alpha = np.empty((len(mesh.cells), mesh.dimension))
     for axis, a in enumerate(alpha_diag):
         alpha[:, axis] = a(*centroids.T)
@@ -167,13 +167,20 @@ def assemble_stiffness(mesh: Mesh, alpha_diag, c, geometry=None,
         diffusion = volumes * np.einsum("ta,ta->t", alpha * grads[:, i], grads[:, j])
         return diffusion + c_vals * mass_base * (2 if i == j else 1)
 
-    return _sum_into(pattern or sparsity_pattern(mesh), local)
+    return _sum_into(pattern, local)
 
 
-def assemble_load(mesh: Mesh, f, t: float = 0.0, geometry=None) -> np.ndarray:
-    """Read-only right-hand side F_k = sum_T f(centroid, t) * |T| / (d+1)."""
-    volumes, _, centroids = geometry or element_geometry(mesh)
+def assemble_load(mesh: Mesh, f, t: float, geometry) -> np.ndarray:
+    """Read-only right-hand side F_k = sum_T f(centroid, t) * |T| / (d+1).
+
+    Only the volumes and centroids of ``geometry`` are read; f must be
+    finite at every centroid.
+    """
+    volumes, _, centroids = geometry
     f_vals = np.broadcast_to(f(*centroids.T, t=t), len(mesh.cells))
+    if not np.isfinite(f_vals).all():
+        raise EvaluationError(
+            f"source term is not finite at every centroid at t = {t!r}")
     contrib = f_vals * volumes / (mesh.dimension + 1)
     values = np.zeros(mesh.num_interior)
     nodes = mesh.interior_index[mesh.cells]

@@ -13,8 +13,9 @@ Exit codes: 0 success; 2 configuration error (bad options or files, a
 problem that breaks a rule of fields.ProblemSpec, given by flag or by
 config key alike, a snapshot file whose dofs, tau or column count differ
 from the problem's, a field expression that cannot be parsed or
-evaluated, initial data or a coefficient that is not finite, all-zero
-snapshots); 3 solver failure; 4 segmentation (divisibility) violation; 1
+evaluated, initial data, a coefficient or a source term that is not
+finite, a JSON artifact value that is not finite, all-zero snapshots); 3
+solver failure; 4 segmentation (divisibility) violation; 1
 failed self-test. Problem and snapshot-header checks run before any compute.
 """
 
@@ -34,8 +35,6 @@ from seampde.analysis import (
     build_spectral_report,
     column_error_norms,
     hoffman_wielandt_check,
-    relative_l2_error,
-    save_report_json,
     space_time_error,
 )
 from seampde.errors import (
@@ -62,7 +61,6 @@ from seampde.seam import (
     export_segment_metadata,
     run_parallel_seam,
     save_seam,
-    seam_online,
 )
 
 MODES = ("hifi", "seam", "parallel-seam", "eigs", "bench", "hw-selftest")
@@ -202,8 +200,16 @@ def _write_slices(outdir, disc: Discretization, reference: SnapshotMatrix,
             writer.writerows(np.column_stack(columns).tolist())
 
 
+def _write_json(path, payload: dict) -> None:
+    """Write ``payload`` as indented JSON. It is serialized before the file
+    is opened, so a NaN or infinity raises ValueError and leaves no file."""
+    text = json.dumps(payload, indent=2, allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
 def _reduce(snapshots: SnapshotMatrix, disc: Discretization, segment_steps: int,
-            config: RunConfig, summary: RunSummary):
+            summary: RunSummary):
     start = time.perf_counter()
     solution = run_parallel_seam(snapshots, disc.mass, disc.stiffness, disc.load,
                                  segment_steps=segment_steps)
@@ -248,7 +254,7 @@ def execute(config: RunConfig) -> RunSummary:
     elif config.mode == "eigs":
         report = build_spectral_report(snapshots, disc.mass, disc.stiffness,
                                        segment_steps=problem.segment_steps)
-        save_report_json(report, outdir / "report.json")
+        _write_json(outdir / "report.json", report.to_json_dict())
         export_spectra_csv(report.spectra, outdir / "eigenvalues.csv")
         lam0 = report.leading_eigenvalues()
         summary.lambda0_first = float(lam0[0])
@@ -256,7 +262,7 @@ def execute(config: RunConfig) -> RunSummary:
     else:  # seam / parallel-seam
         segment_steps = (snapshots.num_columns - 1 if config.mode == "seam"
                          else problem.segment_steps)
-        solution = _reduce(snapshots, disc, segment_steps, config, summary)
+        solution = _reduce(snapshots, disc, segment_steps, summary)
         norms = column_error_norms(snapshots, solution, disc.mass)
         summary.error_l2 = space_time_error(*norms, problem.tau)
         save_seam(solution, outdir / "seam.bin")
@@ -266,9 +272,7 @@ def execute(config: RunConfig) -> RunSummary:
         _write_error_csv(outdir / "error.csv", snapshots.tau, *norms)
         _write_slices(outdir, disc, snapshots, solution)
 
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(outdir / "summary.json", summary.to_json_dict())
     return summary
 
 
@@ -280,21 +284,14 @@ def _run_bench(problem, disc, config, summary, outdir) -> RunSummary:
         start = time.perf_counter()
         snapshots = run_hifi(problem, disc)
         hifi_samples.append(time.perf_counter() - start)
-    offline_start = time.perf_counter()
-    solution = run_parallel_seam(snapshots, disc.mass, disc.stiffness, disc.load,
-                                 segment_steps=problem.segment_steps)
-    offline_seconds = time.perf_counter() - offline_start
     online_samples = []
     for _ in range(config.repeats):
-        start = time.perf_counter()
-        for model in solution.models:
-            seam_online(model, problem.segment_steps)
-        online_samples.append(time.perf_counter() - start)
+        solution = _reduce(snapshots, disc, problem.segment_steps, summary)
+        online_samples.append(summary.online_seconds)
     summary.hifi_seconds = float(np.median(hifi_samples))
-    summary.offline_seconds = offline_seconds
     summary.online_seconds = float(np.median(online_samples))
-    summary.error_l2 = relative_l2_error(snapshots, solution, disc.mass,
-                                         problem.tau)
+    summary.error_l2 = space_time_error(
+        *column_error_norms(snapshots, solution, disc.mass), problem.tau)
     payload = summary.to_json_dict()
     payload.update({
         "hifi_samples": hifi_samples,
@@ -308,12 +305,8 @@ def _run_bench(problem, disc, config, summary, outdir) -> RunSummary:
         "note": "online time excludes snapshot generation and basis extraction",
     })
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "bench.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(outdir / "bench.json", payload)
+    _write_json(outdir / "summary.json", summary.to_json_dict())
     return summary
 
 
@@ -339,9 +332,7 @@ def _run_hw_selftest(config: RunConfig) -> RunSummary:
     outdir.mkdir(parents=True, exist_ok=True)
     payload = {"schema": SUMMARY_SCHEMA, "pairs": 100, "all_hold": all_hold,
                "worst_margins": worst}
-    with open(outdir / "hw_selftest.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(outdir / "hw_selftest.json", payload)
     status = "ok" if all_hold else "FAILED"
     print(f"hoffman-wielandt selftest: {status} "
           f"(worst margins {worst['frobenius_margin']:.2e}, "

@@ -79,43 +79,16 @@ def _evaluate(node, env):
     return np.power(left, right)
 
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-
-
-def _to_string(node, parent_prec=0, right_side=False):
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.fn}({_to_string(node.arg)})"
-    if isinstance(node, Neg):
-        text = f"-{_to_string(node.arg, 3)}"
-        return f"({text})" if parent_prec > 3 else text
-    prec = _PRECEDENCE[node.op]
-    text = (
-        f"{_to_string(node.left, prec)}{node.op}"
-        f"{_to_string(node.right, prec, right_side=True)}"
-    )
-    # left-associative ops need parens when they appear as a right operand
-    # of equal precedence; '-' and '/' need them even against themselves
-    if parent_prec > prec or (right_side and parent_prec == prec):
-        return f"({text})"
-    return text
-
-
 class ScalarField:
-    """Immutable parsed expression, callable on scalars or numpy arrays."""
+    """Immutable parsed expression and the text it was parsed from,
+    callable on scalars or numpy arrays."""
 
-    def __init__(self, root, source=None):
+    def __init__(self, root, source):
         self.root = root
-        self.source = source if source is not None else _to_string(root)
+        self.source = source
 
     def __call__(self, x=0.0, y=0.0, z=0.0, t=0.0):
         return _evaluate(self.root, {"x": x, "y": y, "z": z, "t": t})
-
-    def to_string(self):
-        return _to_string(self.root)
 
     def depends_on(self, name):
         return _mentions(self.root, name)
@@ -127,7 +100,7 @@ class ScalarField:
         return hash(self.root)
 
     def __repr__(self):
-        return f"ScalarField({self.to_string()!r})"
+        return f"ScalarField({self.source!r})"
 
 
 def _mentions(node, name):
@@ -352,7 +325,7 @@ class ProblemSpec:
         for a in self.alpha_diag:
             if np.any(a(*grids) < 0):
                 warnings.warn(
-                    f"diffusion coefficient {a.to_string()} is negative "
+                    f"diffusion coefficient {a.source} is negative "
                     "somewhere on the sample grid",
                     stacklevel=3,
                 )

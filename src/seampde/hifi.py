@@ -121,11 +121,11 @@ def discretize(problem: ProblemSpec) -> Discretization:
     )
 
 
-def cg_solve(matrix, rhs: np.ndarray, *, rtol: float = CG_RTOL,
-             maxiter: int | None = None, x0: np.ndarray | None = None) -> np.ndarray:
+def cg_solve(matrix, rhs: np.ndarray, *, maxiter: int | None = None,
+             x0: np.ndarray | None = None) -> np.ndarray:
     """Conjugate gradients for an SPD system, no preconditioner.
 
-    Converges when the 2-norm residual drops below ``rtol * ||rhs||``;
+    Converges when the 2-norm residual drops below ``CG_RTOL * ||rhs||``;
     raises SolverFailure (carrying the final relative residual) at the
     iteration cap, which defaults to 10x the system dimension, at once on a
     curvature p.Ap that is not positive (NaN included), and before the
@@ -143,7 +143,7 @@ def cg_solve(matrix, rhs: np.ndarray, *, rtol: float = CG_RTOL,
     x = np.zeros_like(rhs) if x0 is None else x0.astype(float, copy=True)
     r = rhs - matrix @ x
     res = np.linalg.norm(r)
-    if res <= rtol * rhs_norm:
+    if res <= CG_RTOL * rhs_norm:
         return x
     p = r.copy()
     rs = r @ r
@@ -157,21 +157,11 @@ def cg_solve(matrix, rhs: np.ndarray, *, rtol: float = CG_RTOL,
         r -= step * ap
         rs_next = r @ r
         res = np.sqrt(rs_next)
-        if res <= rtol * rhs_norm:
+        if res <= CG_RTOL * rhs_norm:
             return x
         p = r + (rs_next / rs) * p
         rs = rs_next
     raise SolverFailure("conjugate gradients did not converge", res / rhs_norm)
-
-
-def backward_euler_step(mass: sparse.csr_matrix, stiffness: sparse.csr_matrix,
-                        load: np.ndarray, u_prev: np.ndarray, tau: float) -> np.ndarray:
-    """One implicit Euler step: solve (M + tau*S) u = M u_prev + tau*F."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    system = mass + tau * stiffness
-    rhs = mass @ u_prev + tau * load
-    return cg_solve(system, rhs, x0=u_prev)
 
 
 def galerkin_start(rhs: np.ndarray, u1: np.ndarray, au1: np.ndarray,
@@ -197,7 +187,7 @@ def galerkin_start(rhs: np.ndarray, u1: np.ndarray, au1: np.ndarray,
     return (b1 / g11) * u1
 
 
-def run_hifi(problem: ProblemSpec, disc: Discretization | None = None) -> SnapshotMatrix:
+def run_hifi(problem: ProblemSpec, disc: Discretization) -> SnapshotMatrix:
     """Step the full discretization and collect all N+1 solution columns.
 
     The load vector is reassembled each step only when the source term
@@ -206,8 +196,6 @@ def run_hifi(problem: ProblemSpec, disc: Discretization | None = None) -> Snapsh
     formed once, by the step that produced it, for the next two start
     guesses.
     """
-    if disc is None:
-        disc = discretize(problem)
     n_steps = problem.num_steps
     mass = disc.mass
     system = disc.system_matrix(problem.tau)

@@ -152,18 +152,6 @@ def pod_basis(segment_data: np.ndarray, spectrum: GramSpectrum) -> np.ndarray:
     return beta
 
 
-def projection_residual(segment_data: np.ndarray, beta: np.ndarray) -> float:
-    """Total squared misfit sum_k ||U_k - (beta . U_k) beta||^2.
-
-    Equals the sum of the non-principal Gram eigenvalues exactly (POD
-    optimality identity), which the test suite checks.
-    """
-    segment_data = np.asarray(segment_data, dtype=float)
-    coeffs = beta @ segment_data
-    residual = segment_data - np.outer(beta, coeffs)
-    return float(np.einsum("ij,ij->", residual, residual))
-
-
 def export_spectra_csv(spectra, path) -> None:
     """Write rows (segment, eigen_index, eigenvalue), the top SPECTRUM_HEAD
     of each spectrum; segments are numbered by their position."""

@@ -47,7 +47,7 @@ class SeamSolution:
     models: tuple
     alphas: np.ndarray  # (segments, n+1)
     tau: float
-    online_seconds: float | None = None  # wall time of the replay that made alphas
+    online_seconds: float  # wall time of the replay that made alphas
 
     def __post_init__(self):
         self.alphas.setflags(write=False)

@@ -1,0 +1,76 @@
+"""Reference implementations that the tests compare the program against.
+
+None of these runs in the command-line pipeline: a single backward-Euler
+step with its own system matrix (and the 1-D heat operators it is checked
+on), the rank-one projection residual of the POD optimality identity, and
+a printer that turns an expression tree back into text the parser accepts.
+"""
+
+import numpy as np
+import scipy.sparse as sparse
+
+from seampde.assembly import (
+    assemble_mass,
+    assemble_stiffness,
+    element_geometry,
+    sparsity_pattern,
+)
+from seampde.fields import Call, Const, Neg, Var, parse_expression as expr
+from seampde.hifi import cg_solve
+from seampde.mesh import build_interval_mesh
+
+
+def backward_euler_step(mass: sparse.csr_matrix, stiffness: sparse.csr_matrix,
+                        load: np.ndarray, u_prev: np.ndarray, tau: float) -> np.ndarray:
+    """One implicit Euler step: solve (M + tau*S) u = M u_prev + tau*F."""
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    system = mass + tau * stiffness
+    rhs = mass @ u_prev + tau * load
+    return cg_solve(system, rhs, x0=u_prev)
+
+
+def heat_operators(m):
+    """Mass and stiffness (alpha = 1, c = 0) on the interval mesh with m cells."""
+    mesh = build_interval_mesh(m)
+    geometry, pattern = element_geometry(mesh), sparsity_pattern(mesh)
+    return (assemble_mass(mesh, geometry, pattern),
+            assemble_stiffness(mesh, [expr("1")], expr("0"), geometry, pattern))
+
+
+def projection_residual(segment_data: np.ndarray, beta: np.ndarray) -> float:
+    """Total squared misfit sum_k ||U_k - (beta . U_k) beta||^2.
+
+    Equals the sum of the non-principal Gram eigenvalues exactly (POD
+    optimality identity), which the test suite checks.
+    """
+    segment_data = np.asarray(segment_data, dtype=float)
+    coeffs = beta @ segment_data
+    residual = segment_data - np.outer(beta, coeffs)
+    return float(np.einsum("ij,ij->", residual, residual))
+
+
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+
+
+def to_string(node, parent_prec=0, right_side=False):
+    """Expression text that parses back to the tree ``node``."""
+    if isinstance(node, Const):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Call):
+        return f"{node.fn}({to_string(node.arg)})"
+    if isinstance(node, Neg):
+        text = f"-{to_string(node.arg, 3)}"
+        return f"({text})" if parent_prec > 3 else text
+    prec = _PRECEDENCE[node.op]
+    text = (
+        f"{to_string(node.left, prec)}{node.op}"
+        f"{to_string(node.right, prec, right_side=True)}"
+    )
+    # left-associative ops need parens when they appear as a right operand
+    # of equal precedence; '-' and '/' need them even against themselves
+    if parent_prec > prec or (right_side and parent_prec == prec):
+        return f"({text})"
+    return text

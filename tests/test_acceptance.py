@@ -73,8 +73,10 @@ from seampde.analysis import (
 )
 from seampde.fields import problem_from_config, scenario
 from seampde.hifi import discretize, run_hifi
-from seampde.pod import eig_descending, gram, jacobi_eigh, pod_basis, projection_residual
+from seampde.pod import eig_descending, gram, jacobi_eigh, pod_basis
 from seampde.seam import run_parallel_seam, seam_online
+
+from oracles import backward_euler_step, heat_operators, projection_residual
 
 
 def report(criterion, ok, detail):
@@ -478,15 +480,7 @@ def test_criterion_8_oracle_equivalence():
         failures.append(f"charpoly mismatch {worst_charpoly:.3e} > 1e-8")
 
     # single-node 1-D backward Euler vs the analytic geometric recurrence
-    from seampde.assembly import assemble_mass, assemble_stiffness
-    from seampde.fields import parse_expression
-    from seampde.hifi import backward_euler_step
-    from seampde.mesh import build_interval_mesh
-
-    mesh = build_interval_mesh(2)
-    mass = assemble_mass(mesh)
-    stiffness = assemble_stiffness(mesh, [parse_expression("1")],
-                                   parse_expression("0"))
+    mass, stiffness = heat_operators(2)
     tau = 1e-4
     rho = (1 / 3) / (1 / 3 + 4 * tau)
     u = np.array([1.0])

@@ -10,7 +10,9 @@ from seampde.assembly import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
+    element_geometry,
     interpolate_initial,
+    sparsity_pattern,
 )
 from seampde.fields import parse_expression as expr, scenario
 from seampde.hifi import discretize
@@ -20,9 +22,22 @@ ONE = expr("1")
 ZERO = expr("0")
 
 
+def mass_of(mesh):
+    return assemble_mass(mesh, element_geometry(mesh), sparsity_pattern(mesh))
+
+
+def stiffness_of(mesh, alpha_diag, c):
+    return assemble_stiffness(mesh, alpha_diag, c, element_geometry(mesh),
+                              sparsity_pattern(mesh))
+
+
+def load_of(mesh, f, t=0.0):
+    return assemble_load(mesh, f, t, element_geometry(mesh))
+
+
 def test_mass_1d_closed_form():
     mesh = build_interval_mesh(4)
-    M = assemble_mass(mesh).toarray()
+    M = mass_of(mesh).toarray()
     h = 0.25
     np.testing.assert_allclose(np.diag(M), 2 * h / 3)
     np.testing.assert_allclose(np.diag(M, 1), h / 6)
@@ -33,49 +48,49 @@ def test_mass_1d_closed_form():
 @pytest.mark.parametrize("mesh", [build_interval_mesh(5), build_square_mesh(3),
                                   build_cube_mesh(2)])
 def test_mass_partition_of_unity_bound(mesh):
-    M = assemble_mass(mesh)
+    M = mass_of(mesh)
     total = M.sum()
     assert 0 < total < 1.0  # boundary basis mass is missing from interior rows
 
 
 def test_mass_exactly_symmetric():
-    M = assemble_mass(build_square_mesh(4))
+    M = mass_of(build_square_mesh(4))
     assert (M != M.T).nnz == 0
 
 
 def test_mass_row_sums_positive_and_1d_diagonally_dominant():
-    M1 = assemble_mass(build_interval_mesh(7)).toarray()
+    M1 = mass_of(build_interval_mesh(7)).toarray()
     assert np.all(M1.sum(axis=1) > 0)
     off = np.abs(M1).sum(axis=1) - np.abs(np.diag(M1))
     assert np.all(np.diag(M1) >= off)
-    M2 = assemble_mass(build_square_mesh(5)).toarray()
+    M2 = mass_of(build_square_mesh(5)).toarray()
     assert np.all(M2.sum(axis=1) > 0)
 
 
 def test_stiffness_1d_closed_form():
     mesh = build_interval_mesh(4)
-    S = assemble_stiffness(mesh, [ONE], ZERO).toarray()
+    S = stiffness_of(mesh, [ONE], ZERO).toarray()
     np.testing.assert_allclose(np.diag(S), 8.0)
     np.testing.assert_allclose(np.diag(S, 1), -4.0)
 
 
 def test_stiffness_reaction_only_equals_mass():
     mesh = build_square_mesh(4)
-    S = assemble_stiffness(mesh, [ZERO, ZERO], ONE).toarray()
-    M = assemble_mass(mesh).toarray()
+    S = stiffness_of(mesh, [ZERO, ZERO], ONE).toarray()
+    M = mass_of(mesh).toarray()
     np.testing.assert_allclose(S, M, atol=1e-15)
 
 
 def test_stiffness_symmetric_positive_semidefinite():
     mesh = build_square_mesh(4)
-    S = assemble_stiffness(mesh, [ONE, ONE], ZERO).toarray()
+    S = stiffness_of(mesh, [ONE, ONE], ZERO).toarray()
     np.testing.assert_allclose(S, S.T, atol=0)
     assert np.linalg.eigvalsh(S).min() >= -1e-12
 
 
 def test_stiffness_positive_on_random_vectors():
     mesh = build_square_mesh(4)
-    S = assemble_stiffness(mesh, [ONE, ONE], ZERO)
+    S = stiffness_of(mesh, [ONE, ONE], ZERO)
     rng = np.random.default_rng(7)
     for _ in range(100):
         x = rng.standard_normal(S.shape[0])
@@ -84,39 +99,39 @@ def test_stiffness_positive_on_random_vectors():
 
 def test_stiffness_variable_alpha_symmetric():
     mesh = build_square_mesh(6)
-    S = assemble_stiffness(mesh, [expr("x^2"), expr("y^2")],
-                           expr("pi^2*(1-2*x^2*y^2)"))
+    S = stiffness_of(mesh, [expr("x^2"), expr("y^2")],
+                     expr("pi^2*(1-2*x^2*y^2)"))
     assert abs(S - S.T).max() < 1e-14 * abs(S).max()
 
 
 def test_stiffness_wrong_alpha_count():
     with pytest.raises(ValueError, match="diagonal diffusion"):
-        assemble_stiffness(build_interval_mesh(4), [ONE, ONE], ZERO)
+        stiffness_of(build_interval_mesh(4), [ONE, ONE], ZERO)
 
 
 def test_refinement_keeps_invariants():
     for m in (3, 6):
         mesh = build_square_mesh(m)
-        S = assemble_stiffness(mesh, [ONE, ONE], ONE).toarray()
+        S = stiffness_of(mesh, [ONE, ONE], ONE).toarray()
         np.testing.assert_allclose(S, S.T, atol=0)
         assert np.linalg.eigvalsh(S).min() > 0  # c=1 makes it definite
 
 
 def test_load_zero():
     mesh = build_square_mesh(3)
-    F = assemble_load(mesh, ZERO)
+    F = load_of(mesh, ZERO)
     np.testing.assert_array_equal(F, 0.0)
 
 
 def test_load_constant_1d():
     mesh = build_interval_mesh(4)
-    F = assemble_load(mesh, ONE)
+    F = load_of(mesh, ONE)
     np.testing.assert_allclose(F, 0.25)
 
 
 def test_load_xy_square_m2_against_centroid_rule():
     mesh = build_square_mesh(2)
-    F = assemble_load(mesh, expr("x*y"))
+    F = load_of(mesh, expr("x*y"))
     assert F.shape == (1,)
     expected = 0.0
     for cell in mesh.cells:
@@ -132,7 +147,7 @@ def test_load_xy_square_m2_against_centroid_rule():
 
 def test_load_time_dependent():
     mesh = build_interval_mesh(4)
-    F = assemble_load(mesh, expr("t"), t=2.0)
+    F = load_of(mesh, expr("t"), t=2.0)
     np.testing.assert_allclose(F, 2 * 0.25)
 
 
@@ -165,7 +180,7 @@ def test_operator_validates_symmetry():
 
 
 def test_load_vector_read_only():
-    F = assemble_load(build_interval_mesh(4), ONE)
+    F = load_of(build_interval_mesh(4), ONE)
     with pytest.raises(ValueError):
         F[0] = 3.0
 
@@ -218,10 +233,10 @@ CASES += [(build_square_mesh(m), "s3") for m in (2, 3, 4, 5)]
 def test_shared_pattern_matches_coo_scatter(monkeypatch, mesh, operator):
     def assemble():
         if operator == "mass":
-            return assemble_mass(mesh)
+            return mass_of(mesh)
         if operator == "stiffness":
-            return assemble_stiffness(mesh, [ONE] * mesh.dimension, ONE)
-        return assemble_stiffness(mesh, S3.alpha_diag, S3.c)
+            return stiffness_of(mesh, [ONE] * mesh.dimension, ONE)
+        return stiffness_of(mesh, S3.alpha_diag, S3.c)
 
     shared, oracle = assembled_both_ways(monkeypatch, mesh, assemble)
     np.testing.assert_array_equal(shared.indptr, oracle.indptr)
@@ -250,7 +265,7 @@ def test_system_matrix_equals_sparse_sum(name):
 def test_discretization_rejects_separate_patterns():
     disc = discretize(replace(scenario("s1"), divisions=4))
     with pytest.raises(ValueError, match="share one sparsity pattern"):
-        replace(disc, mass=assemble_mass(disc.mesh))
+        replace(disc, mass=mass_of(disc.mesh))
 
 
 def test_discretize_peak_memory_heat3d_m16():

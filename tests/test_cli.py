@@ -373,13 +373,17 @@ def test_divisibility_violation_exit_4(tmp_path, monkeypatch):
                    "--snapshots", str(out / "snapshots.bin")) == 4
 
 
-def test_bench_mode(tmp_path):
+def test_bench_mode(tmp_path, heat1d_run):
     out = tmp_path / "bench"
     code = run_cli("--scenario", "heat1d", "--mode", "bench", "--repeats", "2",
                    "--out", str(out))
     assert code == 0
     bench = read_json(out / "bench.json")
     assert len(bench["hifi_samples"]) == 2
+    assert len(bench["online_samples"]) == 2
+    # bench reduces and scores exactly as a parallel-seam run does
+    assert bench["error_l2"] == read_json(heat1d_run / "summary.json")["error_l2"]
+    assert read_json(out / "summary.json")["error_l2"] == bench["error_l2"]
     assert bench["speedup_online"] > 0
     assert "machine" in bench and "note" in bench
 
@@ -479,28 +483,42 @@ def test_overflowing_initial_data_exits_2(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("key,value", [("c", "exp(1000*x)"),
-                                       ("alpha", ["exp(1000*x)"])])
-def test_overflowing_coefficient_exits_2(tmp_path, key, value):
-    # an infinite operator entry would otherwise reach CG as a NaN residual
+@pytest.mark.parametrize("key,value,mode", [
+    pytest.param("c", "exp(1000*x)", "hifi", id="c-exp(1000*x)"),
+    pytest.param("alpha", ["exp(1000*x)"], "hifi", id="alpha-value1"),
+    pytest.param("f", "exp(1000*x)", "hifi", id="f-hifi"),
+    pytest.param("f", "exp(1000*x)", "parallel-seam", id="f-parallel-seam-snapshots"),
+    # finite at t = 0, infinite from the first step on
+    pytest.param("f", "exp(1000000*x*t)", "hifi", id="f-time-dependent-hifi"),
+])
+def test_overflowing_coefficient_exits_2(tmp_path, key, value, mode):
+    # an infinite operator or load entry would otherwise reach CG as a NaN
+    # residual, or, against stored snapshots, an infinite error
     path = tmp_path / "p.json"
+    flags = []
+    if mode == "parallel-seam":
+        path.write_text(json.dumps(MINI))
+        stored = tmp_path / "f0"
+        assert run_cli("--config", str(path), "--mode", "hifi",
+                       "--out", str(stored)) == 0
+        flags = ["--snapshots", str(stored / "snapshots.bin")]
     path.write_text(json.dumps({**MINI, key: value}))
     out = tmp_path / "out"
-    assert run_cli("--config", str(path), "--mode", "hifi", "--out", str(out)) == 2
+    assert run_cli("--config", str(path), "--mode", mode, *flags,
+                   "--out", str(out)) == 2
     assert not (out / "snapshots.bin").exists()
+    assert not (out / "summary.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_load_exits_3(tmp_path):
-    cfg = {
-        "name": "mini", "dimension": 1, "alpha": ["1"], "c": "0",
-        "f": "1e308*(1+x)*t", "u0": "x", "tau": 0.001, "T": 0.01, "m": 6,
-        "segment_steps": 10, "segment_count": 1,
-    }
+def test_non_finite_summary_value_exits_2_without_summary(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "space_time_error", lambda *args: float("inf"))
     path = tmp_path / "p.json"
-    path.write_text(json.dumps(cfg))
-    assert run_cli("--config", str(path), "--mode", "hifi",
-                   "--out", str(tmp_path / "out")) == 3
+    path.write_text(json.dumps(MINI))
+    out = tmp_path / "out"
+    assert run_cli("--config", str(path), "--mode", "parallel-seam",
+                   "--out", str(out)) == 2
+    assert (out / "seam.bin").exists()  # the run got as far as its last write
+    assert not (out / "summary.json").exists()
 
 
 def test_heat3d_defaults_to_desk_scale():

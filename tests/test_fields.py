@@ -12,13 +12,14 @@ from seampde.fields import (
     Const,
     Neg,
     ProblemSpec,
-    ScalarField,
     Var,
     load_problem,
     parse_expression,
     problem_from_config,
     scenario,
 )
+
+from oracles import to_string
 
 
 def test_sin_quarter_period():
@@ -129,12 +130,16 @@ def test_roundtrip_and_differential_1000_random_expressions():
             continue
         if not math.isfinite(expected) or abs(expected) > 1e12:
             continue
-        text = ScalarField(ast).to_string()
+        text = to_string(ast)
         reparsed = parse_expression(text)
         assert reparsed.root == ast, f"round-trip changed structure for {text!r}"
         got = reparsed(**env)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12), text
         checked += 1
+
+
+def test_repr_shows_the_parsed_text():
+    assert repr(parse_expression("2*x^2")) == "ScalarField('2*x^2')"
 
 
 def test_depends_on():
@@ -186,7 +191,7 @@ def test_heat3d_parameters():
 
 
 def test_negative_alpha_warns_not_raises():
-    with pytest.warns(UserWarning, match="negative"):
+    with pytest.warns(UserWarning, match="coefficient x-1 is negative"):
         ProblemSpec(
             name="odd", dimension=1,
             alpha_diag=(parse_expression("x-1"),),

@@ -8,15 +8,10 @@ import scipy.sparse as sparse
 
 import seampde.assembly as assembly
 import seampde.hifi as hifi
-from seampde.assembly import (
-    assemble_load,
-    assemble_mass,
-    assemble_stiffness,
-)
+from seampde.assembly import assemble_load, element_geometry
 from seampde.errors import SolverFailure
 from seampde.fields import ProblemSpec, parse_expression as expr, scenario
 from seampde.hifi import (
-    backward_euler_step,
     cg_solve,
     discretize,
     galerkin_start,
@@ -25,7 +20,8 @@ from seampde.hifi import (
     save_snapshots,
     SnapshotMatrix,
 )
-from seampde.mesh import build_interval_mesh
+
+from oracles import backward_euler_step, heat_operators
 
 
 def small_problem(name="tiny1d", m=8, tau=1e-3, steps=20, u0="sin(pi*x)", f="0",
@@ -38,6 +34,10 @@ def small_problem(name="tiny1d", m=8, tau=1e-3, steps=20, u0="sin(pi*x)", f="0",
         T=steps * tau, tau=tau, divisions=m,
         segment_steps=steps, segment_count=1,
     )
+
+
+def snapshots_of(problem):
+    return run_hifi(problem, discretize(problem))
 
 
 # --- conjugate gradients -------------------------------------------------
@@ -108,9 +108,7 @@ def test_cg_breaks_down_at_once_on_nan_curvature():
 
 def test_single_node_geometric_recurrence():
     # one interior node: M = 2h/3 = 1/3, S = 2/h = 4
-    mesh = build_interval_mesh(2)
-    mass = assemble_mass(mesh)
-    stiff = assemble_stiffness(mesh, [expr("1")], expr("0"))
+    mass, stiff = heat_operators(2)
     np.testing.assert_allclose(mass.toarray(), [[1 / 3]])
     np.testing.assert_allclose(stiff.toarray(), [[4.0]])
     tau = 1e-3
@@ -122,17 +120,13 @@ def test_single_node_geometric_recurrence():
 
 
 def test_step_zero_state_zero_load():
-    mesh = build_interval_mesh(6)
-    mass = assemble_mass(mesh)
-    stiff = assemble_stiffness(mesh, [expr("1")], expr("0"))
+    mass, stiff = heat_operators(6)
     out = backward_euler_step(mass, stiff, np.zeros(5), np.zeros(5), 0.1)
     np.testing.assert_array_equal(out, 0.0)
 
 
 def test_step_rejects_bad_tau():
-    mesh = build_interval_mesh(4)
-    mass = assemble_mass(mesh)
-    stiff = assemble_stiffness(mesh, [expr("1")], expr("0"))
+    mass, stiff = heat_operators(4)
     with pytest.raises(ValueError):
         backward_euler_step(mass, stiff, np.zeros(3), np.zeros(3), 0.0)
 
@@ -141,12 +135,12 @@ def test_step_rejects_bad_tau():
 
 
 def test_heat1d_shape():
-    snaps = run_hifi(scenario("heat1d"))
+    snaps = snapshots_of(scenario("heat1d"))
     assert snaps.data.shape == (98, 1001)
 
 
 def test_zero_data_all_zero():
-    snaps = run_hifi(small_problem(u0="0"))
+    snaps = snapshots_of(small_problem(u0="0"))
     np.testing.assert_array_equal(snaps.data, 0.0)
 
 
@@ -179,8 +173,9 @@ def test_residuals_at_random_steps():
         snaps = run_hifi(problem, disc)
         system = disc.system_matrix(problem.tau)
         mass = disc.mass
+        geometry = element_geometry(disc.mesh)
         for n in rng.integers(1, snaps.num_columns, size=10):
-            load = assemble_load(disc.mesh, problem.f, t=n * problem.tau)
+            load = assemble_load(disc.mesh, problem.f, n * problem.tau, geometry)
             rhs = mass @ snaps.column(n - 1) + problem.tau * load
             res = system @ snaps.column(n) - rhs
             assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs), (f, n)
@@ -197,7 +192,7 @@ def start_residuals(monkeypatch, problem):
         return solve(matrix, rhs, **kwargs)
 
     monkeypatch.setattr(hifi, "cg_solve", recording)
-    run_hifi(problem)
+    snapshots_of(problem)
     assert len(residuals) == problem.num_steps
     return np.array(residuals)
 
@@ -252,8 +247,8 @@ def test_galerkin_start_without_u2_is_the_one_vector_start():
 
 def test_determinism_bit_identical():
     problem = small_problem(m=10, steps=30, f="x*t", u0="x*(1-x)")
-    first = run_hifi(problem)
-    second = run_hifi(problem)
+    first = snapshots_of(problem)
+    second = snapshots_of(problem)
     assert np.array_equal(first.data, second.data)
 
 
@@ -278,19 +273,19 @@ def test_time_dependent_run_computes_geometry_once(monkeypatch):
     # a rerun that assembles the load, geometry included, on every step
     assemble = hifi.assemble_load
     monkeypatch.setattr(hifi, "assemble_load",
-                        lambda mesh, f, t, geometry=None: assemble(mesh, f, t))
+                        lambda mesh, f, t, _: assemble(mesh, f, t, geometry(mesh)))
     assert np.array_equal(once.data, run_hifi(problem, disc).data)
 
 
 def test_time_dependent_source_differs_from_frozen():
     autonomous = small_problem(m=6, steps=10, f="1")
     varying = small_problem(m=6, steps=10, f="t*100")
-    assert not np.allclose(run_hifi(autonomous).data[:, -1],
-                           run_hifi(varying).data[:, -1])
+    assert not np.allclose(snapshots_of(autonomous).data[:, -1],
+                           snapshots_of(varying).data[:, -1])
 
 
 def test_s3_shape():
-    snaps = run_hifi(scenario("s3"))
+    snaps = snapshots_of(scenario("s3"))
     assert snaps.data.shape == (961, 441)
 
 
@@ -299,7 +294,7 @@ def test_s3_shape():
 
 def test_binary_roundtrip(tmp_path):
     problem = small_problem(m=7, steps=12, u0="x*(1-x)")
-    snaps = run_hifi(problem)
+    snaps = snapshots_of(problem)
     path = tmp_path / "snapshots.bin"
     save_snapshots(snaps, path)
     back = load_snapshots(path)

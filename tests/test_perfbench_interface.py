@@ -3,8 +3,11 @@
 The benchmark runs against the program in this tree, so renaming or
 deleting a function it traces, or changing what its replay probe reads,
 shows up here first. perfbench/ is only read, never imported as a package.
+Apart from those names, every definition in src/ must have a caller in
+src/: a helper that only tests reach belongs in tests/oracles.py.
 """
 
+import ast
 import importlib
 import importlib.util
 import pickle
@@ -18,6 +21,7 @@ from seampde.hifi import discretize, run_hifi
 from seampde.seam import run_parallel_seam, seam_online
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(__file__).resolve().parent.parent / "src" / "seampde"
 
 
 def load_run_module(monkeypatch):
@@ -54,3 +58,38 @@ def test_pickled_reduction_replays_exactly():
     alphas = [seam_online(model, steps) for model in loaded.models]
     assert len(alphas) == problem.segment_count
     assert np.array_equal(np.vstack(alphas), solution.alphas)
+
+
+def definitions(tree):
+    """(qualified name, node) of each module-level function or class and
+    each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_every_src_definition_has_a_caller_in_src(monkeypatch):
+    # __init__.py only re-exports, so it neither defines nor references
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    loads = [(module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+             for module, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))
+             and isinstance(node.ctx, ast.Load)]
+    exempt = {(target.module.split(".")[-1], target.attr)
+              for target in load_run_module(monkeypatch).traced_targets()}
+    exempt.add(("cli", "main"))
+    unreached = []
+    for module, tree in trees.items():
+        for qualname, node in definitions(tree):
+            if (module, qualname) in exempt:
+                continue
+            own_lines = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and not (where == module and line in own_lines)
+                       for where, line, name in loads):
+                unreached.append(f"{module}.{qualname}")
+    assert unreached == []

@@ -10,8 +10,9 @@ from seampde.pod import (
     gram,
     jacobi_eigh,
     pod_basis,
-    projection_residual,
 )
+
+from oracles import projection_residual
 
 
 def test_gram_identical_unit_columns():
