@@ -251,18 +251,18 @@ class SpectralReport:
         }
 
 
-def build_spectral_report(snapshots: SnapshotMatrix, mass: sparse.csr_matrix,
+def build_spectral_report(blocks, tau: float, mass: sparse.csr_matrix,
                           stiffness: sparse.csr_matrix,
                           segment_steps: int) -> SpectralReport:
-    """Eigenanalyze every segment and compare the first one to the reference."""
-    spectra = [eig_descending(gram(block))
-               for block in snapshots.segments(segment_steps)]
-    tau = snapshots.tau
+    """Eigenanalyze each segment block in turn; compare the first to the reference."""
+    spectra, u0 = [], None
+    for block in blocks:
+        u0 = block[:, 0].copy() if u0 is None else u0
+        spectra.append(eig_descending(gram(block)))
     norm_a = operator_norm(mass, stiffness)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the check below reports the violation
-        lambda0_ref = reference_principal_eigenvalue(
-            snapshots.column(0), norm_a, tau, segment_steps)
+        lambda0_ref = reference_principal_eigenvalue(u0, norm_a, tau, segment_steps)
     record = perturbation_quantity(spectra[0], lambda0_ref, segment_steps, tau)
     return SpectralReport(
         spectra=tuple(spectra),

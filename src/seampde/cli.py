@@ -5,7 +5,8 @@ Modes
 hifi           high-fidelity run only, snapshots written to disk
 seam           one basis over the whole run (single segment)
 parallel-seam  segmented reduction with the scenario's segment length
-eigs           per-segment Gram spectra and the rank-one-reference report
+eigs           per-segment Gram spectra and the rank-one-reference report;
+               with --snapshots it reads the file one segment block at a time
 bench          wall-time comparison of the full solve vs the reduced replay
 hw-selftest    eigenvalue-displacement inequality suite on random matrices
 
@@ -52,6 +53,7 @@ from seampde.hifi import (
     SnapshotMatrix,
     discretize,
     load_snapshots,
+    read_snapshot_blocks,
     run_hifi,
     save_snapshots,
 )
@@ -239,7 +241,10 @@ def execute(config: RunConfig) -> RunSummary:
     if config.mode == "bench":
         return _run_bench(problem, disc, config, summary, outdir)
 
-    if config.snapshots_path:
+    if config.snapshots_path and config.mode == "eigs":
+        _, blocks = read_snapshot_blocks(config.snapshots_path, problem,
+                                         problem.segment_steps + 1)
+    elif config.snapshots_path:
         snapshots = load_snapshots(config.snapshots_path, problem)
     else:
         start = time.perf_counter()
@@ -252,8 +257,10 @@ def execute(config: RunConfig) -> RunSummary:
     if config.mode == "hifi":
         _write_slices(outdir, disc, snapshots, None)
     elif config.mode == "eigs":
-        report = build_spectral_report(snapshots, disc.mass, disc.stiffness,
-                                       segment_steps=problem.segment_steps)
+        if not config.snapshots_path:
+            blocks = snapshots.segments(problem.segment_steps)
+        report = build_spectral_report(blocks, problem.tau, disc.mass,
+                                       disc.stiffness, problem.segment_steps)
         _write_json(outdir / "report.json", report.to_json_dict())
         export_spectra_csv(report.spectra, outdir / "eigenvalues.csv")
         lam0 = report.leading_eigenvalues()

@@ -242,14 +242,22 @@ def save_snapshots(snapshots: SnapshotMatrix, path) -> None:
 
 
 def load_snapshots(path, problem: ProblemSpec | None = None) -> SnapshotMatrix:
-    """Read a snapshot file, checking its header before the payload.
+    """Read a whole snapshot file, checked as by read_snapshot_blocks."""
+    tau, [data] = read_snapshot_blocks(path, problem)
+    return SnapshotMatrix(data, tau)
 
-    The header must match the file size and, when ``problem`` is given,
-    the problem's dof count, column count N+1 and time step.
-    """
+
+def read_snapshot_blocks(path, problem: ProblemSpec | None, columns: int | None = None):
+    """Check the header (file size; if given, the problem's dofs, N+1 and tau);
+    return tau and a generator of fresh (M, columns) blocks, all columns for None.
+    A short read raises ValueError; closing the generator closes the file."""
+    blocks = _snapshot_blocks(path, problem, columns)
+    return next(blocks), blocks
+
+
+def _snapshot_blocks(path, problem, columns):
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
+        if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path}: not a snapshot file")
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -267,5 +275,10 @@ def load_snapshots(path, problem: ProblemSpec | None = None) -> SnapshotMatrix:
             if (m, cols, tau) != wanted:
                 raise ValueError(f"{path}: snapshot file has (dofs, columns, tau) "
                                  f"= {(m, cols, tau)}, problem has {wanted}")
-        raw = np.frombuffer(fh.read(8 * m * cols), dtype="<f8")
-    return SnapshotMatrix(raw.reshape(cols, m).T, tau)
+        yield tau
+        width = columns or cols
+        for start in range(0, cols, width):
+            block = np.empty((min(width, cols - start), m), dtype="<f8")
+            if fh.readinto(block) != block.nbytes:
+                raise ValueError(f"{path}: snapshot file ends inside a block")
+            yield block.T

@@ -297,7 +297,8 @@ def test_spectral_report_roundtrip():
     rng = np.random.default_rng(2)
     data = rng.standard_normal((7, 12)) * np.exp(-0.3 * np.arange(12))
     snaps = SnapshotMatrix(data, 0.01)
-    report = build_spectral_report(snaps, mass, stiffness, segment_steps=3)
+    report = build_spectral_report(snaps.segments(3), snaps.tau, mass, stiffness,
+                                   segment_steps=3)
     assert len(report.spectra) == 3
     assert report.norm_a > 0
     assert float(report.perturbation.quantity) >= report.perturbation.tail_sum_sq * (1 - 1e-12)
@@ -316,7 +317,8 @@ def test_spectral_report_bad_segmentation(segment_steps):
     snaps = SnapshotMatrix(np.ones((3, 10)), 0.1)
     mass = diag_op([1.0, 1.0, 1.0])
     with pytest.raises(SegmentationError, match="split"):
-        build_spectral_report(snaps, mass, mass, segment_steps=segment_steps)
+        build_spectral_report(snaps.segments(segment_steps), snaps.tau, mass, mass,
+                              segment_steps=segment_steps)
 
 
 def test_record_holds_flags():

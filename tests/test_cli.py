@@ -1,10 +1,13 @@
 import json
+import os
+import shutil
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from seampde import cli, pod
+from seampde import cli, hifi, pod
 from seampde.cli import RunConfig, execute, main, resolve_problem
 from seampde.fields import load_problem
 from seampde.hifi import SnapshotMatrix, discretize, load_snapshots, save_snapshots
@@ -187,7 +190,7 @@ def test_snapshot_reuse_tau_mismatch(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["eigs", "parallel-seam"])
-def test_non_finite_snapshots_exit_2(tmp_path, mode):
+def test_non_finite_snapshots_exit_2(tmp_path, monkeypatch, mode):
     cfg = {
         "name": "mini", "dimension": 1, "alpha": ["1"], "c": "0", "f": "0",
         "u0": "sin(pi*x)", "tau": 0.001, "T": 0.029, "m": 8,
@@ -202,11 +205,19 @@ def test_non_finite_snapshots_exit_2(tmp_path, mode):
     data[3, 15] = np.nan
     poisoned = tmp_path / "poisoned.bin"
     save_snapshots(SnapshotMatrix(data, stored.tau), poisoned)
+    handles = []
+
+    def tracked_open(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(hifi, "open", tracked_open, raising=False)
     result = tmp_path / mode
     assert run_cli("--config", str(path), "--mode", mode, "--out", str(result),
                    "--snapshots", str(poisoned)) == 2
     assert not (result / "report.json").exists()
     assert not (result / "summary.json").exists()
+    assert handles and all(handle.closed for handle in handles)
 
 
 def test_parallel_seam_solves_each_segment_once(tmp_path, monkeypatch):
@@ -351,6 +362,65 @@ def test_snapshot_column_count_mismatch_exits_2(tmp_path):
         assert run_cli("--config", str(path), "--mode", mode, "--out", str(result),
                        "--snapshots", str(out / "snapshots.bin")) == 2
         assert not result.exists()
+
+
+@pytest.fixture(scope="module")
+def eigs_1d_run(tmp_path_factory):
+    """In-process eigs of a 1-D run stored as 20 segments of 100 columns
+    (99 dofs, a 1.58 MB payload); returns the config and output paths."""
+    root = tmp_path_factory.mktemp("eigs1d")
+    cfg = {
+        "name": "eigs1d", "dimension": 1, "alpha": ["1"], "c": "0", "f": "0",
+        "u0": "sin(pi*x)", "tau": 1e-5, "T": 0.01999, "m": 100,
+        "segment_steps": 99, "segment_count": 20,
+    }
+    path = root / "eigs1d.json"
+    path.write_text(json.dumps(cfg))
+    out = root / "out"
+    assert run_cli("--config", str(path), "--mode", "eigs", "--out", str(out)) == 0
+    return path, out
+
+
+def test_eigs_from_a_stored_run_holds_one_segment_block(tmp_path, eigs_1d_run):
+    path, out = eigs_1d_run
+    payload = os.path.getsize(out / "snapshots.bin")
+    tracemalloc.start()
+    try:
+        code = run_cli("--config", str(path), "--mode", "eigs", "--out",
+                       str(tmp_path / "eigs"), "--snapshots", str(out / "snapshots.bin"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < payload / 2  # a whole-file read alone would exceed it
+
+
+def test_eigs_from_a_stored_run_matches_the_in_process_run(tmp_path, eigs_1d_run):
+    path, out = eigs_1d_run
+    stored = tmp_path / "eigs"
+    assert run_cli("--config", str(path), "--mode", "eigs", "--out", str(stored),
+                   "--snapshots", str(out / "snapshots.bin")) == 0
+    for name in ("report.json", "eigenvalues.csv"):
+        assert (stored / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_eigs_on_a_file_truncated_after_the_header_check_exits_2(
+        tmp_path, monkeypatch, eigs_1d_run):
+    path, out = eigs_1d_run
+    copy = tmp_path / "snapshots.bin"
+    shutil.copyfile(out / "snapshots.bin", copy)
+    report = cli.build_spectral_report
+
+    def truncate_then_report(*args, **kwargs):
+        os.truncate(copy, os.path.getsize(copy) - 8)  # the last block reads short
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_spectral_report", truncate_then_report)
+    result = tmp_path / "eigs"
+    assert run_cli("--config", str(path), "--mode", "eigs", "--out", str(result),
+                   "--snapshots", str(copy)) == 2
+    assert not (result / "report.json").exists()
+    assert not (result / "summary.json").exists()
 
 
 def test_divisibility_violation_exit_4(tmp_path, monkeypatch):

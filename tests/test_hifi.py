@@ -1,3 +1,4 @@
+import os
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -16,6 +17,7 @@ from seampde.hifi import (
     discretize,
     galerkin_start,
     load_snapshots,
+    read_snapshot_blocks,
     run_hifi,
     save_snapshots,
     SnapshotMatrix,
@@ -381,6 +383,62 @@ def test_load_rejects_size_mismatch(tmp_path, extra):
     path.write_bytes(data[:extra] if extra < 0 else data + b"\0" * extra)
     with pytest.raises(ValueError, match="file has"):
         load_snapshots(path)
+
+
+def stored_ramp(tmp_path, m=3, cols=8):
+    snaps = SnapshotMatrix(np.arange(m * cols, dtype=float).reshape(m, cols), 0.1)
+    path = tmp_path / "snapshots.bin"
+    save_snapshots(snaps, path)
+    return snaps, path
+
+
+def test_block_reader_yields_the_segments(tmp_path):
+    snaps, path = stored_ramp(tmp_path)
+    tau, blocks = read_snapshot_blocks(path, None, 4)
+    assert tau == snaps.tau
+    read = list(blocks)
+    assert len(read) == 2
+    for got, want in zip(read, snaps.segments(3)):
+        assert got.flags.f_contiguous
+        assert np.array_equal(got, want)
+
+
+def test_block_reader_ends_with_the_remaining_columns(tmp_path):
+    snaps, path = stored_ramp(tmp_path)
+    _, blocks = read_snapshot_blocks(path, None, 3)
+    read = list(blocks)
+    assert [block.shape[1] for block in read] == [3, 3, 2]
+    assert np.array_equal(np.hstack(read), snaps.data)
+
+
+def test_block_reader_raises_on_a_short_read(tmp_path):
+    _, path = stored_ramp(tmp_path, m=1024)  # 64 kB, past the read buffer
+    _, blocks = read_snapshot_blocks(path, None, 4)
+    os.truncate(path, os.path.getsize(path) - 8)  # after the header check
+    assert next(blocks).shape == (1024, 4)
+    with pytest.raises(ValueError, match="ends inside a block"):
+        next(blocks)
+
+
+def test_block_reader_closes_the_file(tmp_path, monkeypatch):
+    handles = []
+
+    def tracked_open(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(hifi, "open", tracked_open, raising=False)
+    _, path = stored_ramp(tmp_path)
+    _, blocks = read_snapshot_blocks(path, None, 4)
+    next(blocks)
+    assert not handles[-1].closed
+    blocks.close()  # the consumer stops after the first block
+    assert handles[-1].closed
+    load_snapshots(path)
+    assert handles[-1].closed
+    with pytest.raises(ValueError, match="problem has"):
+        read_snapshot_blocks(path, small_problem(), 4)
+    assert handles[-1].closed
 
 
 def test_snapshot_matrix_read_only():
