@@ -16,116 +16,10 @@ Typical use::
                                 disc.load, segment_steps=problem.segment_steps)
 """
 
-from seampde.analysis import (
-    build_spectral_report,
-    check_time_step_assumption,
-    hoffman_wielandt_check,
-    operator_norm,
-    perturbation_quantity,
-    reference_principal_eigenvalue,
-    relative_l2_error,
-)
-from seampde.assembly import (
-    assemble_load,
-    assemble_mass,
-    assemble_stiffness,
-    interpolate_initial,
-)
-from seampde.errors import (
-    DegenerateReferenceError,
-    DegenerateSnapshotError,
-    EvaluationError,
-    ExpressionError,
-    SeamError,
-    SegmentationError,
-    SolverFailure,
-    StagnationError,
-)
-from seampde.fields import (
-    ProblemSpec,
-    ScalarField,
-    load_problem,
-    parse_expression,
-    problem_from_config,
-    scenario,
-)
-from seampde.hifi import (
-    Discretization,
-    SnapshotMatrix,
-    cg_solve,
-    discretize,
-    load_snapshots,
-    run_hifi,
-    save_snapshots,
-)
-from seampde.mesh import (
-    Mesh,
-    build_cube_mesh,
-    build_interval_mesh,
-    build_square_mesh,
-)
-from seampde.pod import (
-    GramSpectrum,
-    eig_descending,
-    gram,
-    jacobi_eigh,
-    pod_basis,
-)
-from seampde.seam import (
-    SeamModel,
-    SeamSolution,
-    run_parallel_seam,
-    seam_offline,
-    seam_online,
-)
+from seampde.fields import scenario
+from seampde.hifi import discretize, run_hifi
+from seampde.seam import run_parallel_seam
 
-__all__ = [
-    "DegenerateReferenceError",
-    "DegenerateSnapshotError",
-    "Discretization",
-    "EvaluationError",
-    "ExpressionError",
-    "GramSpectrum",
-    "Mesh",
-    "ProblemSpec",
-    "ScalarField",
-    "SeamError",
-    "SeamModel",
-    "SeamSolution",
-    "SegmentationError",
-    "SnapshotMatrix",
-    "SolverFailure",
-    "StagnationError",
-    "assemble_load",
-    "assemble_mass",
-    "assemble_stiffness",
-    "build_cube_mesh",
-    "build_interval_mesh",
-    "build_spectral_report",
-    "build_square_mesh",
-    "cg_solve",
-    "check_time_step_assumption",
-    "discretize",
-    "eig_descending",
-    "gram",
-    "hoffman_wielandt_check",
-    "interpolate_initial",
-    "jacobi_eigh",
-    "load_problem",
-    "load_snapshots",
-    "operator_norm",
-    "parse_expression",
-    "perturbation_quantity",
-    "pod_basis",
-    "problem_from_config",
-    "reference_principal_eigenvalue",
-    "relative_l2_error",
-    "run_hifi",
-    "run_parallel_seam",
-    "save_snapshots",
-    "scenario",
-    "seam_offline",
-    "seam_online",
-]
+__all__ = ["discretize", "run_hifi", "run_parallel_seam", "scenario"]
 
 __version__ = "0.1.0"

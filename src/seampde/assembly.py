@@ -34,22 +34,9 @@ def element_geometry(mesh: Mesh):
     edges = p[:, 1:, :] - p[:, :1, :]
     del p  # the largest temporary; freed before the inverses are formed
     d = mesh.dimension
-    if d == 1:
-        det = edges[:, 0, 0]
-        inv = (1.0 / det)[:, None, None]
-    elif d == 2:
-        det = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
-        inv = np.empty_like(edges)
-        inv[:, 0, 0] = edges[:, 1, 1]
-        inv[:, 0, 1] = -edges[:, 0, 1]
-        inv[:, 1, 0] = -edges[:, 1, 0]
-        inv[:, 1, 1] = edges[:, 0, 0]
-        inv /= det[:, None, None]
-    else:
-        det = np.linalg.det(edges)
-        inv = np.linalg.inv(edges)
+    volumes = np.linalg.det(edges) / (1, 1, 2, 6)[d]
+    inv = np.linalg.inv(edges)
     del edges
-    volumes = det / (1, 1, 2, 6)[d]
     grads = np.empty((len(mesh.cells), d + 1, d))
     grads[:, 1:, :] = np.transpose(inv, (0, 2, 1))
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)

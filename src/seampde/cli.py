@@ -227,10 +227,12 @@ def execute(config: RunConfig) -> RunSummary:
     """Run one mode end to end; artifact files land in the output directory."""
     from pathlib import Path
 
-    if config.mode == "hw-selftest":
-        return _run_hw_selftest(config)
+    if config.snapshots_path and config.mode in ("bench", "hw-selftest"):
+        raise ValueError(f"--snapshots does not apply to --mode {config.mode}")
     if config.mode == "bench" and config.repeats < 1:
         raise ValueError("--repeats must be at least 1")
+    if config.mode == "hw-selftest":
+        return _run_hw_selftest(config)
 
     problem = resolve_problem(config)
     summary = RunSummary(scenario=problem.name, mode=config.mode, dofs=0)

@@ -31,6 +31,7 @@ from seampde.fields import ProblemSpec
 from seampde.mesh import Mesh, build_cube_mesh, build_interval_mesh, build_square_mesh
 
 CG_RTOL = 1e-12
+_CG_MAXITER_PER_DOF = 10  # the CG iteration cap is this times the dimension
 # Below this share of ||U_{n-2}||_A^2 outside U_{n-1} (ten times the
 # round-off it shows on exactly rank-one runs), the two previous solutions
 # count as parallel and the start guess uses U_{n-1} alone.
@@ -121,33 +122,31 @@ def discretize(problem: ProblemSpec) -> Discretization:
     )
 
 
-def cg_solve(matrix, rhs: np.ndarray, *, maxiter: int | None = None,
-             x0: np.ndarray | None = None) -> np.ndarray:
-    """Conjugate gradients for an SPD system, no preconditioner.
+def cg_solve(matrix, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Conjugate gradients for an SPD system from the start vector x0, no
+    preconditioner.
 
     Converges when the 2-norm residual drops below ``CG_RTOL * ||rhs||``;
-    raises SolverFailure (carrying the final relative residual) at the
-    iteration cap, which defaults to 10x the system dimension, at once on a
-    curvature p.Ap that is not positive (NaN included), and before the
+    raises SolverFailure (carrying the final relative residual) after
+    ``_CG_MAXITER_PER_DOF`` times the system dimension iterations, at once
+    on a curvature p.Ap that is not positive (NaN included), and before the
     first iteration when ``rhs`` or ``x0`` is not finite.
     """
     for name, vector in (("right-hand side", rhs), ("start vector", x0)):
-        if vector is not None and not np.isfinite(vector).all():
+        if not np.isfinite(vector).all():
             raise SolverFailure(f"conjugate gradients got a non-finite {name}",
                                 float("nan"))
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
-    if maxiter is None:
-        maxiter = 10 * matrix.shape[0]
-    x = np.zeros_like(rhs) if x0 is None else x0.astype(float, copy=True)
+    x = x0.astype(float, copy=True)
     r = rhs - matrix @ x
     res = np.linalg.norm(r)
     if res <= CG_RTOL * rhs_norm:
         return x
     p = r.copy()
     rs = r @ r
-    for _ in range(maxiter):
+    for _ in range(_CG_MAXITER_PER_DOF * matrix.shape[0]):
         ap = matrix @ p
         denom = p @ ap
         if not denom > 0.0:
@@ -241,16 +240,17 @@ def save_snapshots(snapshots: SnapshotMatrix, path) -> None:
                         snapshots.tau, [snapshots.data.T])
 
 
-def load_snapshots(path, problem: ProblemSpec | None = None) -> SnapshotMatrix:
+def load_snapshots(path, problem: ProblemSpec) -> SnapshotMatrix:
     """Read a whole snapshot file, checked as by read_snapshot_blocks."""
-    tau, [data] = read_snapshot_blocks(path, problem)
+    tau, [data] = read_snapshot_blocks(path, problem, problem.num_steps + 1)
     return SnapshotMatrix(data, tau)
 
 
-def read_snapshot_blocks(path, problem: ProblemSpec | None, columns: int | None = None):
-    """Check the header (file size; if given, the problem's dofs, N+1 and tau);
-    return tau and a generator of fresh (M, columns) blocks, all columns for None.
-    A short read raises ValueError; closing the generator closes the file."""
+def read_snapshot_blocks(path, problem: ProblemSpec, columns: int):
+    """Check the header (file size, and the problem's dofs, N+1 and tau);
+    return tau and a generator of fresh (M, columns) blocks, the last one
+    possibly narrower. A short read raises ValueError; closing the
+    generator closes the file."""
     blocks = _snapshot_blocks(path, problem, columns)
     return next(blocks), blocks
 
@@ -270,15 +270,13 @@ def _snapshot_blocks(path, problem, columns):
         if size != expected:
             raise ValueError(f"{path}: header claims {m} x {cols} values "
                              f"({expected} bytes), file has {size} bytes")
-        if problem is not None:
-            wanted = (problem.num_dofs, problem.num_steps + 1, problem.tau)
-            if (m, cols, tau) != wanted:
-                raise ValueError(f"{path}: snapshot file has (dofs, columns, tau) "
-                                 f"= {(m, cols, tau)}, problem has {wanted}")
+        wanted = (problem.num_dofs, problem.num_steps + 1, problem.tau)
+        if (m, cols, tau) != wanted:
+            raise ValueError(f"{path}: snapshot file has (dofs, columns, tau) "
+                             f"= {(m, cols, tau)}, problem has {wanted}")
         yield tau
-        width = columns or cols
-        for start in range(0, cols, width):
-            block = np.empty((min(width, cols - start), m), dtype="<f8")
+        for start in range(0, cols, columns):
+            block = np.empty((min(columns, cols - start), m), dtype="<f8")
             if fh.readinto(block) != block.nbytes:
                 raise ValueError(f"{path}: snapshot file ends inside a block")
             yield block.T

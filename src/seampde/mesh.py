@@ -31,16 +31,13 @@ class Mesh:
         Simplices as vertex-index tuples, positively oriented.
     interior_index : (nv,) int array
         Dense 0..M-1 numbering of interior vertices (-1 on the boundary),
-        lexicographic with x fastest.
-    divisions : int
-        Cells per axis (``m``).
+        lexicographic with x fastest, so it follows the vertex order.
     """
 
     dimension: int
     vertices: np.ndarray
     cells: np.ndarray
     interior_index: np.ndarray
-    divisions: int
     num_interior: int = field(init=False)
 
     def __post_init__(self):
@@ -50,9 +47,7 @@ class Mesh:
 
     def interior_nodes(self) -> np.ndarray:
         """Coordinates of the interior nodes in interior-index order, (M, d)."""
-        mask = self.interior_index >= 0
-        pts = self.vertices[mask]
-        return pts[np.argsort(self.interior_index[mask])]
+        return self.vertices[self.interior_index >= 0]
 
 
 def _kuhn_mesh(d: int, m: int) -> Mesh:
@@ -76,7 +71,7 @@ def _kuhn_mesh(d: int, m: int) -> Mesh:
     cells = (low[:, None, None] + np.array(paths)).reshape(-1, d + 1)
     interior = np.full(len(grid), -1, dtype=np.int64)
     interior[((grid > 0) & (grid < m)).all(axis=1)] = np.arange((m - 1) ** d)
-    return Mesh(d, grid / m, cells, interior, m)
+    return Mesh(d, grid / m, cells, interior)
 
 
 def build_interval_mesh(m: int) -> Mesh:

@@ -4,6 +4,8 @@ None of these runs in the command-line pipeline: a single backward-Euler
 step with its own system matrix (and the 1-D heat operators it is checked
 on), the rank-one projection residual of the POD optimality identity, and
 a printer that turns an expression tree back into text the parser accepts.
+It also builds the 1-D problem that matches a stored snapshot file of any
+shape, since both snapshot readers check a file against a problem.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from seampde.assembly import (
     element_geometry,
     sparsity_pattern,
 )
-from seampde.fields import Call, Const, Neg, Var, parse_expression as expr
+from seampde.fields import Call, Const, Neg, ProblemSpec, Var, parse_expression as expr
 from seampde.hifi import cg_solve
 from seampde.mesh import build_interval_mesh
 
@@ -28,6 +30,17 @@ def backward_euler_step(mass: sparse.csr_matrix, stiffness: sparse.csr_matrix,
     system = mass + tau * stiffness
     rhs = mass @ u_prev + tau * load
     return cg_solve(system, rhs, x0=u_prev)
+
+
+def stored_run_problem(num_dofs: int, num_columns: int, tau: float) -> ProblemSpec:
+    """A 1-D problem with ``num_dofs`` interior nodes (m = num_dofs + 1) and one
+    segment of ``num_columns`` columns at step tau, the header
+    load_snapshots and read_snapshot_blocks check a file against."""
+    zero = expr("0")
+    return ProblemSpec(name="stored", dimension=1, alpha_diag=(expr("1"),),
+                       c=zero, f=zero, u0=zero, T=None, tau=tau,
+                       divisions=num_dofs + 1, segment_steps=num_columns - 1,
+                       segment_count=1)
 
 
 def heat_operators(m):

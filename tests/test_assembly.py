@@ -221,15 +221,15 @@ def assembled_both_ways(monkeypatch, mesh, assemble):
 
 
 S3 = scenario("s3")
-CASES = [(build(m), operator)
-         for build in (build_interval_mesh, build_square_mesh, build_cube_mesh)
+CASES = [pytest.param(build(m), operator, id=f"d{d}m{m}-{operator}")
+         for d, build in enumerate(
+             (build_interval_mesh, build_square_mesh, build_cube_mesh), 1)
          for m in (2, 3, 4, 5) for operator in ("mass", "stiffness")]
-CASES += [(build_square_mesh(m), "s3") for m in (2, 3, 4, 5)]
+CASES += [pytest.param(build_square_mesh(m), "s3", id=f"d2m{m}-s3")
+          for m in (2, 3, 4, 5)]
 
 
-@pytest.mark.parametrize(
-    "mesh,operator", CASES,
-    ids=[f"d{mesh.dimension}m{mesh.divisions}-{op}" for mesh, op in CASES])
+@pytest.mark.parametrize("mesh,operator", CASES)
 def test_shared_pattern_matches_coo_scatter(monkeypatch, mesh, operator):
     def assemble():
         if operator == "mass":

@@ -200,7 +200,7 @@ def test_non_finite_snapshots_exit_2(tmp_path, monkeypatch, mode):
     path.write_text(json.dumps(cfg))
     out = tmp_path / "hifi"
     assert run_cli("--config", str(path), "--mode", "hifi", "--out", str(out)) == 0
-    stored = load_snapshots(out / "snapshots.bin")
+    stored = load_snapshots(out / "snapshots.bin", load_problem(path))
     data = stored.data.copy()
     data[3, 15] = np.nan
     poisoned = tmp_path / "poisoned.bin"
@@ -278,9 +278,10 @@ def test_error_csv_matches_per_column_oracle(tmp_path):
     out = tmp_path / "out"
     assert run_cli("--config", str(path), "--mode", "parallel-seam",
                    "--out", str(out)) == 0
-    mass = discretize(load_problem(path)).mass
-    ref = load_snapshots(out / "snapshots.bin").data
-    red = load_snapshots(out / "seam.bin").data
+    problem = load_problem(path)
+    mass = discretize(problem).mass
+    ref = load_snapshots(out / "snapshots.bin", problem).data
+    red = load_snapshots(out / "seam.bin", problem).data
     abs_err = np.empty(ref.shape[1])
     ref_norm = np.empty(ref.shape[1])
     for j in range(ref.shape[1]):
@@ -469,6 +470,22 @@ def test_bench_rejects_repeats_before_compute(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["bench", "hw-selftest"])
+def test_snapshots_with_bench_or_hw_selftest_exits_2_before_compute(
+        tmp_path, monkeypatch, capsys, mode):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute ran before --snapshots was checked")
+
+    monkeypatch.setattr(cli, "discretize", no_compute)
+    monkeypatch.setattr(cli, "hoffman_wielandt_check", no_compute)
+    out = tmp_path / "out"
+    assert run_cli("--scenario", "heat1d", "--mode", mode, "--repeats", "1",
+                   "--snapshots", str(tmp_path / "missing.bin"),
+                   "--out", str(out)) == 2
+    assert "--snapshots" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_hw_selftest_mode(tmp_path, capsys):
     out = tmp_path / "hw"
     assert run_cli("--mode", "hw-selftest", "--out", str(out)) == 0
@@ -527,9 +544,10 @@ def test_slice_fields_are_plain_numbers(tmp_path):
     out = tmp_path / "out"
     assert run_cli("--config", str(path), "--mode", "parallel-seam",
                    "--out", str(out)) == 0
-    points = discretize(load_problem(path)).mesh.interior_nodes()
-    reference = load_snapshots(out / "snapshots.bin").data
-    reduced = load_snapshots(out / "seam.bin").data
+    problem = load_problem(path)
+    points = discretize(problem).mesh.interior_nodes()
+    reference = load_snapshots(out / "snapshots.bin", problem).data
+    reduced = load_snapshots(out / "seam.bin", problem).data
     for t in (0.25, 0.5, 0.75):
         raw = (out / f"slices_t{t}.csv").read_bytes()
         assert raw.count(b"\r\n") == 1 + len(points)

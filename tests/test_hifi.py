@@ -23,7 +23,7 @@ from seampde.hifi import (
     SnapshotMatrix,
 )
 
-from oracles import backward_euler_step, heat_operators
+from oracles import backward_euler_step, heat_operators, stored_run_problem
 
 
 def small_problem(name="tiny1d", m=8, tau=1e-3, steps=20, u0="sin(pi*x)", f="0",
@@ -48,7 +48,7 @@ def snapshots_of(problem):
 def test_cg_identity():
     a = sparse.eye(5, format="csr")
     b = np.arange(5.0)
-    np.testing.assert_allclose(cg_solve(a, b), b)
+    np.testing.assert_allclose(cg_solve(a, b, x0=np.zeros_like(b)), b)
 
 
 def test_cg_matches_dense_solve():
@@ -56,19 +56,22 @@ def test_cg_matches_dense_solve():
     q = rng.standard_normal((12, 12))
     a = sparse.csr_matrix(q @ q.T + 12 * np.eye(12))
     b = rng.standard_normal(12)
-    x = cg_solve(a, b)
+    x = cg_solve(a, b, x0=np.zeros_like(b))
     np.testing.assert_allclose(x, np.linalg.solve(a.toarray(), b), rtol=1e-9)
 
 
 def test_cg_zero_rhs():
     a = sparse.eye(4, format="csr")
-    np.testing.assert_array_equal(cg_solve(a, np.zeros(4)), 0.0)
+    b = np.zeros(4)
+    np.testing.assert_array_equal(cg_solve(a, b, x0=np.zeros_like(b)), 0.0)
 
 
-def test_cg_failure_reports_residual():
+def test_cg_failure_reports_residual(monkeypatch):
+    monkeypatch.setattr(hifi, "_CG_MAXITER_PER_DOF", 0)
     a = sparse.eye(3, format="csr")
+    b = np.ones(3)
     with pytest.raises(SolverFailure) as err:
-        cg_solve(a, np.ones(3), maxiter=0)
+        cg_solve(a, b, x0=np.zeros_like(b))
     assert err.value.residual > 0
 
 
@@ -100,8 +103,9 @@ def test_cg_breaks_down_at_once_on_nan_curvature():
     diagonal = np.full(50, 2.0)
     diagonal[7] = np.nan
     a = CountingMatrix(sparse.diags(diagonal, format="csr"))
+    b = np.ones(50)
     with pytest.raises(SolverFailure, match="broke down"):
-        cg_solve(a, np.ones(50))
+        cg_solve(a, b, x0=np.zeros_like(b))
     assert a.matvecs <= 2  # the residual and one search direction
 
 
@@ -299,7 +303,7 @@ def test_binary_roundtrip(tmp_path):
     snaps = snapshots_of(problem)
     path = tmp_path / "snapshots.bin"
     save_snapshots(snaps, path)
-    back = load_snapshots(path)
+    back = load_snapshots(path, problem)
     assert back.tau == snaps.tau
     assert np.array_equal(back.data, snaps.data)
 
@@ -308,7 +312,7 @@ def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "not_snapshots.bin"
     path.write_bytes(b"nonsense")
     with pytest.raises(ValueError, match="not a snapshot"):
-        load_snapshots(path)
+        load_snapshots(path, small_problem())
 
 
 def write_header(path, m, cols, tau=0.1, payload=b""):
@@ -319,7 +323,7 @@ def test_load_rejects_short_header(tmp_path):
     path = tmp_path / "short.bin"
     path.write_bytes(b"SEAMSNP1" + struct.pack("<qq", 3, 4))  # no tau
     with pytest.raises(ValueError, match="header"):
-        load_snapshots(path)
+        load_snapshots(path, small_problem())
 
 
 def test_load_rejects_oversized_header_without_allocating(tmp_path):
@@ -328,7 +332,7 @@ def test_load_rejects_oversized_header_without_allocating(tmp_path):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="file has 96 bytes"):
-            load_snapshots(path)
+            load_snapshots(path, small_problem())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -340,7 +344,7 @@ def test_load_holds_one_copy_of_the_payload(tmp_path):
     save_snapshots(SnapshotMatrix(np.ones((500, 1000)), 0.1), path)  # 4 MB
     tracemalloc.start()
     try:
-        back = load_snapshots(path)
+        back = load_snapshots(path, stored_run_problem(500, 1000, 0.1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -372,7 +376,7 @@ def test_load_rejects_empty_shape(tmp_path, m, cols):
     path = tmp_path / "empty.bin"
     write_header(path, m, cols)
     with pytest.raises(ValueError, match="claims"):
-        load_snapshots(path)
+        load_snapshots(path, small_problem())
 
 
 @pytest.mark.parametrize("extra", [-8, 8])
@@ -382,7 +386,7 @@ def test_load_rejects_size_mismatch(tmp_path, extra):
     data = path.read_bytes()
     path.write_bytes(data[:extra] if extra < 0 else data + b"\0" * extra)
     with pytest.raises(ValueError, match="file has"):
-        load_snapshots(path)
+        load_snapshots(path, stored_run_problem(3, 4, 0.1))
 
 
 def stored_ramp(tmp_path, m=3, cols=8):
@@ -394,7 +398,7 @@ def stored_ramp(tmp_path, m=3, cols=8):
 
 def test_block_reader_yields_the_segments(tmp_path):
     snaps, path = stored_ramp(tmp_path)
-    tau, blocks = read_snapshot_blocks(path, None, 4)
+    tau, blocks = read_snapshot_blocks(path, stored_run_problem(3, 8, 0.1), 4)
     assert tau == snaps.tau
     read = list(blocks)
     assert len(read) == 2
@@ -405,7 +409,7 @@ def test_block_reader_yields_the_segments(tmp_path):
 
 def test_block_reader_ends_with_the_remaining_columns(tmp_path):
     snaps, path = stored_ramp(tmp_path)
-    _, blocks = read_snapshot_blocks(path, None, 3)
+    _, blocks = read_snapshot_blocks(path, stored_run_problem(3, 8, 0.1), 3)
     read = list(blocks)
     assert [block.shape[1] for block in read] == [3, 3, 2]
     assert np.array_equal(np.hstack(read), snaps.data)
@@ -413,7 +417,7 @@ def test_block_reader_ends_with_the_remaining_columns(tmp_path):
 
 def test_block_reader_raises_on_a_short_read(tmp_path):
     _, path = stored_ramp(tmp_path, m=1024)  # 64 kB, past the read buffer
-    _, blocks = read_snapshot_blocks(path, None, 4)
+    _, blocks = read_snapshot_blocks(path, stored_run_problem(1024, 8, 0.1), 4)
     os.truncate(path, os.path.getsize(path) - 8)  # after the header check
     assert next(blocks).shape == (1024, 4)
     with pytest.raises(ValueError, match="ends inside a block"):
@@ -429,12 +433,13 @@ def test_block_reader_closes_the_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(hifi, "open", tracked_open, raising=False)
     _, path = stored_ramp(tmp_path)
-    _, blocks = read_snapshot_blocks(path, None, 4)
+    problem = stored_run_problem(3, 8, 0.1)
+    _, blocks = read_snapshot_blocks(path, problem, 4)
     next(blocks)
     assert not handles[-1].closed
     blocks.close()  # the consumer stops after the first block
     assert handles[-1].closed
-    load_snapshots(path)
+    load_snapshots(path, problem)
     assert handles[-1].closed
     with pytest.raises(ValueError, match="problem has"):
         read_snapshot_blocks(path, small_problem(), 4)

@@ -14,6 +14,8 @@ from seampde.seam import (
     seam_online,
 )
 
+from oracles import stored_run_problem
+
 
 def identity_operator(n):
     return sparse.eye(n, format="csr")
@@ -169,7 +171,7 @@ def test_save_and_metadata_export(tmp_path):
                                  segment_steps=2)
     bin_path = tmp_path / "seam.bin"
     save_seam(solution, bin_path)
-    back = load_snapshots(bin_path)
+    back = load_snapshots(bin_path, stored_run_problem(9, 6, tau))
     np.testing.assert_allclose(back.data, solution.to_matrix())
 
     meta_path = tmp_path / "segments.csv"
