@@ -47,7 +47,7 @@ from seampde.errors import (
     SolverFailure,
     StagnationError,
 )
-from seampde.fields import ProblemSpec, SCENARIO_NAMES, load_problem, scenario
+from seampde.fields import ProblemSpec, SCENARIO_NAMES, problem_from_config
 from seampde.hifi import (
     Discretization,
     SnapshotMatrix,
@@ -152,18 +152,19 @@ def resolve_problem(config: RunConfig) -> ProblemSpec:
     """Scenario or config file plus overrides, checked before any compute."""
     if config.scenario and config.config_path:
         raise ValueError("give either --scenario or --config, not both")
-    m = config.m
     if config.config_path:
         if config.f is not None:
             raise ValueError("--f applies to scenarios; put f in the config file")
-        problem = load_problem(config.config_path)
+        with open(config.config_path) as fh:
+            spec = dict(json.load(fh))
     elif config.scenario:
-        problem = scenario(config.scenario, config.f)
-        if config.scenario == "heat3d" and not config.large and m is None:
-            m = 16  # desk-scale default; the full m=32 preset sits behind --large
+        spec = {"scenario": config.scenario, "f": config.f}
     else:
         raise ValueError("a scenario name or a config file is required")
-    return problem.with_overrides(m, config.tau, config.n, None, config.big_t)
+    if spec.get("scenario") == "heat3d" and spec.get("m") is None and not config.large:
+        spec["m"] = 16  # desk-scale default; the full m=32 preset sits behind --large
+    return problem_from_config(spec).with_overrides(config.m, config.tau, config.n,
+                                                    None, config.big_t)
 
 
 def _write_error_csv(path, tau: float, error_sq: np.ndarray,

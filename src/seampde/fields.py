@@ -9,7 +9,6 @@ arrays, so assembly can feed whole batches of element centroids.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import warnings
@@ -441,8 +440,3 @@ def problem_from_config(config: dict) -> ProblemSpec:
         segment_steps=config["segment_steps"],
         segment_count=config["segment_count"],
     )
-
-
-def load_problem(path) -> ProblemSpec:
-    with open(path) as fh:
-        return problem_from_config(json.load(fh))

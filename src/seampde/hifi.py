@@ -189,7 +189,7 @@ def galerkin_start(rhs: np.ndarray, u1: np.ndarray, au1: np.ndarray,
 def run_hifi(problem: ProblemSpec, disc: Discretization) -> SnapshotMatrix:
     """Step the full discretization and collect all N+1 solution columns.
 
-    The load vector is reassembled each step only when the source term
+    tau*F is formed once, and again each step only when the source term
     depends on t, from element volumes and centroids computed once for the
     run; all built-in scenarios are autonomous. Each solution's A U is
     formed once, by the step that produced it, for the next two start
@@ -202,7 +202,7 @@ def run_hifi(problem: ProblemSpec, disc: Discretization) -> SnapshotMatrix:
     if time_dependent:
         volumes, _, centroids = element_geometry(disc.mesh)
         geometry = (volumes, None, centroids)
-    f = disc.load
+    tau_f = problem.tau * disc.load
     data = np.empty((len(disc.initial), n_steps + 1), order="F")
     data[:, 0] = disc.initial
     u = disc.initial.copy()
@@ -210,8 +210,9 @@ def run_hifi(problem: ProblemSpec, disc: Discretization) -> SnapshotMatrix:
     u_prev = au_prev = None
     for n in range(1, n_steps + 1):
         if time_dependent:
-            f = assemble_load(disc.mesh, problem.f, n * problem.tau, geometry)
-        rhs = mass @ u + problem.tau * f
+            tau_f = problem.tau * assemble_load(disc.mesh, problem.f,
+                                                n * problem.tau, geometry)
+        rhs = mass @ u + tau_f
         start = galerkin_start(rhs, u, au, u_prev, au_prev)
         u_prev, au_prev = u, au
         u = cg_solve(system, rhs, x0=start)

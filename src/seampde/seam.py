@@ -93,8 +93,8 @@ def seam_offline(segment_data: np.ndarray, mass: sparse.csr_matrix,
     segment_data = np.asarray(segment_data, dtype=float)
     spectrum = eig_descending(gram(segment_data))
     beta = pod_basis(segment_data, spectrum)
-    system_coeff = float(beta @ (mass @ beta) + tau * (beta @ (stiffness @ beta)))
     mass_coeff = float(beta @ (mass @ beta))
+    system_coeff = float(mass_coeff + tau * (beta @ (stiffness @ beta)))
     load_coeff = float(beta @ load)
     alpha0 = float(beta @ segment_data[:, 0])
     return SeamModel(beta, spectrum, system_coeff, mass_coeff, load_coeff,
@@ -103,17 +103,15 @@ def seam_offline(segment_data: np.ndarray, mass: sparse.csr_matrix,
 
 def seam_online(model: SeamModel, steps: int) -> np.ndarray:
     """Run the scalar recurrence; returns alpha_0..alpha_steps."""
-    g = np.broadcast_to(model.load_coeff, steps)
-    alphas = np.empty(steps + 1)
-    alphas[0] = model.alpha0
-    a = model.system_coeff
-    m = model.mass_coeff
-    tau = model.tau
+    a, m, tau = model.system_coeff, model.mass_coeff, model.tau
     current = model.alpha0
-    for k in range(steps):
-        current = (m * current + tau * g[k]) / a
-        alphas[k + 1] = current
-    return alphas
+    alphas = [current]
+    # Python floats: NumPy-scalar arithmetic costs several times more per
+    # operation, and the same operations in the same order give the same doubles.
+    for g in np.broadcast_to(model.load_coeff, steps).tolist():
+        current = (m * current + tau * g) / a
+        alphas.append(current)
+    return np.array(alphas, dtype=float)
 
 
 def run_parallel_seam(snapshots: SnapshotMatrix, mass: sparse.csr_matrix,

@@ -3,7 +3,9 @@
 None of these runs in the command-line pipeline: a single backward-Euler
 step with its own system matrix (and the 1-D heat operators it is checked
 on), the rank-one projection residual of the POD optimality identity, and
-a printer that turns an expression tree back into text the parser accepts.
+a printer that turns an expression tree back into text the parser accepts,
+and the reduced recurrence on NumPy scalars that seam_online must match
+bit for bit.
 It also builds the 1-D problem that matches a stored snapshot file of any
 shape, since both snapshot readers check a file against a problem.
 """
@@ -41,6 +43,22 @@ def stored_run_problem(num_dofs: int, num_columns: int, tau: float) -> ProblemSp
                        c=zero, f=zero, u0=zero, T=None, tau=tau,
                        divisions=num_dofs + 1, segment_steps=num_columns - 1,
                        segment_count=1)
+
+
+def seam_online_loop(model, steps: int) -> np.ndarray:
+    """The scalar recurrence with NumPy-scalar arithmetic and an array setitem
+    per step; returns alpha_0..alpha_steps."""
+    g = np.broadcast_to(model.load_coeff, steps)
+    alphas = np.empty(steps + 1)
+    alphas[0] = model.alpha0
+    a = model.system_coeff
+    m = model.mass_coeff
+    tau = model.tau
+    current = model.alpha0
+    for k in range(steps):
+        current = (m * current + tau * g[k]) / a
+        alphas[k + 1] = current
+    return alphas
 
 
 def heat_operators(m):

@@ -9,7 +9,6 @@ import pytest
 
 from seampde import cli, hifi, pod
 from seampde.cli import RunConfig, execute, main, resolve_problem
-from seampde.fields import load_problem
 from seampde.hifi import SnapshotMatrix, discretize, load_snapshots, save_snapshots
 from seampde.seam import SeamSolution
 
@@ -20,6 +19,10 @@ def run_cli(*argv):
 
 def read_json(path):
     return json.loads(path.read_text())
+
+
+def config_problem(path):
+    return resolve_problem(RunConfig(config_path=str(path)))
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +203,7 @@ def test_non_finite_snapshots_exit_2(tmp_path, monkeypatch, mode):
     path.write_text(json.dumps(cfg))
     out = tmp_path / "hifi"
     assert run_cli("--config", str(path), "--mode", "hifi", "--out", str(out)) == 0
-    stored = load_snapshots(out / "snapshots.bin", load_problem(path))
+    stored = load_snapshots(out / "snapshots.bin", config_problem(path))
     data = stored.data.copy()
     data[3, 15] = np.nan
     poisoned = tmp_path / "poisoned.bin"
@@ -278,7 +281,7 @@ def test_error_csv_matches_per_column_oracle(tmp_path):
     out = tmp_path / "out"
     assert run_cli("--config", str(path), "--mode", "parallel-seam",
                    "--out", str(out)) == 0
-    problem = load_problem(path)
+    problem = config_problem(path)
     mass = discretize(problem).mass
     ref = load_snapshots(out / "snapshots.bin", problem).data
     red = load_snapshots(out / "seam.bin", problem).data
@@ -544,7 +547,7 @@ def test_slice_fields_are_plain_numbers(tmp_path):
     out = tmp_path / "out"
     assert run_cli("--config", str(path), "--mode", "parallel-seam",
                    "--out", str(out)) == 0
-    problem = load_problem(path)
+    problem = config_problem(path)
     points = discretize(problem).mesh.interior_nodes()
     reference = load_snapshots(out / "snapshots.bin", problem).data
     reduced = load_snapshots(out / "seam.bin", problem).data
@@ -609,13 +612,25 @@ def test_non_finite_summary_value_exits_2_without_summary(tmp_path, monkeypatch)
     assert not (out / "summary.json").exists()
 
 
-def test_heat3d_defaults_to_desk_scale():
+def test_heat3d_defaults_to_desk_scale(tmp_path):
     problem = resolve_problem(RunConfig(scenario="heat3d"))
     assert problem.divisions == 16
     problem = resolve_problem(RunConfig(scenario="heat3d", large=True))
     assert problem.divisions == 32
     problem = resolve_problem(RunConfig(scenario="heat3d", m=20))
     assert problem.divisions == 20
+    # a config file names the same problem as the flags, so it gets the same size
+    path = tmp_path / "heat3d.json"
+    path.write_text(json.dumps({"scenario": "heat3d"}))
+    assert config_problem(path).divisions == 16
+    problem = resolve_problem(RunConfig(config_path=str(path), large=True))
+    assert problem.divisions == 32
+    problem = resolve_problem(RunConfig(config_path=str(path), m=20))
+    assert problem.divisions == 20
+    for large in (False, True):
+        path.write_text(json.dumps({"scenario": "heat3d", "m": 24}))
+        problem = resolve_problem(RunConfig(config_path=str(path), large=large))
+        assert problem.divisions == 24
 
 
 def test_resolve_overrides_adjust_horizon():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from seampde.cli import RunConfig, resolve_problem
 from seampde.errors import EvaluationError, ExpressionError
 from seampde import fields
 from seampde.fields import (
@@ -13,7 +14,6 @@ from seampde.fields import (
     Neg,
     ProblemSpec,
     Var,
-    load_problem,
     parse_expression,
     problem_from_config,
     scenario,
@@ -244,7 +244,7 @@ def test_config_explicit_and_file(tmp_path):
     assert spec.u0(x=1.0, y=0.5) == 0.5
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(cfg))
-    assert load_problem(path) == spec
+    assert resolve_problem(RunConfig(config_path=str(path))) == spec
 
     with pytest.raises(ValueError, match="missing keys"):
         problem_from_config({"dimension": 1})

@@ -14,7 +14,7 @@ from seampde.seam import (
     seam_online,
 )
 
-from oracles import stored_run_problem
+from oracles import seam_online_loop, stored_run_problem
 
 
 def identity_operator(n):
@@ -50,6 +50,7 @@ def test_online_hand_iterated_recurrence():
     model = SeamModel(*UNIT, system_coeff=2.0, mass_coeff=1.0, load_coeff=1.0,
                       alpha0=0.0, tau=1.0)
     np.testing.assert_allclose(seam_online(model, 3), [0.0, 0.5, 0.75, 0.875])
+    assert np.array_equal(seam_online(model, 3), seam_online_loop(model, 3))
 
 
 def test_online_geometric_decay_without_load():
@@ -57,12 +58,48 @@ def test_online_geometric_decay_without_load():
                       alpha0=3.0, tau=0.7)
     alphas = seam_online(model, 6)
     np.testing.assert_allclose(alphas, 3.0 * 0.8 ** np.arange(7), rtol=1e-14)
+    assert np.array_equal(alphas, seam_online_loop(model, 6))
 
 
 def test_online_per_step_load():
     model = SeamModel(*UNIT, system_coeff=1.0, mass_coeff=1.0,
                       load_coeff=np.array([1.0, 2.0]), alpha0=0.0, tau=1.0)
     np.testing.assert_allclose(seam_online(model, 2), [0.0, 1.0, 3.0])
+    assert np.array_equal(seam_online(model, 2), seam_online_loop(model, 2))
+
+
+@pytest.mark.parametrize("load", ["scalar", "zero", "per-step"])
+def test_online_bit_identical_to_numpy_scalar_loop(load):
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        steps = int(rng.integers(0, 300))
+        mass_coeff = float(rng.uniform(0.1, 10.0))
+        coeffs = {
+            "scalar": float(rng.standard_normal() * 10.0 ** rng.uniform(-5, 5)),
+            "zero": 0.0,
+            "per-step": (rng.choice([-1.0, 1.0], steps)
+                         * 10.0 ** rng.uniform(-5, 5, steps)),
+        }
+        model = SeamModel(*UNIT, system_coeff=mass_coeff * float(rng.uniform(1.0, 3.0)),
+                          mass_coeff=mass_coeff, load_coeff=coeffs[load],
+                          alpha0=float(rng.standard_normal()),
+                          tau=float(10.0 ** rng.uniform(-5, -1)))
+        alphas = seam_online(model, steps)
+        assert alphas.dtype == np.float64 and alphas.shape == (steps + 1,)
+        assert np.array_equal(alphas, seam_online_loop(model, steps))
+
+
+def test_online_bit_identical_to_numpy_scalar_loop_on_every_s1_segment():
+    from seampde.fields import scenario
+    from seampde.hifi import discretize, run_hifi
+
+    problem = scenario("s1")
+    disc = discretize(problem)
+    solution = run_parallel_seam(run_hifi(problem, disc), disc.mass,
+                                 disc.stiffness, disc.load, problem.segment_steps)
+    assert len(solution.models) == 101
+    for model, alphas in zip(solution.models, solution.alphas):
+        assert np.array_equal(alphas, seam_online_loop(model, problem.segment_steps))
 
 
 def test_model_rejects_nonpositive_coefficients():
