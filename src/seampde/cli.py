@@ -129,18 +129,20 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"one of: {', '.join(SCENARIO_NAMES)}")
     parser.add_argument("--config", dest="config_path",
                         help="JSON problem file (alternative to --scenario)")
-    parser.add_argument("--mode", choices=MODES, default="parallel-seam")
+    parser.add_argument("--mode", choices=MODES, default=RunConfig.mode)
     parser.add_argument("--m", type=int, help="divisions per axis override")
     parser.add_argument("--tau", type=float, help="time step override")
-    parser.add_argument("--T", type=float, dest="big_t", help="horizon override")
+    parser.add_argument("--T", type=float, dest="big_t",
+                        help="expected horizon, checked against N*tau")
     parser.add_argument("--n", type=int, help="steps per segment override")
     parser.add_argument("--f", help="source-term variant (0, 10 or xy)")
-    parser.add_argument("--out", default="out", help="output directory")
+    parser.add_argument("--out", default=RunConfig.out, help="output directory")
     parser.add_argument("--snapshots", dest="snapshots_path",
                         help="reuse a stored snapshot file instead of running hifi")
     parser.add_argument("--large", action="store_true",
                         help="allow the full-size 3D preset (m=32)")
-    parser.add_argument("--repeats", type=int, default=3, help="bench repetitions")
+    parser.add_argument("--repeats", type=int, default=RunConfig.repeats,
+                        help="bench repetitions")
     return parser
 
 

@@ -255,8 +255,8 @@ class ProblemSpec:
     ``segment_steps`` is the per-segment step count n (a segment holds
     n+1 snapshot columns) and ``segment_count`` the number of segments,
     so a segment-exact run takes segment_count*(segment_steps+1) - 1
-    backward-Euler steps (``T=None`` sets that horizon). The counts are
-    whole numbers: ints, or floats with an integral value.
+    backward-Euler steps, and its horizon T is that many steps of tau.
+    The counts are whole numbers: ints, or floats with an integral value.
     """
 
     name: str
@@ -265,7 +265,6 @@ class ProblemSpec:
     c: ScalarField
     f: ScalarField
     u0: ScalarField
-    T: float
     tau: float
     divisions: int
     segment_steps: int
@@ -274,6 +273,10 @@ class ProblemSpec:
     @property
     def num_steps(self) -> int:
         return self.segment_count * (self.segment_steps + 1) - 1
+
+    @property
+    def T(self) -> float:
+        return self.num_steps * self.tau
 
     @property
     def num_dofs(self) -> int:
@@ -297,26 +300,26 @@ class ProblemSpec:
         if self.segment_steps < 1 or self.segment_count < 1:
             raise ValueError(f"n = {self.segment_steps} and the segment count "
                              f"{self.segment_count} must be at least 1")
-        if self.T is None:
-            object.__setattr__(self, "T", self.num_steps * self.tau)
         if not (0 < self.tau < math.inf and 0 < self.T < math.inf):
             raise ValueError(f"tau = {self.tau!r} and T = {self.T!r} must be "
                              "finite and positive")
-        if abs(self.num_steps * self.tau - self.T) > 1e-9 * self.T:
-            raise ValueError(
-                f"horizon mismatch: {self.segment_count} segments of "
-                f"{self.segment_steps + 1} columns need T = "
-                f"{self.num_steps * self.tau!r}, spec says T = {self.T!r}"
-            )
         self._warn_if_alpha_negative()
 
     def with_overrides(self, m, tau, n, segments, T) -> ProblemSpec:
-        """Each given value replaces its field and None keeps it; without T
-        the horizon is recomputed, so it stays segment-exact."""
+        """Each given value replaces its field and None keeps it. The horizon
+        follows from the result; a given T is only checked against it."""
         given = {"divisions": m, "segment_steps": n, "segment_count": segments,
                  "tau": tau if tau is None else float(tau)}
-        return replace(self, T=T if T is None else float(T),
-                       **{k: v for k, v in given.items() if v is not None})
+        spec = replace(self, **{k: v for k, v in given.items() if v is not None})
+        if T is not None:
+            T = float(T)
+            if not 0 < T < math.inf:
+                raise ValueError(f"T = {T!r} must be finite and positive")
+            if abs(spec.T - T) > 1e-9 * T:
+                raise ValueError(f"horizon mismatch: {spec.segment_count} segments of "
+                                 f"{spec.segment_steps + 1} columns need T = "
+                                 f"{spec.T!r}, spec says T = {T!r}")
+        return spec
 
     def _warn_if_alpha_negative(self):
         sample = np.linspace(0.0, 1.0, 9)
@@ -330,58 +333,27 @@ class ProblemSpec:
                 )
 
 
-def _spec(name, dimension, alpha, c, f, u0, tau, divisions, segment_steps,
-          segment_count):
-    alpha_fields = tuple(parse_expression(a) for a in alpha)
-    return ProblemSpec(
-        name=name,
-        dimension=dimension,
-        alpha_diag=alpha_fields,
-        c=parse_expression(c),
-        f=parse_expression(f),
-        u0=parse_expression(u0),
-        T=None,
-        tau=tau,
-        divisions=divisions,
-        segment_steps=segment_steps,
-        segment_count=segment_count,
-    )
+_S2 = {"dimension": 2, "alpha": ("x^2", "y^2"), "c": "pi^2*(1-2*x^2*y^2)",
+       "u0": "sin(pi*x)*sin(pi*y)", "tau": 1e-4, "m": 32,
+       "segment_steps": 100, "segment_count": 101}
 
-
-_S2_C = "pi^2*(1-2*x^2*y^2)"
-_S2_U0 = "sin(pi*x)*sin(pi*y)"
-
-# scenario name -> (allowed f variants, factory)
-_SCENARIOS = {
-    "heat1d": (
-        ("0",),
-        lambda f: _spec("heat1d", 1, ("1",), "0", f, "sin(4*pi*x)",
-                        1e-4, 99, 1000, 1),
-    ),
-    "s1": (
-        ("0", "xy"),
-        lambda f: _spec("s1", 2, ("1", "1"), "1", f, "sin(pi*x*y)",
-                        1e-4, 32, 100, 101),
-    ),
-    "s2": (
-        ("0", "10", "xy"),
-        lambda f: _spec("s2", 2, ("x^2", "y^2"), _S2_C, f, _S2_U0,
-                        1e-4, 32, 100, 101),
-    ),
-    "s3": (
-        ("0",),
-        lambda f: _spec("s3", 2, ("x^2", "y^2"), _S2_C, f, _S2_U0,
-                        2.5e-3, 32, 20, 21),
-    ),
-    "heat3d": (
-        ("0",),
-        lambda f: _spec("heat3d", 3, ("1", "1", "1"), "0", f,
-                        "sin(2*pi*x)*sin(2*pi*y)*sin(2*pi*z)",
-                        2.5e-3, 32, 20, 21),
-    ),
+# scenario name -> (its config keys apart from f, the f variants it allows)
+_PRESETS = {
+    "heat1d": ({"dimension": 1, "alpha": ("1",), "c": "0", "u0": "sin(4*pi*x)",
+                "tau": 1e-4, "m": 99, "segment_steps": 1000, "segment_count": 1},
+               ("0",)),
+    "s1": ({**_S2, "alpha": ("1", "1"), "c": "1", "u0": "sin(pi*x*y)"}, ("0", "xy")),
+    "s2": (_S2, ("0", "10", "xy")),
+    "s3": ({**_S2, "tau": 2.5e-3, "segment_steps": 20, "segment_count": 21}, ("0",)),
+    "heat3d": ({"dimension": 3, "alpha": ("1", "1", "1"), "c": "0",
+                "u0": "sin(2*pi*x)*sin(2*pi*y)*sin(2*pi*z)", "tau": 2.5e-3,
+                "m": 32, "segment_steps": 20, "segment_count": 21}, ("0",)),
 }
 
-SCENARIO_NAMES = tuple(_SCENARIOS)
+SCENARIO_NAMES = tuple(_PRESETS)
+
+_EXPLICIT_KEYS = {"dimension", "alpha", "c", "f", "u0", "T", "tau", "m",
+                  "segment_steps", "segment_count"}
 
 
 def scenario(name: str, f_variant: str | None = None) -> ProblemSpec:
@@ -391,10 +363,10 @@ def scenario(name: str, f_variant: str | None = None) -> ProblemSpec:
     several ("0", "10" or "xy"); the default is the first listed.
     """
     try:
-        variants, factory = _SCENARIOS[name]
+        keys, variants = _PRESETS[name]
     except KeyError:
         raise ValueError(
-            f"unknown scenario {name!r}; choose from {', '.join(_SCENARIOS)}"
+            f"unknown scenario {name!r}; choose from {', '.join(_PRESETS)}"
         ) from None
     if f_variant is None:
         f_variant = variants[0]
@@ -404,39 +376,44 @@ def scenario(name: str, f_variant: str | None = None) -> ProblemSpec:
             f"scenario {name!r} has no f variant {f_variant!r}; "
             f"available: {', '.join(variants)}"
         )
-    f_expr = {"0": "0", "10": "10", "xy": "x*y"}[f_variant]
-    return factory(f_expr)
+    return _build({**keys, "name": name,
+                   "f": {"0": "0", "10": "10", "xy": "x*y"}[f_variant]})
 
 
-def problem_from_config(config: dict) -> ProblemSpec:
-    """Build a ProblemSpec from a JSON-style mapping.
-
-    Either ``{"scenario": name, ...overrides}`` with optional keys
-    m/tau/T/n/f, or a fully explicit spec with expression strings.
-    """
-    config = dict(config)
-    if "scenario" in config:
-        base = scenario(config.pop("scenario"), config.pop("f", None))
-        overrides = [config.pop(key, None) for key in ("m", "tau", "n", "segments", "T")]
-        if config:
-            raise ValueError(f"unknown config keys: {sorted(config)}")
-        return base.with_overrides(*overrides)
-
-    required = {"dimension", "alpha", "c", "f", "u0", "T", "tau", "m",
-                "segment_steps", "segment_count"}
-    missing = required - set(config)
-    if missing:
-        raise ValueError(f"explicit problem config missing keys: {sorted(missing)}")
-    return ProblemSpec(
+def _build(config) -> ProblemSpec:
+    """The one builder from config keys to a ProblemSpec; a given "T" is
+    checked against the horizon that tau and the counts imply."""
+    spec = ProblemSpec(
         name=config.get("name", "custom"),
         dimension=config["dimension"],
         alpha_diag=tuple(parse_expression(a) for a in config["alpha"]),
         c=parse_expression(config["c"]),
         f=parse_expression(config["f"]),
         u0=parse_expression(config["u0"]),
-        T=float(config["T"]),
         tau=float(config["tau"]),
         divisions=config["m"],
         segment_steps=config["segment_steps"],
         segment_count=config["segment_count"],
     )
+    return spec.with_overrides(None, None, None, None, config.get("T"))
+
+
+def problem_from_config(config: dict) -> ProblemSpec:
+    """Build a ProblemSpec from a JSON-style mapping: ``{"scenario": name,
+    ...}`` with optional keys f/m/tau/n/segments/T, or a fully explicit spec
+    with expression strings, every key of ``_EXPLICIT_KEYS`` and an optional
+    "name". Any other key is rejected."""
+    if "scenario" in config:
+        allowed = {"scenario", "f", "m", "tau", "n", "segments", "T"}
+    else:
+        allowed = _EXPLICIT_KEYS | {"name"}
+        missing = _EXPLICIT_KEYS - set(config)
+        if missing:
+            raise ValueError(f"explicit problem config missing keys: {sorted(missing)}")
+    unknown = set(config) - allowed
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    if "scenario" not in config:
+        return _build(config)
+    return scenario(config["scenario"], config.get("f")).with_overrides(
+        *(config.get(key) for key in ("m", "tau", "n", "segments", "T")))

@@ -40,7 +40,7 @@ def stored_run_problem(num_dofs: int, num_columns: int, tau: float) -> ProblemSp
     load_snapshots and read_snapshot_blocks check a file against."""
     zero = expr("0")
     return ProblemSpec(name="stored", dimension=1, alpha_diag=(expr("1"),),
-                       c=zero, f=zero, u0=zero, T=None, tau=tau,
+                       c=zero, f=zero, u0=zero, tau=tau,
                        divisions=num_dofs + 1, segment_steps=num_columns - 1,
                        segment_count=1)
 

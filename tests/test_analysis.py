@@ -9,7 +9,6 @@ import scipy.sparse as sparse
 from seampde.analysis import (
     HoffmanWielandtRecord,
     build_spectral_report,
-    check_time_step_assumption,
     hoffman_wielandt_check,
     operator_norm,
     column_error_norms,
@@ -52,7 +51,7 @@ def segmented_run():
     problem = ProblemSpec(
         name="square", dimension=2, alpha_diag=(expr("1"), expr("1")),
         c=expr("0"), f=expr("1"), u0=expr("sin(pi*x)*sin(pi*y)*(1+x)"),
-        T=0.035, tau=1e-3, divisions=8, segment_steps=8, segment_count=4)
+        tau=1e-3, divisions=8, segment_steps=8, segment_count=4)
     disc = discretize(problem)
     snapshots = run_hifi(problem, disc)
     solution = run_parallel_seam(snapshots, disc.mass, disc.stiffness,
@@ -126,14 +125,20 @@ def test_operator_norm_matches_one_vector_start_with_fewer_mass_products(problem
 
 
 def test_time_step_check_arithmetic():
-    check = check_time_step_assumption(1e-4, 5000.0)
-    assert check.product == pytest.approx(0.5)
-    assert check.satisfied
-    check = check_time_step_assumption(1e-3, 2000.0)
-    assert check.product == pytest.approx(2.0)
-    assert not check.satisfied
-    with pytest.raises(ValueError):
-        check_time_step_assumption(1e-4, 0.0)
+    """report.json carries tau*||A|| and flags whether it sits below one; a
+    zero stiffness (||A|| = 0) is rejected."""
+    snaps = SnapshotMatrix(np.random.default_rng(3).standard_normal((3, 8)), 1e-4)
+    mass = diag_op([1.0, 1.0, 1.0])
+    for tau, stiffness, product, satisfied in ((1e-4, [1e3, 3e3, 5e3], 0.5, True),
+                                               (1e-3, [5e2, 2e3, 1e3], 2.0, False)):
+        report = build_spectral_report(snaps.segments(3), tau, mass,
+                                       diag_op(stiffness), segment_steps=3)
+        payload = report.to_json_dict()
+        assert payload["tau_norm_a"] == pytest.approx(product)
+        assert payload["time_step_assumption_satisfied"] is satisfied
+    with pytest.raises(ValueError, match="operator norm must be positive"):
+        build_spectral_report(snaps.segments(3), 1e-4, mass, diag_op([0.0] * 3),
+                              segment_steps=3)
 
 
 def test_reference_limit_cases():

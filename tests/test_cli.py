@@ -87,6 +87,12 @@ MINI = {
     pytest.param(None, ["--n", "0"], id="flag-n-0"),
     pytest.param(None, ["--tau", "0"], id="flag-tau-0"),
     pytest.param(None, ["--T", "0.5"], id="flag-T-mismatch"),
+    pytest.param(None, ["--T", "inf"], id="flag-T-inf"),
+    pytest.param(None, ["--T", "nan"], id="flag-T-nan"),
+    pytest.param(None, ["--T", "0"], id="flag-T-0"),
+    pytest.param(None, ["--T", "-0.1"], id="flag-T-negative"),
+    pytest.param({**MINI, "n": 3}, [], id="config-explicit-n"),
+    pytest.param({**MINI, "bogus": 1}, [], id="config-explicit-unknown-key"),
     pytest.param({"scenario": "heat1d", "n": 99.5}, [], id="scenario-n-fractional"),
     pytest.param({"scenario": "heat1d", "m": 6.9}, [], id="scenario-m-fractional"),
     pytest.param({"scenario": "s3", "segments": 2.5}, [],
@@ -117,6 +123,10 @@ def test_bad_override_exits_2(tmp_path, monkeypatch, config, flags):
 
 def test_missing_problem_exits_2():
     assert run_cli("--mode", "hifi") == 2
+
+
+def test_parser_defaults_are_run_config_defaults():
+    assert cli.config_from_args(cli.build_parser().parse_args([])) == RunConfig()
 
 
 def test_config_file_run(tmp_path):

@@ -196,19 +196,17 @@ def test_negative_alpha_warns_not_raises():
             name="odd", dimension=1,
             alpha_diag=(parse_expression("x-1"),),
             c=parse_expression("0"), f=parse_expression("0"),
-            u0=parse_expression("0"), T=9 * 0.1, tau=0.1,
+            u0=parse_expression("0"), tau=0.1,
             divisions=4, segment_steps=9, segment_count=1,
         )
 
 
 def test_horizon_mismatch_rejected():
-    with pytest.raises(ValueError, match="horizon"):
-        ProblemSpec(
-            name="bad", dimension=1, alpha_diag=(parse_expression("1"),),
-            c=parse_expression("0"), f=parse_expression("0"),
-            u0=parse_expression("0"), T=1.0, tau=0.1,
-            divisions=4, segment_steps=4, segment_count=1,
-        )
+    cfg = {"dimension": 1, "alpha": ["1"], "c": "0", "f": "0", "u0": "0",
+           "tau": 0.1, "T": 1.0, "m": 4, "segment_steps": 4, "segment_count": 1}
+    with pytest.raises(ValueError, match="horizon mismatch"):
+        problem_from_config(cfg)
+    assert problem_from_config({**cfg, "T": 0.4}).T == pytest.approx(0.4)
 
 
 def test_config_scenario_with_overrides():

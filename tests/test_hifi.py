@@ -33,7 +33,7 @@ def small_problem(name="tiny1d", m=8, tau=1e-3, steps=20, u0="sin(pi*x)", f="0",
         name=name, dimension=dimension,
         alpha_diag=tuple(expr(a) for a in alpha),
         c=expr("0"), f=expr(f), u0=expr(u0),
-        T=steps * tau, tau=tau, divisions=m,
+        tau=tau, divisions=m,
         segment_steps=steps, segment_count=1,
     )
 
