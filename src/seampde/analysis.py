@@ -168,17 +168,20 @@ def column_error_norms(reference: SnapshotMatrix, reduced: SeamSolution,
     shape = (reduced.num_dofs, reduced.num_columns)
     if ref.shape != shape:
         raise ValueError(f"shape mismatch: {ref.shape} vs {shape}")
-    error_sq = np.empty(shape[1])
-    reference_sq = np.empty(shape[1])
-    start = 0
+    norms, start = [], 0
     for block in reduced.blocks():
-        part = slice(start, start + block.shape[1])
-        columns = ref[:, part]
-        diff = columns - block
-        error_sq[part] = np.einsum("ij,ij->j", diff, mass @ diff)
-        reference_sq[part] = np.einsum("ij,ij->j", columns, mass @ columns)
-        start = part.stop
-    return error_sq, reference_sq
+        stop = start + block.shape[1]
+        norms.append(block_error_norms(ref[:, start:stop], block, mass))
+        start = stop
+    return tuple(np.concatenate(parts) for parts in zip(*norms))
+
+
+def block_error_norms(columns: np.ndarray, reduced: np.ndarray,
+                      mass: sparse.csr_matrix):
+    """``(error_sq, reference_sq)`` of column_error_norms for one block."""
+    diff = columns - reduced
+    return (np.einsum("ij,ij->j", diff, mass @ diff),
+            np.einsum("ij,ij->j", columns, mass @ columns))
 
 
 def relative_l2_error(reference: SnapshotMatrix, reduced: SeamSolution,
@@ -213,9 +216,6 @@ class SpectralReport:
     perturbation: PerturbationRecord
     segment_steps: int
     tau: float
-
-    def leading_eigenvalues(self) -> np.ndarray:
-        return np.array([s.eigenvalues[0] for s in self.spectra])
 
     def to_json_dict(self) -> dict:
         return {

@@ -5,8 +5,7 @@ Modes
 hifi           high-fidelity run only, snapshots written to disk
 seam           one basis over the whole run (single segment)
 parallel-seam  segmented reduction with the scenario's segment length
-eigs           per-segment Gram spectra and the rank-one-reference report;
-               with --snapshots it reads the file one segment block at a time
+eigs           per-segment Gram spectra and the rank-one-reference report
 bench          wall-time comparison of the full solve vs the reduced replay
 hw-selftest    eigenvalue-displacement inequality suite on random matrices
 
@@ -28,11 +27,13 @@ import json
 import platform
 import sys
 import time
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
 from seampde.analysis import (
+    block_error_norms,
     build_spectral_report,
     column_error_norms,
     hoffman_wielandt_check,
@@ -52,18 +53,14 @@ from seampde.hifi import (
     Discretization,
     SnapshotMatrix,
     discretize,
-    load_snapshots,
     read_snapshot_blocks,
+    read_snapshot_column,
     run_hifi,
-    save_snapshots,
+    snapshot_writer,
+    step_blocks,
 )
 from seampde.pod import export_spectra_csv
-from seampde.seam import (
-    SeamSolution,
-    export_segment_metadata,
-    run_parallel_seam,
-    save_seam,
-)
+from seampde.seam import SeamSolution, export_segment_metadata, run_parallel_seam
 
 MODES = ("hifi", "seam", "parallel-seam", "eigs", "bench", "hw-selftest")
 SLICE_TIMES = (0.25, 0.5, 0.75, 1.0)
@@ -184,18 +181,16 @@ def _write_error_csv(path, tau: float, error_sq: np.ndarray,
             writer.writerow([repr(j * tau), repr(abs_err), repr(rel)])
 
 
-def _write_slices(outdir, disc: Discretization, reference: SnapshotMatrix,
+def _write_slices(outdir, disc: Discretization, problem: ProblemSpec, stored,
                   reduced: SeamSolution | None) -> None:
     points = disc.mesh.interior_nodes()
     axes = list("xyz"[: disc.mesh.dimension])
     for t in SLICE_TIMES:
-        index = round(t / reference.tau)
-        if not 0 <= index < reference.num_columns:
-            continue
-        if abs(index * reference.tau - t) > reference.tau / 2:
+        index = round(t / problem.tau)
+        if index > problem.num_steps or abs(index * problem.tau - t) > problem.tau / 2:
             continue
         header = axes + ["hifi"] + (["seam"] if reduced is not None else [])
-        columns = [points, reference.column(index)]
+        columns = [points, read_snapshot_column(stored, problem, index)]
         if reduced is not None:
             columns.append(reduced.column(index))
         with open(outdir / f"slices_t{t}.csv", "w", newline="") as fh:
@@ -215,15 +210,48 @@ def _write_json(path, payload: dict) -> None:
 
 def _reduce(snapshots: SnapshotMatrix, disc: Discretization, segment_steps: int,
             summary: RunSummary):
+    """run_parallel_seam; its offline and online seconds add to the summary's."""
     start = time.perf_counter()
     solution = run_parallel_seam(snapshots, disc.mass, disc.stiffness, disc.load,
                                  segment_steps=segment_steps)
-    summary.online_seconds = solution.online_seconds
-    summary.offline_seconds = time.perf_counter() - start - solution.online_seconds
-    lam0 = [float(model.spectrum.eigenvalues[0]) for model in solution.models]
-    summary.lambda0_first = lam0[0]
-    summary.lambda0_last = lam0[-1]
+    summary.online_seconds += solution.online_seconds
+    summary.offline_seconds += time.perf_counter() - start - solution.online_seconds
     return solution
+
+
+def _stepped_blocks(problem: ProblemSpec, disc: Discretization, columns: int,
+                    path, summary: RunSummary):
+    """step_blocks, each block appended to the snapshot file at ``path`` as
+    it is made; hifi_seconds sums the time spent stepping."""
+    summary.hifi_seconds = 0.0
+    with snapshot_writer(path, problem.num_dofs, problem.num_steps + 1,
+                         problem.tau) as append:
+        start = time.perf_counter()
+        for block in step_blocks(problem, disc, columns):
+            summary.hifi_seconds += time.perf_counter() - start
+            append(block)
+            yield block
+            start = time.perf_counter()
+
+
+def _reduce_blocks(blocks, problem: ProblemSpec, disc: Discretization,
+                   segment_steps: int, path, summary: RunSummary):
+    """Reduce and score each block as it arrives and append its replay to
+    the snapshot file at ``path``; return the solution and error norms."""
+    parts, norms = [], []
+    summary.offline_seconds = summary.online_seconds = 0.0
+    with snapshot_writer(path, problem.num_dofs, problem.num_steps + 1,
+                         problem.tau) as append:
+        for block in blocks:
+            parts.append(_reduce(SnapshotMatrix(block, problem.tau), disc,
+                                 segment_steps, summary))
+            for reduced in parts[-1].blocks():
+                append(reduced)
+                norms.append(block_error_norms(block, reduced, disc.mass))
+    solution = SeamSolution(sum((part.models for part in parts), ()),
+                            np.vstack([part.alphas for part in parts]), problem.tau,
+                            summary.online_seconds)
+    return solution, [np.concatenate(columns) for columns in zip(*norms)]
 
 
 def execute(config: RunConfig) -> RunSummary:
@@ -246,43 +274,36 @@ def execute(config: RunConfig) -> RunSummary:
     if config.mode == "bench":
         return _run_bench(problem, disc, config, summary, outdir)
 
-    if config.snapshots_path and config.mode == "eigs":
-        _, blocks = read_snapshot_blocks(config.snapshots_path, problem,
-                                         problem.segment_steps + 1)
-    elif config.snapshots_path:
-        snapshots = load_snapshots(config.snapshots_path, problem)
+    segment_steps = (problem.num_steps if config.mode == "seam"
+                     else problem.segment_steps)
+    stored = config.snapshots_path or outdir / "snapshots.bin"
+    if config.snapshots_path:
+        _, blocks = read_snapshot_blocks(stored, problem, segment_steps + 1)
     else:
-        start = time.perf_counter()
-        snapshots = run_hifi(problem, disc)
-        summary.hifi_seconds = time.perf_counter() - start
+        blocks = _stepped_blocks(problem, disc, segment_steps + 1, stored, summary)
     outdir.mkdir(parents=True, exist_ok=True)  # not for a rejected snapshot file
-    if not config.snapshots_path:
-        save_snapshots(snapshots, outdir / "snapshots.bin")
-
-    if config.mode == "hifi":
-        _write_slices(outdir, disc, snapshots, None)
-    elif config.mode == "eigs":
-        if not config.snapshots_path:
-            blocks = snapshots.segments(problem.segment_steps)
-        report = build_spectral_report(blocks, problem.tau, disc.mass,
-                                       disc.stiffness, problem.segment_steps)
-        _write_json(outdir / "report.json", report.to_json_dict())
-        export_spectra_csv(report.spectra, outdir / "eigenvalues.csv")
-        lam0 = report.leading_eigenvalues()
-        summary.lambda0_first = float(lam0[0])
-        summary.lambda0_last = float(lam0[-1])
-    else:  # seam / parallel-seam
-        segment_steps = (snapshots.num_columns - 1 if config.mode == "seam"
-                         else problem.segment_steps)
-        solution = _reduce(snapshots, disc, segment_steps, summary)
-        norms = column_error_norms(snapshots, solution, disc.mass)
-        summary.error_l2 = space_time_error(*norms, problem.tau)
-        save_seam(solution, outdir / "seam.bin")
-        export_segment_metadata(solution, outdir / "segments.csv")
-        export_spectra_csv([model.spectrum for model in solution.models],
-                           outdir / "eigenvalues.csv")
-        _write_error_csv(outdir / "error.csv", snapshots.tau, *norms)
-        _write_slices(outdir, disc, snapshots, solution)
+    with closing(blocks):  # a snapshot file left half written is removed
+        if config.mode == "hifi":
+            for _ in blocks:
+                pass
+            _write_slices(outdir, disc, problem, stored, None)
+        elif config.mode == "eigs":
+            report = build_spectral_report(blocks, problem.tau, disc.mass,
+                                           disc.stiffness, segment_steps)
+            _write_json(outdir / "report.json", report.to_json_dict())
+            spectra = report.spectra
+        else:  # seam / parallel-seam
+            solution, norms = _reduce_blocks(blocks, problem, disc, segment_steps,
+                                             outdir / "seam.bin", summary)
+            spectra = [model.spectrum for model in solution.models]
+            summary.error_l2 = space_time_error(*norms, problem.tau)
+            export_segment_metadata(solution, outdir / "segments.csv")
+            _write_error_csv(outdir / "error.csv", problem.tau, *norms)
+            _write_slices(outdir, disc, problem, stored, solution)
+    if config.mode != "hifi":
+        export_spectra_csv(spectra, outdir / "eigenvalues.csv")
+        summary.lambda0_first = float(spectra[0].eigenvalues[0])
+        summary.lambda0_last = float(spectra[-1].eigenvalues[0])
 
     _write_json(outdir / "summary.json", summary.to_json_dict())
     return summary
@@ -298,8 +319,11 @@ def _run_bench(problem, disc, config, summary, outdir) -> RunSummary:
         hifi_samples.append(time.perf_counter() - start)
     online_samples = []
     for _ in range(config.repeats):
+        summary.offline_seconds = summary.online_seconds = 0.0
         solution = _reduce(snapshots, disc, problem.segment_steps, summary)
         online_samples.append(summary.online_seconds)
+    summary.lambda0_first = float(solution.models[0].spectrum.eigenvalues[0])
+    summary.lambda0_last = float(solution.models[-1].spectrum.eigenvalues[0])
     summary.hifi_seconds = float(np.median(hifi_samples))
     summary.online_seconds = float(np.median(online_samples))
     summary.error_l2 = space_time_error(

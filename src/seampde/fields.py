@@ -309,10 +309,10 @@ class ProblemSpec:
         """Each given value replaces its field and None keeps it. The horizon
         follows from the result; a given T is only checked against it."""
         given = {"divisions": m, "segment_steps": n, "segment_count": segments,
-                 "tau": tau if tau is None else float(tau)}
+                 "tau": tau if tau is None else float(_typed("tau", tau, numbers.Real))}
         spec = replace(self, **{k: v for k, v in given.items() if v is not None})
         if T is not None:
-            T = float(T)
+            T = float(_typed("T", T, numbers.Real))
             if not 0 < T < math.inf:
                 raise ValueError(f"T = {T!r} must be finite and positive")
             if abs(spec.T - T) > 1e-9 * T:
@@ -333,27 +333,34 @@ class ProblemSpec:
                 )
 
 
-_S2 = {"dimension": 2, "alpha": ("x^2", "y^2"), "c": "pi^2*(1-2*x^2*y^2)",
+_S2 = {"dimension": 2, "alpha": ["x^2", "y^2"], "c": "pi^2*(1-2*x^2*y^2)",
        "u0": "sin(pi*x)*sin(pi*y)", "tau": 1e-4, "m": 32,
        "segment_steps": 100, "segment_count": 101}
 
 # scenario name -> (its config keys apart from f, the f variants it allows)
 _PRESETS = {
-    "heat1d": ({"dimension": 1, "alpha": ("1",), "c": "0", "u0": "sin(4*pi*x)",
+    "heat1d": ({"dimension": 1, "alpha": ["1"], "c": "0", "u0": "sin(4*pi*x)",
                 "tau": 1e-4, "m": 99, "segment_steps": 1000, "segment_count": 1},
                ("0",)),
-    "s1": ({**_S2, "alpha": ("1", "1"), "c": "1", "u0": "sin(pi*x*y)"}, ("0", "xy")),
+    "s1": ({**_S2, "alpha": ["1", "1"], "c": "1", "u0": "sin(pi*x*y)"}, ("0", "xy")),
     "s2": (_S2, ("0", "10", "xy")),
     "s3": ({**_S2, "tau": 2.5e-3, "segment_steps": 20, "segment_count": 21}, ("0",)),
-    "heat3d": ({"dimension": 3, "alpha": ("1", "1", "1"), "c": "0",
+    "heat3d": ({"dimension": 3, "alpha": ["1", "1", "1"], "c": "0",
                 "u0": "sin(2*pi*x)*sin(2*pi*y)*sin(2*pi*z)", "tau": 2.5e-3,
                 "m": 32, "segment_steps": 20, "segment_count": 21}, ("0",)),
 }
 
 SCENARIO_NAMES = tuple(_PRESETS)
 
-_EXPLICIT_KEYS = {"dimension", "alpha", "c", "f", "u0", "T", "tau", "m",
+_EXPLICIT_KEYS = {"dimension", "alpha", "c", "f", "u0", "tau", "m",
                   "segment_steps", "segment_count"}
+
+
+def _typed(key, value, kind: type):
+    """``value`` if it is a ``kind`` (a bool is not a number), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    return value
 
 
 def scenario(name: str, f_variant: str | None = None) -> ProblemSpec:
@@ -381,16 +388,17 @@ def scenario(name: str, f_variant: str | None = None) -> ProblemSpec:
 
 
 def _build(config) -> ProblemSpec:
-    """The one builder from config keys to a ProblemSpec; a given "T" is
-    checked against the horizon that tau and the counts imply."""
+    """The one builder from config keys to a ProblemSpec, and their one type
+    check; a given "T" is checked against the horizon tau and the counts imply."""
+    alpha = _typed("alpha", config["alpha"], list)
     spec = ProblemSpec(
         name=config.get("name", "custom"),
         dimension=config["dimension"],
-        alpha_diag=tuple(parse_expression(a) for a in config["alpha"]),
-        c=parse_expression(config["c"]),
-        f=parse_expression(config["f"]),
-        u0=parse_expression(config["u0"]),
-        tau=float(config["tau"]),
+        alpha_diag=tuple(parse_expression(_typed("alpha", a, str)) for a in alpha),
+        c=parse_expression(_typed("c", config["c"], str)),
+        f=parse_expression(_typed("f", config["f"], str)),
+        u0=parse_expression(_typed("u0", config["u0"], str)),
+        tau=float(_typed("tau", config["tau"], numbers.Real)),
         divisions=config["m"],
         segment_steps=config["segment_steps"],
         segment_count=config["segment_count"],
@@ -402,11 +410,11 @@ def problem_from_config(config: dict) -> ProblemSpec:
     """Build a ProblemSpec from a JSON-style mapping: ``{"scenario": name,
     ...}`` with optional keys f/m/tau/n/segments/T, or a fully explicit spec
     with expression strings, every key of ``_EXPLICIT_KEYS`` and an optional
-    "name". Any other key is rejected."""
+    "name" and "T". Any other key is rejected."""
     if "scenario" in config:
         allowed = {"scenario", "f", "m", "tau", "n", "segments", "T"}
     else:
-        allowed = _EXPLICIT_KEYS | {"name"}
+        allowed = _EXPLICIT_KEYS | {"name", "T"}
         missing = _EXPLICIT_KEYS - set(config)
         if missing:
             raise ValueError(f"explicit problem config missing keys: {sorted(missing)}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,7 +168,7 @@ def galerkin_start(rhs: np.ndarray, u1: np.ndarray, au1: np.ndarray,
                    u2: np.ndarray | None, au2: np.ndarray | None) -> np.ndarray:
     """Galerkin projection of A^{-1} rhs onto span{u1, u2}, given A u1 and A u2.
 
-    The CG start of run_hifi (A = M + tau*S, last two snapshots) and of
+    The CG start of step_blocks (A = M + tau*S, last two snapshots) and of
     analysis.operator_norm (A = M, last two power iterates). u2 is
     A-orthogonalized against u1, so no product of two Gram entries is formed;
     without u2, or parallel to u1, it is (u1.rhs / u1.A u1) u1 (zero for u1 = 0).
@@ -186,8 +187,9 @@ def galerkin_start(rhs: np.ndarray, u1: np.ndarray, au1: np.ndarray,
     return (b1 / g11) * u1
 
 
-def run_hifi(problem: ProblemSpec, disc: Discretization) -> SnapshotMatrix:
-    """Step the full discretization and collect all N+1 solution columns.
+def step_blocks(problem: ProblemSpec, disc: Discretization, columns: int):
+    """Step the full discretization; yield its N+1 solution columns as fresh
+    Fortran-ordered (dofs, columns) blocks, the last one possibly narrower.
 
     tau*F is formed once, and again each step only when the source term
     depends on t, from element volumes and centroids computed once for the
@@ -203,48 +205,67 @@ def run_hifi(problem: ProblemSpec, disc: Discretization) -> SnapshotMatrix:
         volumes, _, centroids = element_geometry(disc.mesh)
         geometry = (volumes, None, centroids)
     tau_f = problem.tau * disc.load
-    data = np.empty((len(disc.initial), n_steps + 1), order="F")
-    data[:, 0] = disc.initial
     u = disc.initial.copy()
     au = system @ u
     u_prev = au_prev = None
-    for n in range(1, n_steps + 1):
-        if time_dependent:
-            tau_f = problem.tau * assemble_load(disc.mesh, problem.f,
-                                                n * problem.tau, geometry)
-        rhs = mass @ u + tau_f
-        start = galerkin_start(rhs, u, au, u_prev, au_prev)
-        u_prev, au_prev = u, au
-        u = cg_solve(system, rhs, x0=start)
-        au = system @ u
-        data[:, n] = u
+    for n in range(n_steps + 1):
+        if n % columns == 0:
+            block = np.empty((len(u), min(columns, n_steps + 1 - n)), order="F")
+        if n > 0:
+            if time_dependent:
+                tau_f = problem.tau * assemble_load(disc.mesh, problem.f,
+                                                    n * problem.tau, geometry)
+            rhs = mass @ u + tau_f
+            start = galerkin_start(rhs, u, au, u_prev, au_prev)
+            u_prev, au_prev = u, au
+            u = cg_solve(system, rhs, x0=start)
+            au = system @ u
+        block[:, n % columns] = u
+        if n % columns == block.shape[1] - 1:
+            yield block
+
+
+def run_hifi(problem: ProblemSpec, disc: Discretization) -> SnapshotMatrix:
+    """All N+1 solution columns, as the one block of step_blocks."""
+    [data] = step_blocks(problem, disc, problem.num_steps + 1)
     return SnapshotMatrix(data, problem.tau)
 
 
-def write_snapshot_file(path, num_dofs: int, num_columns: int, tau: float,
-                        blocks) -> None:
-    """Flat little-endian binary: magic, int64 M, int64 N+1, float64 tau, columns.
-
-    ``blocks`` yields consecutive runs of columns, each as a C-ordered
-    (columns, M) array, so every block is written from its own buffer.
-    """
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(_HEADER.pack(num_dofs, num_columns, tau))
-        for block in blocks:
-            fh.write(np.ascontiguousarray(block, dtype="<f8"))
+@contextmanager
+def snapshot_writer(path, num_dofs: int, num_columns: int, tau: float):
+    """Write a snapshot file (little-endian magic, int64 M, int64 N+1, float64
+    tau, columns) through the yielded appender of (M, columns) blocks. It is
+    renamed into place when the body completes; a body that raises leaves
+    ``path`` as it was, so a file being read may also be the one rewritten."""
+    partial = f"{path}.partial"
+    with open(partial, "wb") as fh:
+        try:
+            fh.write(_MAGIC + _HEADER.pack(num_dofs, num_columns, tau))
+            yield lambda block: fh.write(np.ascontiguousarray(block.T, dtype="<f8"))
+        except BaseException:
+            fh.close()
+            os.remove(partial)
+            raise
+    os.replace(partial, path)
 
 
 def save_snapshots(snapshots: SnapshotMatrix, path) -> None:
-    """Write the snapshot matrix in the binary format of write_snapshot_file."""
-    write_snapshot_file(path, snapshots.num_dofs, snapshots.num_columns,
-                        snapshots.tau, [snapshots.data.T])
+    """Write the snapshot matrix in the binary format of snapshot_writer."""
+    with snapshot_writer(path, snapshots.num_dofs, snapshots.num_columns,
+                         snapshots.tau) as append:
+        append(snapshots.data)
 
 
 def load_snapshots(path, problem: ProblemSpec) -> SnapshotMatrix:
     """Read a whole snapshot file, checked as by read_snapshot_blocks."""
     tau, [data] = read_snapshot_blocks(path, problem, problem.num_steps + 1)
     return SnapshotMatrix(data, tau)
+
+
+def read_snapshot_column(path, problem: ProblemSpec, index: int) -> np.ndarray:
+    """Column ``index`` of a snapshot file that matches ``problem``."""
+    offset = len(_MAGIC) + _HEADER.size + 8 * problem.num_dofs * index
+    return np.fromfile(path, dtype="<f8", count=problem.num_dofs, offset=offset)
 
 
 def read_snapshot_blocks(path, problem: ProblemSpec, columns: int):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
-from seampde.hifi import SnapshotMatrix, write_snapshot_file
+from seampde.hifi import SnapshotMatrix, snapshot_writer
 from seampde.pod import GramSpectrum, eig_descending, gram, pod_basis
 
 
@@ -70,11 +70,7 @@ class SeamSolution:
         return self.alphas[segment, offset] * self.models[segment].basis
 
     def blocks(self):
-        """Each segment's dofs x (n+1) block beta alpha_k', in column order.
-
-        The blocks are Fortran-ordered, so ``block.T`` is already laid out
-        like the columns of a snapshot file.
-        """
+        """Each segment's Fortran-ordered dofs x (n+1) block beta alpha_k'."""
         return (np.outer(alpha, model.basis).T
                 for model, alpha in zip(self.models, self.alphas))
 
@@ -133,8 +129,10 @@ def run_parallel_seam(snapshots: SnapshotMatrix, mass: sparse.csr_matrix,
 
 def save_seam(solution: SeamSolution, path) -> None:
     """Reconstructed columns in the snapshot binary format, one segment at a time."""
-    write_snapshot_file(path, solution.num_dofs, solution.num_columns,
-                        solution.tau, (block.T for block in solution.blocks()))
+    with snapshot_writer(path, solution.num_dofs, solution.num_columns,
+                         solution.tau) as append:
+        for block in solution.blocks():
+            append(block)
 
 
 def export_segment_metadata(solution: SeamSolution, path) -> None:

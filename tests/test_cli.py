@@ -8,9 +8,17 @@ import numpy as np
 import pytest
 
 from seampde import cli, hifi, pod
+from seampde.analysis import column_error_norms
 from seampde.cli import RunConfig, execute, main, resolve_problem
-from seampde.hifi import SnapshotMatrix, discretize, load_snapshots, save_snapshots
-from seampde.seam import SeamSolution
+from seampde.errors import DegenerateSnapshotError, EvaluationError, SolverFailure
+from seampde.hifi import (
+    SnapshotMatrix,
+    discretize,
+    load_snapshots,
+    run_hifi,
+    save_snapshots,
+)
+from seampde.seam import SeamSolution, export_segment_metadata, run_parallel_seam, save_seam
 
 
 def run_cli(*argv):
@@ -104,12 +112,22 @@ MINI = {
     pytest.param({**MINI, "segment_steps": 10.5}, [], id="config-n-fractional"),
     pytest.param({**MINI, "segment_count": 1.5}, [], id="config-segments-fractional"),
     pytest.param({**MINI, "m": "6"}, [], id="config-m-string"),
+    pytest.param({**MINI, "c": 1}, [], id="config-c-number"),
+    pytest.param({**MINI, "c": 0}, [], id="config-c-zero"),
+    pytest.param({**MINI, "u0": None}, [], id="config-u0-null"),
+    pytest.param({**MINI, "tau": True}, [], id="config-tau-bool"),
+    pytest.param({**MINI, "tau": "1e-3"}, [], id="config-tau-string"),
+    pytest.param({**MINI, "T": "0.01"}, [], id="config-T-string"),
+    pytest.param({**MINI, "alpha": "2"}, [], id="config-alpha-string"),
+    pytest.param({**MINI, "alpha": [2]}, [], id="config-alpha-number"),
+    pytest.param({"scenario": "heat1d", "tau": True}, [], id="scenario-tau-bool"),
+    pytest.param({"scenario": "heat1d", "T": "0.1"}, [], id="scenario-T-string"),
 ])
 def test_bad_override_exits_2(tmp_path, monkeypatch, config, flags):
     def no_hifi(*args, **kwargs):
         raise AssertionError("hifi ran on a rejected problem")
 
-    monkeypatch.setattr(cli, "run_hifi", no_hifi)
+    monkeypatch.setattr(cli, "step_blocks", no_hifi)
     if config is None:
         problem = ["--scenario", "heat1d"]
     else:
@@ -663,3 +681,144 @@ def test_summary_prints_one_line(tmp_path, capsys):
     line = capsys.readouterr().out.strip()
     assert "mini [parallel-seam]" in line
     assert "dofs 4:1" in line
+
+
+STREAMED = {
+    "name": "streamed", "dimension": 2, "alpha": ["1", "1+x"], "c": "1",
+    "f": "x", "u0": "sin(pi*x)*sin(pi*y)*(1+y)", "tau": 0.025, "m": 7,
+    "segment_steps": 12, "segment_count": 3,
+}
+
+
+def whole_matrix_artifacts(problem, out):
+    """The artifacts of a parallel-seam run, made in process from the whole
+    snapshot matrix."""
+    disc = discretize(problem)
+    snapshots = run_hifi(problem, disc)
+    solution = run_parallel_seam(snapshots, disc.mass, disc.stiffness, disc.load,
+                                 segment_steps=problem.segment_steps)
+    out.mkdir()
+    save_snapshots(snapshots, out / "snapshots.bin")
+    save_seam(solution, out / "seam.bin")
+    export_segment_metadata(solution, out / "segments.csv")
+    cli._write_error_csv(out / "error.csv", problem.tau,
+                         *column_error_norms(snapshots, solution, disc.mass))
+
+
+@pytest.mark.parametrize("f", ["x", "x*(1+10*t)"])
+def test_streamed_run_equals_the_whole_matrix_oracle(tmp_path, f):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**STREAMED, "f": f}))
+    out = tmp_path / "cli"
+    assert run_cli("--config", str(path), "--mode", "parallel-seam",
+                   "--out", str(out)) == 0
+    oracle = tmp_path / "oracle"
+    whole_matrix_artifacts(config_problem(path), oracle)
+    for name in ("snapshots.bin", "seam.bin", "error.csv", "segments.csv"):
+        assert (out / name).read_bytes() == (oracle / name).read_bytes(), name
+
+    stored = tmp_path / "stored"
+    assert run_cli("--config", str(path), "--mode", "parallel-seam",
+                   "--snapshots", str(out / "snapshots.bin"),
+                   "--out", str(stored)) == 0
+    slices = sorted(p.name for p in out.glob("slices_t*.csv"))
+    assert len(slices) == 3  # t = 0.25, 0.5 and 0.75 of T = 0.95
+    for name in ["seam.bin", "error.csv", "segments.csv", *slices]:
+        assert (stored / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_streamed_parallel_seam_holds_one_segment_block(tmp_path):
+    cfg = {
+        "name": "long1d", "dimension": 1, "alpha": ["1"], "c": "0", "f": "1",
+        "u0": "sin(pi*x)", "tau": 1e-5, "m": 100, "segment_steps": 99,
+        "segment_count": 40,
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(cfg))
+    problem = config_problem(path)
+    matrix_bytes = 8 * problem.num_dofs * (problem.num_steps + 1)  # 3.17 MB
+    tracemalloc.start()
+    try:
+        execute(RunConfig(config_path=str(path), out=str(tmp_path / "out")))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert os.path.getsize(tmp_path / "out" / "snapshots.bin") > matrix_bytes
+    assert peak < matrix_bytes / 2  # the whole snapshot matrix alone exceeds it
+
+
+def test_solver_failure_mid_stream_leaves_no_snapshot_files(tmp_path, monkeypatch):
+    solve = hifi.cg_solve
+    calls = []
+
+    def fail_in_second_segment(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > STREAMED["segment_steps"] + 1:
+            raise SolverFailure("conjugate gradients did not converge", 1.0)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(hifi, "cg_solve", fail_in_second_segment)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(STREAMED))
+    out = tmp_path / "out"
+    assert run_cli("--config", str(path), "--mode", "parallel-seam",
+                   "--out", str(out)) == 3
+    for name in ("snapshots.bin", "seam.bin", "summary.json"):
+        assert not (out / name).exists(), name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("source,error", [
+    ("load-overflows-in-segment-3", EvaluationError),
+    ("stored-nan-in-segment-2", ValueError),
+    ("all-zero-first-block", DegenerateSnapshotError),
+])
+def test_failure_mid_stream_removes_snapshot_files_before_it_propagates(
+        tmp_path, source, error):
+    path = tmp_path / "p.json"
+    stored = None
+    if source == "stored-nan-in-segment-2":
+        path.write_text(json.dumps(STREAMED))
+        assert run_cli("--config", str(path), "--mode", "hifi",
+                       "--out", str(tmp_path / "hifi")) == 0
+        data = load_snapshots(tmp_path / "hifi" / "snapshots.bin",
+                              config_problem(path)).data.copy()
+        data[3, 20] = np.nan
+        stored = str(tmp_path / "poisoned.bin")
+        save_snapshots(SnapshotMatrix(data, STREAMED["tau"]), stored)
+    elif source == "all-zero-first-block":  # the reduction fails, not the source
+        path.write_text(json.dumps({**STREAMED, "u0": "0", "f": "0"}))
+    else:  # zero to round-off up to t = 0.8, infinite from the next step on
+        path.write_text(json.dumps({**STREAMED, "f": "exp(1000000*x*(t-0.8))"}))
+    out = tmp_path / "out"
+    with pytest.raises(error) as raised:
+        execute(RunConfig(config_path=str(path), out=str(out), snapshots_path=stored))
+    # ``raised`` keeps the traceback, and with it the run's frames, alive
+    for name in ("snapshots.bin", "seam.bin", "summary.json"):
+        assert not (out / name).exists(), name
+    assert raised.traceback
+
+
+def test_a_failed_streamed_run_leaves_earlier_snapshot_files_in_place(
+        tmp_path, monkeypatch):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(STREAMED))
+    out = tmp_path / "out"
+    assert run_cli("--config", str(path), "--mode", "parallel-seam",
+                   "--out", str(out)) == 0
+    earlier = {name: (out / name).read_bytes() for name in ("snapshots.bin", "seam.bin")}
+    # a run may read the seam.bin it rewrites
+    assert run_cli("--config", str(path), "--mode", "parallel-seam", "--out", str(out),
+                   "--snapshots", str(out / "seam.bin")) == 0
+    assert (out / "snapshots.bin").read_bytes() == earlier["snapshots.bin"]
+
+    def no_convergence(*args, **kwargs):
+        raise SolverFailure("conjugate gradients did not converge", 1.0)
+
+    monkeypatch.setattr(hifi, "cg_solve", no_convergence)
+    seam_bin = (out / "seam.bin").read_bytes()
+    assert run_cli("--config", str(path), "--mode", "parallel-seam",
+                   "--out", str(out)) == 3
+    assert (out / "snapshots.bin").read_bytes() == earlier["snapshots.bin"]
+    assert (out / "seam.bin").read_bytes() == seam_bin
+    assert sorted(p.name for p in out.iterdir() if p.suffix == ".partial") == []

@@ -248,5 +248,33 @@ def test_config_explicit_and_file(tmp_path):
         problem_from_config({"dimension": 1})
 
 
+def test_config_explicit_without_T_derives_it():
+    cfg = {
+        "name": "tiny", "dimension": 2, "alpha": ["1", "1"], "c": "0",
+        "f": "0", "u0": "x*y", "tau": 0.01, "m": 4,
+        "segment_steps": 9, "segment_count": 1,
+    }
+    spec = problem_from_config(cfg)
+    assert spec.T == pytest.approx(0.09)
+    assert problem_from_config({**cfg, "T": 0.09}) == spec
+
+
+@pytest.mark.parametrize("key,value", [
+    ("c", 1), ("f", 0), ("u0", None), ("alpha", "2"), ("alpha", [2]),
+    ("tau", True), ("tau", "1e-3"), ("T", "0.09"), ("T", False),
+])
+def test_config_value_of_the_wrong_type_names_its_key(key, value):
+    cfg = {
+        "name": "tiny", "dimension": 1, "alpha": ["1"], "c": "0", "f": "0",
+        "u0": "x", "tau": 0.01, "T": 0.09, "m": 4, "segment_steps": 9,
+        "segment_count": 1,
+    }
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        problem_from_config({**cfg, key: value})
+    if key in ("tau", "T"):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            problem_from_config({"scenario": "heat1d", key: value})
+
+
 def test_scenario_names_exported():
     assert set(fields.SCENARIO_NAMES) == {"heat1d", "s1", "s2", "s3", "heat3d"}

@@ -21,6 +21,7 @@ from seampde.hifi import (
     run_hifi,
     save_snapshots,
     SnapshotMatrix,
+    step_blocks,
 )
 
 from oracles import backward_euler_step, heat_operators, stored_run_problem
@@ -185,6 +186,21 @@ def test_residuals_at_random_steps():
             rhs = mass @ snaps.column(n - 1) + problem.tau * load
             res = system @ snaps.column(n) - rhs
             assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs), (f, n)
+
+
+@pytest.mark.parametrize("f", ["x", "x*t"])
+@pytest.mark.parametrize("columns", [1, 7, 41, 100])
+def test_step_blocks_are_fresh_slices_of_the_whole_run(f, columns):
+    problem = small_problem(m=12, steps=40, f=f)  # 41 columns
+    disc = discretize(problem)
+    whole = run_hifi(problem, disc).data
+    blocks = list(step_blocks(problem, disc, columns))
+    assert [b.shape[1] for b in blocks] == [
+        min(columns, 41 - start) for start in range(0, 41, columns)]
+    for k, block in enumerate(blocks):
+        assert block.flags.f_contiguous and block.base is None
+        assert not any(np.shares_memory(block, other) for other in blocks[:k])
+    np.testing.assert_array_equal(np.hstack(blocks), whole)
 
 
 def start_residuals(monkeypatch, problem):
