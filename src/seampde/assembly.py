@@ -1,4 +1,4 @@
-"""Linear finite-element assembly over interior nodes.
+"""Linear finite-element assembly over interior nodes of a Kuhn grid.
 
 Mass entries use the closed-form simplex integrals for products of
 linear nodal basis functions, so the mass matrix is exact. Variable
@@ -6,175 +6,162 @@ coefficients (diagonal diffusion, reaction, source) are frozen at each
 element centroid, a one-point rule that keeps symmetry and is exact for
 constant coefficients.
 
-Both operators are summed into one shared sparsity pattern: the
-interior-node CSR ``indptr`` and ``indices`` (int32), plus, for each of the
-(d+1)^2 local entries (i, j), an int32 map from element to nonzero slot.
-Each operator sums its per-element values into that pattern with
-``np.bincount``, so mass and stiffness share ``indptr`` and ``indices``
-and M + tau*S is a sum of data arrays. The pattern is built once per
-discretization from the element-node incidence matrix, without a key list
-over all element entries.
+Every mesh is the Kuhn split of a uniform grid (mesh.kuhn_paths), so its
+cells come in d! congruent types, one per reference simplex of the unit
+cell. One batched det/inv of those d! small matrices gives every volume
+and basis gradient, and coefficients are evaluated at each type's m^d
+centroids. Local entry (i, j) of a type couples every interior node to
+the one a fixed step away, so it lands on one diagonal of the lexicographic
+interior-node matrix: the operators are ``scipy.sparse.dia_matrix`` with
+2^(d+1) - 1 diagonals (m >= 3), and each entry is a slice-add of the box of
+cells whose two vertices are interior. Mass and stiffness have the same
+ascending offsets, so M + tau*S is a sum of data arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 import scipy.sparse as sparse
 
 from seampde.errors import EvaluationError
-from seampde.mesh import Mesh
+from seampde.mesh import Mesh, kuhn_paths
 
 
-def element_geometry(mesh: Mesh):
-    """Volumes (nc,), basis gradients (nc, d+1, d), centroids (nc, d)."""
-    p = mesh.vertices[mesh.cells]
-    centroids = p.mean(axis=1)
-    edges = p[:, 1:, :] - p[:, :1, :]
-    del p  # the largest temporary; freed before the inverses are formed
+def _reference_simplices(mesh: Mesh):
+    """Kuhn paths (d!, d+1, d), volumes (d!,) and barycentric gradients
+    (d!, d+1, d) of the simplex types of one grid cell."""
     d = mesh.dimension
-    volumes = np.linalg.det(edges) / (1, 1, 2, 6)[d]
-    inv = np.linalg.inv(edges)
-    del edges
-    grads = np.empty((len(mesh.cells), d + 1, d))
-    grads[:, 1:, :] = np.transpose(inv, (0, 2, 1))
-    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-    return volumes, grads, centroids
+    paths = kuhn_paths(d)
+    corners = paths / mesh.divisions
+    edges = corners[:, 1:] - corners[:, :1]
+    volumes = np.linalg.det(edges) / math.factorial(d)
+    grads = np.empty(paths.shape)
+    grads[:, 1:] = np.transpose(np.linalg.inv(edges), (0, 2, 1))
+    grads[:, 0] = -grads[:, 1:].sum(axis=1)
+    return paths, volumes, grads
 
 
-@dataclass(frozen=True)
-class SparsityPattern:
-    """Interior-node CSR pattern of a mesh, with each element entry's slot.
+def _at_centroids(mesh: Mesh, paths: np.ndarray, fields, message: str, **kwargs):
+    """Each field at the centroids of each simplex type's m^d cells, as
+    (m,)*d arrays indexed (z, y, x), [type][field]; EvaluationError with
+    ``message`` unless all are finite."""
+    d, m = mesh.dimension, mesh.divisions
+    values = []
+    for shift in paths.mean(axis=1):
+        coords = [((np.arange(m) + shift[a]) / m).reshape((m,) + (1,) * a)
+                  for a in range(d)]
+        values.append([np.broadcast_to(field(*coords, **kwargs), (m,) * d)
+                       for field in fields])
+    if not all(np.isfinite(v).all() for per_type in values for v in per_type):
+        raise EvaluationError(message)
+    return values
 
-    ``slots[i, j, e]`` is the nonzero that local entry (i, j) of element e
-    sums into, or ``nnz`` (a slot that is dropped) when either node lies on
-    the boundary.
+
+def _box(m: int, *corners):
+    """Slices of the cell array whose vertices at the given corner offsets
+    are all interior, and of the interior-node grid at the last corner."""
+    low = 1 - np.min(corners, axis=0)
+    high = m - np.max(corners, axis=0)  # exclusive
+    bounds = list(zip(low, high, corners[-1] - 1))[::-1]  # (z, y, x)
+    return (tuple(slice(lo, hi) for lo, hi, _ in bounds),
+            tuple(slice(lo + s, hi + s) for lo, hi, s in bounds))
+
+
+def _sum_into_diagonals(mesh: Mesh, paths: np.ndarray, local) -> sparse.dia_matrix:
+    """Sum per-cell (d+1)x(d+1) blocks into the interior-node diagonals.
+
+    ``local(p, i, j)`` returns local entry (i, j) of the simplices of type
+    p, one value per cell as an (m,)*d array. Entry (i, j) joins node
+    c + P_i to node c + P_j, the diagonal at offset
+    sum_a (P_j - P_i)_a (m-1)^a; scipy stores a diagonal by column, so it
+    is added at the column node's grid position. Every operator is built
+    here, so each is checked once for value symmetry to 1e-14 relative,
+    diagonal against mirrored diagonal; the result is treated as immutable.
     """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    slots: np.ndarray  # (d+1, d+1, nc) int32
-
-
-def sparsity_pattern(mesh: Mesh) -> SparsityPattern:
-    """Couple every two interior nodes that share an element.
-
-    The pattern is the Gram product of the element-node incidence matrix,
-    so no per-entry key list of all elements is formed; the slot map is
-    then found one local (i, j) pair at a time.
-    """
-    nodes = mesh.interior_index[mesh.cells]  # (nc, d+1), -1 on boundary
-    keep = nodes >= 0
+    d, m = mesh.dimension, mesh.divisions
+    shift = paths @ (m - 1) ** np.arange(d)  # flat node offset of each vertex
+    steps = shift[:, None, :] - shift[:, :, None]  # (p, i, j) -> P_j - P_i
+    offsets = np.unique(steps)
     n = mesh.num_interior
-    incidence = sparse.csr_matrix(
-        (np.ones(keep.sum(), dtype=bool), nodes[keep],
-         np.concatenate([[0], np.cumsum(keep.sum(axis=1))])),
-        shape=(len(nodes), n),
-    )
-    coupling = (incidence.T @ incidence).tocsr()
-    coupling.sort_indices()
-    keys = (np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(coupling.indptr))
-            + coupling.indices)
-    dim = mesh.dimension + 1
-    slots = np.empty((dim, dim, len(nodes)), dtype=np.int32)
-    for i in range(dim):
-        for j in range(dim):
-            ri, rj = nodes[:, i], nodes[:, j]
-            slot = np.searchsorted(keys, ri * n + rj)
-            slot[(ri < 0) | (rj < 0)] = len(keys)
-            slots[i, j] = slot
-    return SparsityPattern(coupling.indptr, coupling.indices, slots)
-
-
-def _sum_into(pattern: SparsityPattern, local) -> sparse.csr_matrix:
-    """Sum (d+1)x(d+1) per-element blocks into the shared pattern.
-
-    ``local(i, j)`` returns the per-element values for one block entry.
-    Every operator is built here, so each is checked once for value
-    symmetry to 1e-14 relative; the result is treated as immutable.
-    """
-    dim, _, cells = pattern.slots.shape
-    size = len(pattern.indices) + 1  # the last slot collects boundary entries
-    data = np.zeros(size)
-    for i in range(dim):
-        for j in range(dim):
-            data += np.bincount(pattern.slots[i, j],
-                                weights=np.broadcast_to(local(i, j), cells),
-                                minlength=size)
-    n = len(pattern.indptr) - 1
-    matrix = sparse.csr_matrix((data[:-1], pattern.indices, pattern.indptr),
-                               shape=(n, n))
-    if matrix.nnz:
-        scale = abs(matrix).max()
-        skew = abs(matrix - matrix.T).max()
+    data = np.zeros((len(offsets), n))
+    grid = data.reshape((len(offsets),) + (m - 1,) * d)
+    for p, path in enumerate(paths):
+        for i in range(d + 1):
+            for j in range(d + 1):
+                cells, nodes = _box(m, path[i], path[j])
+                k = np.searchsorted(offsets, steps[p, i, j])
+                grid[k][nodes] += local(p, i, j)[cells]
+    scale = max(data.max(), -data.min())  # no data-sized temporary
+    for offset in offsets[(offsets > 0) & (offsets < n)]:
+        upper = data[np.searchsorted(offsets, offset), offset:]
+        lower = data[np.searchsorted(offsets, -offset), :n - offset]
+        skew = np.abs(upper - lower).max(initial=0.0)
         if skew > 1e-14 * scale:
             raise ValueError(
                 f"matrix is not symmetric (relative skew {skew / scale:.2e})")
-    return matrix
+    return sparse.dia_matrix((data, offsets), shape=(n, n))
 
 
-def assemble_mass(mesh: Mesh, geometry, pattern: SparsityPattern) -> sparse.csr_matrix:
+def assemble_mass(mesh: Mesh) -> sparse.dia_matrix:
     """Exact mass matrix of the linear nodal basis on interior nodes.
 
     On a d-simplex T the basis-product integral is
     |T| * (1 + delta_ij) / ((d+1)(d+2)), with no quadrature error.
-    ``geometry`` is the mesh's element_geometry.
     """
-    volumes, _, _ = geometry
-    d = mesh.dimension
+    paths, volumes, _ = _reference_simplices(mesh)
+    d, m = mesh.dimension, mesh.divisions
     base = volumes / ((d + 1) * (d + 2))
-    return _sum_into(pattern, lambda i, j: base * (2 if i == j else 1))
+    return _sum_into_diagonals(
+        mesh, paths,
+        lambda p, i, j: np.broadcast_to(base[p] * (2 if i == j else 1), (m,) * d))
 
 
-def assemble_stiffness(mesh: Mesh, alpha_diag, c, geometry,
-                       pattern: SparsityPattern) -> sparse.csr_matrix:
+def assemble_stiffness(mesh: Mesh, alpha_diag, c) -> sparse.dia_matrix:
     """Stiffness of (alpha grad u, grad v) + (c u, v) with diagonal alpha.
 
     Coefficients are evaluated once per element at the centroid, where
     they must all be finite; the gradient term is otherwise exact for
     linear elements.
     """
-    if len(alpha_diag) != mesh.dimension:
-        raise ValueError(
-            f"need {mesh.dimension} diagonal diffusion entries, got {len(alpha_diag)}"
-        )
-    volumes, grads, centroids = geometry
-    alpha = np.empty((len(mesh.cells), mesh.dimension))
-    for axis, a in enumerate(alpha_diag):
-        alpha[:, axis] = a(*centroids.T)
-    c_vals = np.broadcast_to(c(*centroids.T), len(mesh.cells))
-    if not (np.isfinite(alpha).all() and np.isfinite(c_vals).all()):
-        raise EvaluationError(
-            "diffusion or reaction coefficient is not finite at every centroid")
     d = mesh.dimension
+    if len(alpha_diag) != d:
+        raise ValueError(
+            f"need {d} diagonal diffusion entries, got {len(alpha_diag)}"
+        )
+    paths, volumes, grads = _reference_simplices(mesh)
+    coeffs = _at_centroids(
+        mesh, paths, [*alpha_diag, c],
+        "diffusion or reaction coefficient is not finite at every centroid")
     mass_base = volumes / ((d + 1) * (d + 2))
 
-    def local(i, j):
-        diffusion = volumes * np.einsum("ta,ta->t", alpha * grads[:, i], grads[:, j])
-        return diffusion + c_vals * mass_base * (2 if i == j else 1)
+    def local(p, i, j):
+        # g_ia * g_ja is formed first, so entries (i, j) and (j, i) are equal
+        products = grads[p, i] * grads[p, j]
+        diffusion = sum(coeffs[p][a] * products[a] for a in range(d) if products[a])
+        return (volumes[p] * diffusion
+                + coeffs[p][d] * (mass_base[p] * (2 if i == j else 1)))
 
-    return _sum_into(pattern, local)
+    return _sum_into_diagonals(mesh, paths, local)
 
 
-def assemble_load(mesh: Mesh, f, t: float, geometry) -> np.ndarray:
+def assemble_load(mesh: Mesh, f, t: float) -> np.ndarray:
     """Read-only right-hand side F_k = sum_T f(centroid, t) * |T| / (d+1).
 
-    Only the volumes and centroids of ``geometry`` are read; f must be
-    finite at every centroid.
+    f must be finite at every centroid.
     """
-    volumes, _, centroids = geometry
-    f_vals = np.broadcast_to(f(*centroids.T, t=t), len(mesh.cells))
-    if not np.isfinite(f_vals).all():
-        raise EvaluationError(
-            f"source term is not finite at every centroid at t = {t!r}")
-    contrib = f_vals * volumes / (mesh.dimension + 1)
+    paths, volumes, _ = _reference_simplices(mesh)
+    d, m = mesh.dimension, mesh.divisions
+    f_vals = _at_centroids(mesh, paths, [f], "source term is not finite at "
+                           f"every centroid at t = {t!r}", t=t)
     values = np.zeros(mesh.num_interior)
-    nodes = mesh.interior_index[mesh.cells]
-    for i in range(mesh.dimension + 1):
-        ri = nodes[:, i]
-        keep = ri >= 0
-        np.add.at(values, ri[keep], contrib[keep])
+    grid = values.reshape((m - 1,) * d)
+    for path, volume, [f_p] in zip(paths, volumes, f_vals):
+        contrib = f_p * (volume / (d + 1))
+        for corner in path:
+            cells, nodes = _box(m, corner)
+            grid[nodes] += contrib[cells]
     values.setflags(write=False)
     return values
 

@@ -183,21 +183,24 @@ def _write_error_csv(path, tau: float, error_sq: np.ndarray,
 
 def _write_slices(outdir, disc: Discretization, problem: ProblemSpec, stored,
                   reduced: SeamSolution | None) -> None:
-    points = disc.mesh.interior_nodes()
+    """Write the slice files. Each row is what csv.writer writes for plain
+    floats (shortest round-trip repr, CRLF line end); the coordinate text
+    is formatted once per run, not once per file."""
+    points = [",".join(map(repr, p)) for p in disc.mesh.interior_nodes().tolist()]
     axes = list("xyz"[: disc.mesh.dimension])
     for t in SLICE_TIMES:
         index = round(t / problem.tau)
         if index > problem.num_steps or abs(index * problem.tau - t) > problem.tau / 2:
             continue
         header = axes + ["hifi"] + (["seam"] if reduced is not None else [])
-        columns = [points, read_snapshot_column(stored, problem, index)]
+        columns = [read_snapshot_column(stored, problem, index)]
         if reduced is not None:
             columns.append(reduced.column(index))
+        values = np.column_stack(columns).tolist()
         with open(outdir / f"slices_t{t}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            # plain Python floats, written as their shortest round-trip repr
-            writer.writerows(np.column_stack(columns).tolist())
+            csv.writer(fh).writerow(header)
+            fh.writelines(f"{p},{','.join(map(repr, v))}\r\n"
+                          for p, v in zip(points, values))
 
 
 def _write_json(path, payload: dict) -> None:

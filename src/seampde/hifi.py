@@ -23,9 +23,7 @@ from seampde.assembly import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
-    element_geometry,
     interpolate_initial,
-    sparsity_pattern,
 )
 from seampde.errors import SegmentationError, SolverFailure
 from seampde.fields import ProblemSpec
@@ -80,25 +78,25 @@ class SnapshotMatrix:
 class Discretization:
     """Mesh and assembled operators for one problem.
 
-    Mass and stiffness share one CSR pattern (``indptr`` and ``indices``),
-    so the system matrix is a sum of their data arrays.
+    Mass and stiffness are DIA matrices on the same ascending diagonal
+    offsets, so the system matrix is a sum of their data arrays.
     """
 
     mesh: Mesh
-    mass: sparse.csr_matrix
-    stiffness: sparse.csr_matrix
+    mass: sparse.dia_matrix
+    stiffness: sparse.dia_matrix
     load: np.ndarray
     initial: np.ndarray
 
     def __post_init__(self):
-        if not (np.shares_memory(self.mass.indices, self.stiffness.indices)
-                and np.shares_memory(self.mass.indptr, self.stiffness.indptr)):
-            raise ValueError("mass and stiffness must share one sparsity pattern")
+        if not (self.mass.shape == self.stiffness.shape
+                and np.array_equal(self.mass.offsets, self.stiffness.offsets)):
+            raise ValueError("mass and stiffness must share one set of diagonal offsets")
 
-    def system_matrix(self, tau: float) -> sparse.csr_matrix:
-        return sparse.csr_matrix(
-            (self.mass.data + tau * self.stiffness.data, self.mass.indices,
-             self.mass.indptr), shape=self.mass.shape)
+    def system_matrix(self, tau: float) -> sparse.dia_matrix:
+        return sparse.dia_matrix(
+            (self.mass.data + tau * self.stiffness.data, self.mass.offsets),
+            shape=self.mass.shape)
 
 
 _BUILDERS = {1: build_interval_mesh, 2: build_square_mesh, 3: build_cube_mesh}
@@ -107,18 +105,14 @@ _BUILDERS = {1: build_interval_mesh, 2: build_square_mesh, 3: build_cube_mesh}
 def discretize(problem: ProblemSpec) -> Discretization:
     """Assemble mesh, operators, load at t=0, and the initial vector.
 
-    One sparsity pattern serves both operators and one element-geometry
-    pass serves the three assemblers; neither is kept.
+    Both operators are summed straight into the Kuhn grid's diagonals.
     """
     mesh = _BUILDERS[problem.dimension](problem.divisions)
-    pattern = sparsity_pattern(mesh)
-    geometry = element_geometry(mesh)
     return Discretization(
         mesh=mesh,
-        mass=assemble_mass(mesh, geometry, pattern),
-        stiffness=assemble_stiffness(mesh, problem.alpha_diag, problem.c,
-                                     geometry, pattern),
-        load=assemble_load(mesh, problem.f, 0.0, geometry),
+        mass=assemble_mass(mesh),
+        stiffness=assemble_stiffness(mesh, problem.alpha_diag, problem.c),
+        load=assemble_load(mesh, problem.f, 0.0),
         initial=interpolate_initial(mesh, problem.u0),
     )
 
@@ -192,8 +186,7 @@ def step_blocks(problem: ProblemSpec, disc: Discretization, columns: int):
     Fortran-ordered (dofs, columns) blocks, the last one possibly narrower.
 
     tau*F is formed once, and again each step only when the source term
-    depends on t, from element volumes and centroids computed once for the
-    run; all built-in scenarios are autonomous. Each solution's A U is
+    depends on t; all built-in scenarios are autonomous. Each solution's A U is
     formed once, by the step that produced it, for the next two start
     guesses.
     """
@@ -201,9 +194,6 @@ def step_blocks(problem: ProblemSpec, disc: Discretization, columns: int):
     mass = disc.mass
     system = disc.system_matrix(problem.tau)
     time_dependent = problem.f.depends_on("t")
-    if time_dependent:
-        volumes, _, centroids = element_geometry(disc.mesh)
-        geometry = (volumes, None, centroids)
     tau_f = problem.tau * disc.load
     u = disc.initial.copy()
     au = system @ u
@@ -214,7 +204,7 @@ def step_blocks(problem: ProblemSpec, disc: Discretization, columns: int):
         if n > 0:
             if time_dependent:
                 tau_f = problem.tau * assemble_load(disc.mesh, problem.f,
-                                                    n * problem.tau, geometry)
+                                                    n * problem.tau)
             rhs = mass @ u + tau_f
             start = galerkin_start(rhs, u, au, u_prev, au_prev)
             u_prev, au_prev = u, au

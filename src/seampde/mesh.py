@@ -25,6 +25,8 @@ class Mesh:
     ----------
     dimension : int
         Spatial dimension, 1, 2 or 3.
+    divisions : int
+        Grid cells per axis, m.
     vertices : (nv, d) float array
         Vertex coordinates.
     cells : (nc, d+1) int array
@@ -35,6 +37,7 @@ class Mesh:
     """
 
     dimension: int
+    divisions: int
     vertices: np.ndarray
     cells: np.ndarray
     interior_index: np.ndarray
@@ -50,28 +53,36 @@ class Mesh:
         return self.vertices[self.interior_index >= 0]
 
 
+def kuhn_paths(d: int) -> np.ndarray:
+    """The Kuhn split's d! simplices of the unit cube as 0/1 corner offsets
+    (d!, d+1, d). Simplex p steps from the low to the high corner along the
+    axes in the order of the p-th ``itertools.permutations``; odd
+    permutations get vertices 1 and 2 swapped to keep the orientation
+    positive."""
+    perms = list(itertools.permutations(range(d)))
+    paths = np.empty((len(perms), d + 1, d), dtype=np.int64)
+    for path, perm in zip(paths, perms):
+        path[:, perm] = np.tri(d + 1, d, -1, dtype=np.int64)
+        if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2:
+            path[[1, 2]] = path[[2, 1]]
+    return paths
+
+
 def _kuhn_mesh(d: int, m: int) -> Mesh:
     """Kuhn-split mesh of (0,1)^d with m divisions per axis.
 
-    Cells come cube by cube (low corners x fastest), one axis permutation
-    at a time in ``itertools.permutations`` order; odd permutations get
-    vertices 1 and 2 swapped to keep the orientation positive.
+    Cells come cube by cube (low corners x fastest), one kuhn_paths simplex
+    at a time.
     """
     if m < 2:
         raise ValueError(f"need at least 2 divisions per axis for an interior node, got m={m}")
     grid = np.indices((m + 1,) * d).reshape(d, -1)[::-1].T.copy()  # x fastest
     steps = (m + 1) ** np.arange(d, dtype=np.int64)  # vertex-id stride per axis
-    paths = []
-    for perm in itertools.permutations(range(d)):
-        path = np.cumsum([0, *steps[list(perm)]])
-        if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2:
-            path[[1, 2]] = path[[2, 1]]
-        paths.append(path)
     low = np.flatnonzero((grid < m).all(axis=1))
-    cells = (low[:, None, None] + np.array(paths)).reshape(-1, d + 1)
+    cells = (low[:, None, None] + kuhn_paths(d) @ steps).reshape(-1, d + 1)
     interior = np.full(len(grid), -1, dtype=np.int64)
     interior[((grid > 0) & (grid < m)).all(axis=1)] = np.arange((m - 1) ** d)
-    return Mesh(d, grid / m, cells, interior)
+    return Mesh(d, m, grid / m, cells, interior)
 
 
 def build_interval_mesh(m: int) -> Mesh:

@@ -82,8 +82,8 @@ class SeamSolution:
         return data
 
 
-def seam_offline(segment_data: np.ndarray, mass: sparse.csr_matrix,
-                 stiffness: sparse.csr_matrix, load: np.ndarray,
+def seam_offline(segment_data: np.ndarray, mass: sparse.dia_matrix,
+                 stiffness: sparse.dia_matrix, load: np.ndarray,
                  tau: float) -> SeamModel:
     """Extract the rank-1 basis of a snapshot block and reduce the operators."""
     segment_data = np.asarray(segment_data, dtype=float)
@@ -110,8 +110,8 @@ def seam_online(model: SeamModel, steps: int) -> np.ndarray:
     return np.array(alphas, dtype=float)
 
 
-def run_parallel_seam(snapshots: SnapshotMatrix, mass: sparse.csr_matrix,
-                      stiffness: sparse.csr_matrix, load,
+def run_parallel_seam(snapshots: SnapshotMatrix, mass: sparse.dia_matrix,
+                      stiffness: sparse.dia_matrix, load,
                       segment_steps: int) -> SeamSolution:
     """Reduce every segment of a snapshot matrix independently, then replay.
 

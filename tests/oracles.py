@@ -5,7 +5,9 @@ step with its own system matrix (and the 1-D heat operators it is checked
 on), the rank-one projection residual of the POD optimality identity, and
 a printer that turns an expression tree back into text the parser accepts,
 and the reduced recurrence on NumPy scalars that seam_online must match
-bit for bit.
+bit for bit. Per-cell element geometry, an assembly by COO triplets and a
+centroid-rule load vector, all cell by cell from the mesh's vertex list,
+check the structured assembly.
 It also builds the 1-D problem that matches a stored snapshot file of any
 shape, since both snapshot readers check a file against a problem.
 """
@@ -13,12 +15,7 @@ shape, since both snapshot readers check a file against a problem.
 import numpy as np
 import scipy.sparse as sparse
 
-from seampde.assembly import (
-    assemble_mass,
-    assemble_stiffness,
-    element_geometry,
-    sparsity_pattern,
-)
+from seampde.assembly import assemble_mass, assemble_stiffness
 from seampde.fields import Call, Const, Neg, ProblemSpec, Var, parse_expression as expr
 from seampde.hifi import cg_solve
 from seampde.mesh import build_interval_mesh
@@ -64,9 +61,74 @@ def seam_online_loop(model, steps: int) -> np.ndarray:
 def heat_operators(m):
     """Mass and stiffness (alpha = 1, c = 0) on the interval mesh with m cells."""
     mesh = build_interval_mesh(m)
-    geometry, pattern = element_geometry(mesh), sparsity_pattern(mesh)
-    return (assemble_mass(mesh, geometry, pattern),
-            assemble_stiffness(mesh, [expr("1")], expr("0"), geometry, pattern))
+    return assemble_mass(mesh), assemble_stiffness(mesh, [expr("1")], expr("0"))
+
+
+def element_geometry(mesh):
+    """Volumes (nc,), basis gradients (nc, d+1, d), centroids (nc, d) of
+    every cell, from its vertex coordinates."""
+    p = mesh.vertices[mesh.cells]
+    centroids = p.mean(axis=1)
+    edges = p[:, 1:, :] - p[:, :1, :]
+    d = mesh.dimension
+    volumes = np.linalg.det(edges) / (1, 1, 2, 6)[d]
+    grads = np.empty((len(mesh.cells), d + 1, d))
+    grads[:, 1:, :] = np.transpose(np.linalg.inv(edges), (0, 2, 1))
+    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
+    return volumes, grads, centroids
+
+
+def coo_scatter(mesh, local) -> sparse.csr_matrix:
+    """Reference assembly: every element entry as a COO triplet.
+
+    ``local(i, j)`` returns local entry (i, j) of every cell (or one value
+    for all). Duplicate (row, col) pairs are summed by scipy's COO->CSR
+    conversion.
+    """
+    nodes = mesh.interior_index[mesh.cells]
+    dim = mesh.dimension + 1
+    rows, cols, vals = [], [], []
+    for i in range(dim):
+        for j in range(dim):
+            ri, rj = nodes[:, i], nodes[:, j]
+            keep = (ri >= 0) & (rj >= 0)
+            rows.append(ri[keep])
+            cols.append(rj[keep])
+            vals.append(np.broadcast_to(local(i, j), len(keep))[keep])
+    m = mesh.num_interior
+    coo = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(m, m),
+    )
+    return coo.tocsr()
+
+
+def coo_operators(mesh, alpha_diag, c):
+    """Mass and stiffness through coo_scatter on element_geometry, with the
+    coefficients at each cell's vertex-mean centroid."""
+    volumes, grads, centroids = element_geometry(mesh)
+    d = mesh.dimension
+    base = volumes / ((d + 1) * (d + 2))
+    alpha = np.stack([np.broadcast_to(a(*centroids.T), len(volumes))
+                      for a in alpha_diag], axis=1)
+    c_vals = c(*centroids.T)
+    mass = coo_scatter(mesh, lambda i, j: base * (2 if i == j else 1))
+    stiffness = coo_scatter(mesh, lambda i, j: (
+        volumes * np.einsum("ta,ta->t", alpha * grads[:, i], grads[:, j])
+        + c_vals * base * (2 if i == j else 1)))
+    return mass, stiffness
+
+
+def centroid_load(mesh, f, t: float) -> np.ndarray:
+    """F_k = sum_T f(centroid, t) |T| / (d+1), cell by cell."""
+    volumes, _, centroids = element_geometry(mesh)
+    contrib = np.broadcast_to(f(*centroids.T, t=t), len(volumes)) * volumes
+    values = np.zeros(mesh.num_interior)
+    nodes = mesh.interior_index[mesh.cells]
+    for i in range(mesh.dimension + 1):
+        keep = nodes[:, i] >= 0
+        np.add.at(values, nodes[keep, i], contrib[keep] / (mesh.dimension + 1))
+    return values
 
 
 def projection_residual(segment_data: np.ndarray, beta: np.ndarray) -> float:

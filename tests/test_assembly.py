@@ -10,34 +10,26 @@ from seampde.assembly import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
-    element_geometry,
     interpolate_initial,
-    sparsity_pattern,
 )
 from seampde.fields import parse_expression as expr, scenario
 from seampde.hifi import discretize
 from seampde.mesh import build_cube_mesh, build_interval_mesh, build_square_mesh
 
+from oracles import centroid_load, coo_operators
+
 ONE = expr("1")
 ZERO = expr("0")
-
-
-def mass_of(mesh):
-    return assemble_mass(mesh, element_geometry(mesh), sparsity_pattern(mesh))
-
-
-def stiffness_of(mesh, alpha_diag, c):
-    return assemble_stiffness(mesh, alpha_diag, c, element_geometry(mesh),
-                              sparsity_pattern(mesh))
+BUILDERS = (build_interval_mesh, build_square_mesh, build_cube_mesh)
 
 
 def load_of(mesh, f, t=0.0):
-    return assemble_load(mesh, f, t, element_geometry(mesh))
+    return assemble_load(mesh, f, t)
 
 
 def test_mass_1d_closed_form():
     mesh = build_interval_mesh(4)
-    M = mass_of(mesh).toarray()
+    M = assemble_mass(mesh).toarray()
     h = 0.25
     np.testing.assert_allclose(np.diag(M), 2 * h / 3)
     np.testing.assert_allclose(np.diag(M, 1), h / 6)
@@ -48,49 +40,49 @@ def test_mass_1d_closed_form():
 @pytest.mark.parametrize("mesh", [build_interval_mesh(5), build_square_mesh(3),
                                   build_cube_mesh(2)])
 def test_mass_partition_of_unity_bound(mesh):
-    M = mass_of(mesh)
+    M = assemble_mass(mesh)
     total = M.sum()
     assert 0 < total < 1.0  # boundary basis mass is missing from interior rows
 
 
 def test_mass_exactly_symmetric():
-    M = mass_of(build_square_mesh(4))
+    M = assemble_mass(build_square_mesh(4))
     assert (M != M.T).nnz == 0
 
 
 def test_mass_row_sums_positive_and_1d_diagonally_dominant():
-    M1 = mass_of(build_interval_mesh(7)).toarray()
+    M1 = assemble_mass(build_interval_mesh(7)).toarray()
     assert np.all(M1.sum(axis=1) > 0)
     off = np.abs(M1).sum(axis=1) - np.abs(np.diag(M1))
     assert np.all(np.diag(M1) >= off)
-    M2 = mass_of(build_square_mesh(5)).toarray()
+    M2 = assemble_mass(build_square_mesh(5)).toarray()
     assert np.all(M2.sum(axis=1) > 0)
 
 
 def test_stiffness_1d_closed_form():
     mesh = build_interval_mesh(4)
-    S = stiffness_of(mesh, [ONE], ZERO).toarray()
+    S = assemble_stiffness(mesh, [ONE], ZERO).toarray()
     np.testing.assert_allclose(np.diag(S), 8.0)
     np.testing.assert_allclose(np.diag(S, 1), -4.0)
 
 
 def test_stiffness_reaction_only_equals_mass():
     mesh = build_square_mesh(4)
-    S = stiffness_of(mesh, [ZERO, ZERO], ONE).toarray()
-    M = mass_of(mesh).toarray()
+    S = assemble_stiffness(mesh, [ZERO, ZERO], ONE).toarray()
+    M = assemble_mass(mesh).toarray()
     np.testing.assert_allclose(S, M, atol=1e-15)
 
 
 def test_stiffness_symmetric_positive_semidefinite():
     mesh = build_square_mesh(4)
-    S = stiffness_of(mesh, [ONE, ONE], ZERO).toarray()
+    S = assemble_stiffness(mesh, [ONE, ONE], ZERO).toarray()
     np.testing.assert_allclose(S, S.T, atol=0)
     assert np.linalg.eigvalsh(S).min() >= -1e-12
 
 
 def test_stiffness_positive_on_random_vectors():
     mesh = build_square_mesh(4)
-    S = stiffness_of(mesh, [ONE, ONE], ZERO)
+    S = assemble_stiffness(mesh, [ONE, ONE], ZERO)
     rng = np.random.default_rng(7)
     for _ in range(100):
         x = rng.standard_normal(S.shape[0])
@@ -99,20 +91,20 @@ def test_stiffness_positive_on_random_vectors():
 
 def test_stiffness_variable_alpha_symmetric():
     mesh = build_square_mesh(6)
-    S = stiffness_of(mesh, [expr("x^2"), expr("y^2")],
-                     expr("pi^2*(1-2*x^2*y^2)"))
+    S = assemble_stiffness(mesh, [expr("x^2"), expr("y^2")],
+                     expr("pi^2*(1-2*x^2*y^2)")).tocsr()
     assert abs(S - S.T).max() < 1e-14 * abs(S).max()
 
 
 def test_stiffness_wrong_alpha_count():
     with pytest.raises(ValueError, match="diagonal diffusion"):
-        stiffness_of(build_interval_mesh(4), [ONE, ONE], ZERO)
+        assemble_stiffness(build_interval_mesh(4), [ONE, ONE], ZERO)
 
 
 def test_refinement_keeps_invariants():
     for m in (3, 6):
         mesh = build_square_mesh(m)
-        S = stiffness_of(mesh, [ONE, ONE], ONE).toarray()
+        S = assemble_stiffness(mesh, [ONE, ONE], ONE).toarray()
         np.testing.assert_allclose(S, S.T, atol=0)
         assert np.linalg.eigvalsh(S).min() > 0  # c=1 makes it definite
 
@@ -133,16 +125,17 @@ def test_load_xy_square_m2_against_centroid_rule():
     mesh = build_square_mesh(2)
     F = load_of(mesh, expr("x*y"))
     assert F.shape == (1,)
-    expected = 0.0
-    for cell in mesh.cells:
-        if not np.any(mesh.interior_index[cell] >= 0):
-            continue
-        pts = mesh.vertices[cell]
-        e1, e2 = pts[1] - pts[0], pts[2] - pts[0]
-        area = abs(e1[0] * e2[1] - e1[1] * e2[0]) / 2
-        cx, cy = pts.mean(axis=0)
-        expected += cx * cy * area / 3
-    assert F[0] == pytest.approx(expected, rel=1e-14)
+    assert F[0] == pytest.approx(centroid_load(mesh, expr("x*y"), 0.0)[0], rel=1e-14)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("build", BUILDERS)
+def test_load_matches_cell_by_cell_centroid_rule(build, m):
+    mesh = build(m)
+    f = expr("1 + x*y*t - z^2 + sin(3*x)")
+    got = load_of(mesh, f, t=0.7)
+    want = centroid_load(mesh, f, 0.7)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_load_time_dependent():
@@ -174,9 +167,11 @@ def test_interpolate_3d_center_node_zero():
 
 def test_operator_validates_symmetry():
     # an element block with local entry (0, 1) but not (1, 0) is asymmetric
-    pattern = assembly.sparsity_pattern(build_square_mesh(4))
+    mesh = build_square_mesh(4)
+    paths = assembly.kuhn_paths(2)
     with pytest.raises(ValueError, match="not symmetric"):
-        assembly._sum_into(pattern, lambda i, j: 1.0 if (i, j) == (0, 1) else 0.0)
+        assembly._sum_into_diagonals(
+            mesh, paths, lambda p, i, j: np.full((4, 4), float((i, j) == (0, 1))))
 
 
 def test_load_vector_read_only():
@@ -185,72 +180,40 @@ def test_load_vector_read_only():
         F[0] = 3.0
 
 
-# --- the shared sparsity pattern against a COO scatter ---------------------
-
-
-def coo_scatter(mesh, local) -> sparse.csr_matrix:
-    """Reference assembly: every element entry as a COO triplet.
-
-    Duplicate (row, col) pairs are summed by scipy's COO->CSR conversion.
-    """
-    nodes = mesh.interior_index[mesh.cells]
-    dim = mesh.dimension + 1
-    rows, cols, vals = [], [], []
-    for i in range(dim):
-        for j in range(dim):
-            ri, rj = nodes[:, i], nodes[:, j]
-            keep = (ri >= 0) & (rj >= 0)
-            rows.append(ri[keep])
-            cols.append(rj[keep])
-            vals.append(np.broadcast_to(local(i, j), len(keep))[keep])
-    m = mesh.num_interior
-    coo = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, m),
-    )
-    return coo.tocsr()
-
-
-def assembled_both_ways(monkeypatch, mesh, assemble):
-    """``assemble()`` on the shared pattern, then again through coo_scatter."""
-    shared = assemble()
-    monkeypatch.setattr(
-        assembly, "_sum_into",
-        lambda pattern, local: coo_scatter(mesh, local))
-    return shared, assemble()
+# --- the shared diagonal pattern against a cell-by-cell COO scatter --------
 
 
 S3 = scenario("s3")
 CASES = [pytest.param(build(m), operator, id=f"d{d}m{m}-{operator}")
-         for d, build in enumerate(
-             (build_interval_mesh, build_square_mesh, build_cube_mesh), 1)
-         for m in (2, 3, 4, 5) for operator in ("mass", "stiffness")]
-CASES += [pytest.param(build_square_mesh(m), "s3", id=f"d2m{m}-s3")
-          for m in (2, 3, 4, 5)]
+         for d, build in enumerate(BUILDERS, 1)
+         for m in (2, 3, 4, 5) for operator in ("mass", "stiffness", "s3")
+         if operator != "s3" or d == 2]
 
 
 @pytest.mark.parametrize("mesh,operator", CASES)
-def test_shared_pattern_matches_coo_scatter(monkeypatch, mesh, operator):
-    def assemble():
-        if operator == "mass":
-            return mass_of(mesh)
-        if operator == "stiffness":
-            return stiffness_of(mesh, [ONE] * mesh.dimension, ONE)
-        return stiffness_of(mesh, S3.alpha_diag, S3.c)
-
-    shared, oracle = assembled_both_ways(monkeypatch, mesh, assemble)
-    np.testing.assert_array_equal(shared.indptr, oracle.indptr)
-    np.testing.assert_array_equal(shared.indices, oracle.indices)
+def test_shared_pattern_matches_coo_scatter(mesh, operator):
+    alpha_diag, c = ((S3.alpha_diag, S3.c) if operator == "s3"
+                     else ([ONE] * mesh.dimension, ONE))
+    mass, stiffness = coo_operators(mesh, alpha_diag, c)
+    oracle = mass if operator == "mass" else stiffness
+    got = (assemble_mass(mesh) if operator == "mass"
+           else assemble_stiffness(mesh, alpha_diag, c))
+    assert got.format == "dia"
     scale = np.abs(oracle.data).max()
-    assert np.abs(shared.data - oracle.data).max() <= 1e-14 * scale
+    assert np.abs(got.toarray() - oracle.toarray()).max() <= 1e-14 * scale
 
 
 def test_operators_share_one_pattern():
-    disc = discretize(replace(scenario("s3"), divisions=6))
-    mass, stiffness = disc.mass, disc.stiffness
-    assert mass.indices.dtype == np.int32 and mass.indptr.dtype == np.int32
-    assert np.shares_memory(mass.indices, stiffness.indices)
-    assert np.shares_memory(mass.indptr, stiffness.indptr)
+    # the pattern is the 2^(d+1) - 1 ascending diagonal offsets (m >= 3)
+    for build in BUILDERS:
+        for m in (3, 4, 7):
+            mesh = build(m)
+            d = mesh.dimension
+            offsets = assemble_mass(mesh).offsets
+            assert len(offsets) == 2 ** (d + 1) - 1
+            assert np.all(np.diff(offsets) > 0)
+            stiffness = assemble_stiffness(mesh, [ONE] * d, ONE)
+            np.testing.assert_array_equal(stiffness.offsets, offsets)
 
 
 @pytest.mark.parametrize("name", ["heat1d", "s1", "s3", "heat3d"])
@@ -264,12 +227,30 @@ def test_system_matrix_equals_sparse_sum(name):
 
 def test_discretization_rejects_separate_patterns():
     disc = discretize(replace(scenario("s1"), divisions=4))
-    with pytest.raises(ValueError, match="share one sparsity pattern"):
-        replace(disc, mass=mass_of(disc.mesh))
+    other = build_square_mesh(5)  # offsets 0, +-1, +-4, +-5 against +-3, +-4
+    with pytest.raises(ValueError, match="share one set of diagonal offsets"):
+        replace(disc, mass=assemble_mass(other))
+    cut = sparse.dia_matrix((disc.mass.data[1:], disc.mass.offsets[1:]),
+                            shape=disc.mass.shape)
+    with pytest.raises(ValueError, match="share one set of diagonal offsets"):
+        replace(disc, mass=cut)
+
+
+def test_dia_products_equal_csr_products_bit_for_bit():
+    problem = replace(scenario("heat3d"), divisions=8)
+    disc = discretize(problem)
+    rng = np.random.default_rng(3)
+    vector = rng.standard_normal(disc.mass.shape[0])
+    block = np.asfortranarray(rng.standard_normal((disc.mass.shape[0], 5)))
+    for operator in (disc.mass, disc.stiffness, disc.system_matrix(problem.tau)):
+        csr = operator.tocsr()
+        assert np.array_equal(operator @ vector, csr @ vector)
+        assert np.array_equal(operator @ block, csr @ block)
 
 
 def test_discretize_peak_memory_heat3d_m16():
-    # 23.0 MB through the COO scatter; about 9 MB on the shared pattern
+    # 23.0 MB through a COO scatter and 9.0 MB on a CSR pattern with per-cell
+    # geometry; 2.2 MB summed straight into the diagonals, held to 3 MB
     problem = replace(scenario("heat3d"), divisions=16)
     discretize(problem)  # warm any one-time imports and caches
     tracemalloc.start()
@@ -278,4 +259,4 @@ def test_discretize_peak_memory_heat3d_m16():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 12e6
+    assert peak <= 3e6

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-import seampde.assembly as assembly
 import seampde.hifi as hifi
-from seampde.assembly import assemble_load, element_geometry
+from seampde.assembly import assemble_load
 from seampde.errors import SolverFailure
 from seampde.fields import ProblemSpec, parse_expression as expr, scenario
 from seampde.hifi import (
@@ -24,7 +23,12 @@ from seampde.hifi import (
     step_blocks,
 )
 
-from oracles import backward_euler_step, heat_operators, stored_run_problem
+from oracles import (
+    backward_euler_step,
+    centroid_load,
+    heat_operators,
+    stored_run_problem,
+)
 
 
 def small_problem(name="tiny1d", m=8, tau=1e-3, steps=20, u0="sin(pi*x)", f="0",
@@ -180,9 +184,8 @@ def test_residuals_at_random_steps():
         snaps = run_hifi(problem, disc)
         system = disc.system_matrix(problem.tau)
         mass = disc.mass
-        geometry = element_geometry(disc.mesh)
         for n in rng.integers(1, snaps.num_columns, size=10):
-            load = assemble_load(disc.mesh, problem.f, n * problem.tau, geometry)
+            load = assemble_load(disc.mesh, problem.f, n * problem.tau)
             rhs = mass @ snaps.column(n - 1) + problem.tau * load
             res = system @ snaps.column(n) - rhs
             assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs), (f, n)
@@ -274,29 +277,16 @@ def test_determinism_bit_identical():
     assert np.array_equal(first.data, second.data)
 
 
-def test_time_dependent_run_computes_geometry_once(monkeypatch):
+def test_time_dependent_load_matches_the_cell_by_cell_oracle(monkeypatch):
     problem = small_problem(m=10, steps=30, f="x*t", u0="x*(1-x)",
                             dimension=2)
     disc = discretize(problem)
-    calls = []
-    geometry = hifi.element_geometry
-
-    def counting(mesh):
-        calls.append(mesh)
-        return geometry(mesh)
-
-    monkeypatch.setattr(hifi, "element_geometry", counting)
-    monkeypatch.setattr(assembly, "element_geometry", counting)
     once = run_hifi(problem, disc)
-    assert len(calls) == 1
-    monkeypatch.setattr(hifi, "element_geometry", geometry)
-    monkeypatch.setattr(assembly, "element_geometry", geometry)
-
-    # a rerun that assembles the load, geometry included, on every step
-    assemble = hifi.assemble_load
-    monkeypatch.setattr(hifi, "assemble_load",
-                        lambda mesh, f, t, _: assemble(mesh, f, t, geometry(mesh)))
-    assert np.array_equal(once.data, run_hifi(problem, disc).data)
+    # a rerun whose step load is summed cell by cell from per-cell geometry
+    monkeypatch.setattr(hifi, "assemble_load", centroid_load)
+    rerun = run_hifi(problem, disc)
+    scale = np.abs(once.data).max()
+    assert np.abs(once.data - rerun.data).max() <= 1e-13 * scale
 
 
 def test_time_dependent_source_differs_from_frozen():

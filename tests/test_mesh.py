@@ -4,8 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from seampde.assembly import element_geometry
 from seampde.mesh import build_cube_mesh, build_interval_mesh, build_square_mesh
+
+from oracles import element_geometry
 
 BUILDERS = {1: build_interval_mesh, 2: build_square_mesh, 3: build_cube_mesh}
 
