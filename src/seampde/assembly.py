@@ -13,9 +13,12 @@ and basis gradient, and coefficients are evaluated at each type's m^d
 centroids. Local entry (i, j) of a type couples every interior node to
 the one a fixed step away, so it lands on one diagonal of the lexicographic
 interior-node matrix: the operators are ``scipy.sparse.dia_matrix`` with
-2^(d+1) - 1 diagonals (m >= 3), and each entry is a slice-add of the box of
-cells whose two vertices are interior. Mass and stiffness have the same
-ascending offsets, so M + tau*S is a sum of data arrays.
+ascending offsets, and each entry is a slice-add of the box of cells whose
+two vertices are interior. An operator keeps only the diagonals that hold
+a non-zero entry: the mass matrix fills all 2^(d+1) - 1 (m >= 3), while a
+stiffness without reaction is the (2d+1)-point stencil for any diagonal
+alpha, because two basis gradients of a Kuhn simplex that share no axis
+contribute an exact zero.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ def _reference_simplices(mesh: Mesh):
     grads = np.empty(paths.shape)
     grads[:, 1:] = np.transpose(np.linalg.inv(edges), (0, 2, 1))
     grads[:, 0] = -grads[:, 1:].sum(axis=1)
+    # every entry is 0 or +-m; clear the round-off inv leaves on the zeros
+    grads[np.abs(grads) < mesh.divisions / 2] = 0.0
     return paths, volumes, grads
 
 
@@ -78,7 +83,8 @@ def _sum_into_diagonals(mesh: Mesh, paths: np.ndarray, local) -> sparse.dia_matr
     sum_a (P_j - P_i)_a (m-1)^a; scipy stores a diagonal by column, so it
     is added at the column node's grid position. Every operator is built
     here, so each is checked once for value symmetry to 1e-14 relative,
-    diagonal against mirrored diagonal; the result is treated as immutable.
+    diagonal against mirrored diagonal; diagonals that hold only zeros are
+    dropped, and the result is treated as immutable.
     """
     d, m = mesh.dimension, mesh.divisions
     shift = paths @ (m - 1) ** np.arange(d)  # flat node offset of each vertex
@@ -101,6 +107,9 @@ def _sum_into_diagonals(mesh: Mesh, paths: np.ndarray, local) -> sparse.dia_matr
         if skew > 1e-14 * scale:
             raise ValueError(
                 f"matrix is not symmetric (relative skew {skew / scale:.2e})")
+    keep = data.any(axis=1)
+    if not keep.all():
+        data, offsets = data[keep], offsets[keep]
     return sparse.dia_matrix((data, offsets), shape=(n, n))
 
 

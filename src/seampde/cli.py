@@ -27,6 +27,7 @@ import json
 import platform
 import sys
 import time
+from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -225,7 +226,8 @@ def _reduce(snapshots: SnapshotMatrix, disc: Discretization, segment_steps: int,
 def _stepped_blocks(problem: ProblemSpec, disc: Discretization, columns: int,
                     path, summary: RunSummary):
     """step_blocks, each block appended to the snapshot file at ``path`` as
-    it is made; hifi_seconds sums the time spent stepping."""
+    it is made and dropped here before the next one; hifi_seconds sums the
+    time spent stepping."""
     summary.hifi_seconds = 0.0
     with snapshot_writer(path, problem.num_dofs, problem.num_steps + 1,
                          problem.tau) as append:
@@ -234,13 +236,15 @@ def _stepped_blocks(problem: ProblemSpec, disc: Discretization, columns: int,
             summary.hifi_seconds += time.perf_counter() - start
             append(block)
             yield block
+            del block
             start = time.perf_counter()
 
 
 def _reduce_blocks(blocks, problem: ProblemSpec, disc: Discretization,
                    segment_steps: int, path, summary: RunSummary):
     """Reduce and score each block as it arrives and append its replay to
-    the snapshot file at ``path``; return the solution and error norms."""
+    the snapshot file at ``path``, dropping both before the next block is
+    made; return the solution and error norms."""
     parts, norms = [], []
     summary.offline_seconds = summary.online_seconds = 0.0
     with snapshot_writer(path, problem.num_dofs, problem.num_steps + 1,
@@ -251,6 +255,7 @@ def _reduce_blocks(blocks, problem: ProblemSpec, disc: Discretization,
             for reduced in parts[-1].blocks():
                 append(reduced)
                 norms.append(block_error_norms(block, reduced, disc.mass))
+            del block, reduced
     solution = SeamSolution(sum((part.models for part in parts), ()),
                             np.vstack([part.alphas for part in parts]), problem.tau,
                             summary.online_seconds)
@@ -287,8 +292,7 @@ def execute(config: RunConfig) -> RunSummary:
     outdir.mkdir(parents=True, exist_ok=True)  # not for a rejected snapshot file
     with closing(blocks):  # a snapshot file left half written is removed
         if config.mode == "hifi":
-            for _ in blocks:
-                pass
+            deque(blocks, maxlen=0)  # consume, holding no block
             _write_slices(outdir, disc, problem, stored, None)
         elif config.mode == "eigs":
             report = build_spectral_report(blocks, problem.tau, disc.mass,

@@ -59,9 +59,6 @@ class SnapshotMatrix:
     def num_columns(self) -> int:
         return self.data.shape[1]
 
-    def column(self, k: int) -> np.ndarray:
-        return self.data[:, k]
-
     def segments(self, segment_steps: int):
         """Views of the consecutive blocks of segment_steps+1 columns.
 
@@ -78,8 +75,10 @@ class SnapshotMatrix:
 class Discretization:
     """Mesh and assembled operators for one problem.
 
-    Mass and stiffness are DIA matrices on the same ascending diagonal
-    offsets, so the system matrix is a sum of their data arrays.
+    Mass and stiffness are DIA matrices on ascending diagonal offsets, and
+    every stiffness diagonal is one of the mass diagonals (a stiffness
+    without reaction keeps only its 2d+1 non-zero ones), so the system
+    matrix is M's data with tau*S added row by row.
     """
 
     mesh: Mesh
@@ -90,13 +89,15 @@ class Discretization:
 
     def __post_init__(self):
         if not (self.mass.shape == self.stiffness.shape
-                and np.array_equal(self.mass.offsets, self.stiffness.offsets)):
-            raise ValueError("mass and stiffness must share one set of diagonal offsets")
+                and np.isin(self.stiffness.offsets, self.mass.offsets).all()):
+            raise ValueError("every stiffness diagonal must be a mass diagonal")
 
     def system_matrix(self, tau: float) -> sparse.dia_matrix:
-        return sparse.dia_matrix(
-            (self.mass.data + tau * self.stiffness.data, self.mass.offsets),
-            shape=self.mass.shape)
+        data = self.mass.data.copy()
+        rows = np.searchsorted(self.mass.offsets, self.stiffness.offsets)
+        for row, values in zip(rows, self.stiffness.data):
+            data[row] += tau * values
+        return sparse.dia_matrix((data, self.mass.offsets), shape=self.mass.shape)
 
 
 _BUILDERS = {1: build_interval_mesh, 2: build_square_mesh, 3: build_cube_mesh}
@@ -184,6 +185,7 @@ def galerkin_start(rhs: np.ndarray, u1: np.ndarray, au1: np.ndarray,
 def step_blocks(problem: ProblemSpec, disc: Discretization, columns: int):
     """Step the full discretization; yield its N+1 solution columns as fresh
     Fortran-ordered (dofs, columns) blocks, the last one possibly narrower.
+    A block is dropped here before the next one is allocated.
 
     tau*F is formed once, and again each step only when the source term
     depends on t; all built-in scenarios are autonomous. Each solution's A U is
@@ -213,6 +215,7 @@ def step_blocks(problem: ProblemSpec, disc: Discretization, columns: int):
         block[:, n % columns] = u
         if n % columns == block.shape[1] - 1:
             yield block
+            del block
 
 
 def run_hifi(problem: ProblemSpec, disc: Discretization) -> SnapshotMatrix:
@@ -261,8 +264,8 @@ def read_snapshot_column(path, problem: ProblemSpec, index: int) -> np.ndarray:
 def read_snapshot_blocks(path, problem: ProblemSpec, columns: int):
     """Check the header (file size, and the problem's dofs, N+1 and tau);
     return tau and a generator of fresh (M, columns) blocks, the last one
-    possibly narrower. A short read raises ValueError; closing the
-    generator closes the file."""
+    possibly narrower, each dropped here before the next is read. A short
+    read raises ValueError; closing the generator closes the file."""
     blocks = _snapshot_blocks(path, problem, columns)
     return next(blocks), blocks
 
@@ -292,3 +295,4 @@ def _snapshot_blocks(path, problem, columns):
             if fh.readinto(block) != block.nbytes:
                 raise ValueError(f"{path}: snapshot file ends inside a block")
             yield block.T
+            del block

@@ -5,8 +5,9 @@ step with its own system matrix (and the 1-D heat operators it is checked
 on), the rank-one projection residual of the POD optimality identity, and
 a printer that turns an expression tree back into text the parser accepts,
 and the reduced recurrence on NumPy scalars that seam_online must match
-bit for bit. Per-cell element geometry, an assembly by COO triplets and a
-centroid-rule load vector, all cell by cell from the mesh's vertex list,
+bit for bit. The Kuhn grid's vertex, cell and interior-numbering arrays,
+built from mesh.kuhn_paths, feed per-cell element geometry, an assembly by
+COO triplets and a centroid-rule load vector, all cell by cell, which
 check the structured assembly.
 It also builds the 1-D problem that matches a stored snapshot file of any
 shape, since both snapshot readers check a file against a problem.
@@ -18,7 +19,7 @@ import scipy.sparse as sparse
 from seampde.assembly import assemble_mass, assemble_stiffness
 from seampde.fields import Call, Const, Neg, ProblemSpec, Var, parse_expression as expr
 from seampde.hifi import cg_solve
-from seampde.mesh import build_interval_mesh
+from seampde.mesh import build_interval_mesh, kuhn_paths
 
 
 def backward_euler_step(mass: sparse.csr_matrix, stiffness: sparse.csr_matrix,
@@ -64,15 +65,31 @@ def heat_operators(m):
     return assemble_mass(mesh), assemble_stiffness(mesh, [expr("1")], expr("0"))
 
 
+def kuhn_grid(mesh):
+    """Vertices (nv, d), cells (nc, d+1) and interior numbering (nv,) of the
+    mesh's Kuhn grid: vertices x fastest, cells cube by cube (low corners x
+    fastest) one kuhn_paths simplex at a time, and interior vertices
+    numbered 0..M-1 in vertex order (-1 on the boundary)."""
+    d, m = mesh.dimension, mesh.divisions
+    grid = np.indices((m + 1,) * d).reshape(d, -1)[::-1].T.copy()  # x fastest
+    steps = (m + 1) ** np.arange(d, dtype=np.int64)  # vertex-id stride per axis
+    low = np.flatnonzero((grid < m).all(axis=1))
+    cells = (low[:, None, None] + kuhn_paths(d) @ steps).reshape(-1, d + 1)
+    interior = np.full(len(grid), -1, dtype=np.int64)
+    interior[((grid > 0) & (grid < m)).all(axis=1)] = np.arange((m - 1) ** d)
+    return grid / m, cells, interior
+
+
 def element_geometry(mesh):
     """Volumes (nc,), basis gradients (nc, d+1, d), centroids (nc, d) of
     every cell, from its vertex coordinates."""
-    p = mesh.vertices[mesh.cells]
+    vertices, cells, _ = kuhn_grid(mesh)
+    p = vertices[cells]
     centroids = p.mean(axis=1)
     edges = p[:, 1:, :] - p[:, :1, :]
     d = mesh.dimension
     volumes = np.linalg.det(edges) / (1, 1, 2, 6)[d]
-    grads = np.empty((len(mesh.cells), d + 1, d))
+    grads = np.empty((len(cells), d + 1, d))
     grads[:, 1:, :] = np.transpose(np.linalg.inv(edges), (0, 2, 1))
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
     return volumes, grads, centroids
@@ -85,7 +102,8 @@ def coo_scatter(mesh, local) -> sparse.csr_matrix:
     for all). Duplicate (row, col) pairs are summed by scipy's COO->CSR
     conversion.
     """
-    nodes = mesh.interior_index[mesh.cells]
+    _, cells, interior = kuhn_grid(mesh)
+    nodes = interior[cells]
     dim = mesh.dimension + 1
     rows, cols, vals = [], [], []
     for i in range(dim):
@@ -124,7 +142,8 @@ def centroid_load(mesh, f, t: float) -> np.ndarray:
     volumes, _, centroids = element_geometry(mesh)
     contrib = np.broadcast_to(f(*centroids.T, t=t), len(volumes)) * volumes
     values = np.zeros(mesh.num_interior)
-    nodes = mesh.interior_index[mesh.cells]
+    _, cells, interior = kuhn_grid(mesh)
+    nodes = interior[cells]
     for i in range(mesh.dimension + 1):
         keep = nodes[:, i] >= 0
         np.add.at(values, nodes[keep, i], contrib[keep] / (mesh.dimension + 1))

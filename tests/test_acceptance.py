@@ -402,7 +402,7 @@ def test_criterion_7_perturbation_trend_and_tails():
         spectrum = eig_descending(gram(snapshots.data))
         with pytest.warns(UserWarning, match="grows"):
             lam_ref = reference_principal_eigenvalue(
-                snapshots.column(0), norm_a, tau, problem.segment_steps)
+                snapshots.data[:, 0], norm_a, tau, problem.segment_steps)
         record = perturbation_quantity(spectrum, lam_ref,
                                        problem.segment_steps, tau)
         quantities.append(record.quantity)

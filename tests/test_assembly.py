@@ -13,8 +13,8 @@ from seampde.assembly import (
     interpolate_initial,
 )
 from seampde.fields import parse_expression as expr, scenario
-from seampde.hifi import discretize
-from seampde.mesh import build_cube_mesh, build_interval_mesh, build_square_mesh
+from seampde.hifi import Discretization, discretize
+from seampde.mesh import build_cube_mesh, build_interval_mesh, build_square_mesh, kuhn_paths
 
 from oracles import centroid_load, coo_operators
 
@@ -161,7 +161,7 @@ def test_interpolate_3d_center_node_zero():
     mesh = build_cube_mesh(4)
     u0 = expr("sin(2*pi*x)*sin(2*pi*y)*sin(2*pi*z)")
     u = interpolate_initial(mesh, u0)
-    center = mesh.interior_index[np.all(mesh.vertices == 0.5, axis=1)][0]
+    [center] = np.flatnonzero(np.all(mesh.interior_nodes() == 0.5, axis=1))
     assert abs(u[center]) < 1e-15
 
 
@@ -203,8 +203,10 @@ def test_shared_pattern_matches_coo_scatter(mesh, operator):
     assert np.abs(got.toarray() - oracle.toarray()).max() <= 1e-14 * scale
 
 
-def test_operators_share_one_pattern():
-    # the pattern is the 2^(d+1) - 1 ascending diagonal offsets (m >= 3)
+def test_stiffness_stores_only_its_nonzero_diagonals():
+    # M fills the 2^(d+1) - 1 ascending diagonal offsets (m >= 3); without
+    # reaction, S is the (2d+1)-point stencil 0, +-(m-1)^a for any diagonal
+    # alpha, and with it S fills M's diagonals
     for build in BUILDERS:
         for m in (3, 4, 7):
             mesh = build(m)
@@ -212,8 +214,14 @@ def test_operators_share_one_pattern():
             offsets = assemble_mass(mesh).offsets
             assert len(offsets) == 2 ** (d + 1) - 1
             assert np.all(np.diff(offsets) > 0)
-            stiffness = assemble_stiffness(mesh, [ONE] * d, ONE)
-            np.testing.assert_array_equal(stiffness.offsets, offsets)
+            stencil = np.sort([0, *(s * (m - 1) ** a for a in range(d) for s in (-1, 1))])
+            for alpha in ([ONE] * d, [expr("1 + x^2"), expr("2"), expr("y + z + 1")][:d]):
+                laplacian = assemble_stiffness(mesh, alpha, ZERO)
+                assert len(laplacian.offsets) == 2 * d + 1
+                np.testing.assert_array_equal(laplacian.offsets, stencil)
+                assert laplacian.data.any(axis=1).all()
+                stiffness = assemble_stiffness(mesh, alpha, ONE)
+                np.testing.assert_array_equal(stiffness.offsets, offsets)
 
 
 @pytest.mark.parametrize("name", ["heat1d", "s1", "s3", "heat3d"])
@@ -225,15 +233,73 @@ def test_system_matrix_equals_sparse_sum(name):
     assert (a != b).nnz == 0
 
 
-def test_discretization_rejects_separate_patterns():
-    disc = discretize(replace(scenario("s1"), divisions=4))
-    other = build_square_mesh(5)  # offsets 0, +-1, +-4, +-5 against +-3, +-4
-    with pytest.raises(ValueError, match="share one set of diagonal offsets"):
-        replace(disc, mass=assemble_mass(other))
-    cut = sparse.dia_matrix((disc.mass.data[1:], disc.mass.offsets[1:]),
+def test_discretization_rejects_a_stiffness_diagonal_the_mass_lacks():
+    disc = discretize(replace(scenario("heat3d"), divisions=4))
+    assert len(disc.stiffness.offsets) < len(disc.mass.offsets)  # a subset is fine
+    message = "every stiffness diagonal must be a mass diagonal"
+    n = disc.mass.shape[0]
+    stray = sparse.dia_matrix((np.ones((1, n)), [2]), shape=(n, n))  # M: 0, 1, 3, 4, ...
+    with pytest.raises(ValueError, match=message):
+        replace(disc, stiffness=stray)
+    keep = disc.mass.offsets != 0  # a mass without the main diagonal
+    cut = sparse.dia_matrix((disc.mass.data[keep], disc.mass.offsets[keep]),
                             shape=disc.mass.shape)
-    with pytest.raises(ValueError, match="share one set of diagonal offsets"):
+    with pytest.raises(ValueError, match=message):
         replace(disc, mass=cut)
+    with pytest.raises(ValueError, match=message):
+        replace(disc, mass=assemble_mass(build_cube_mesh(5)))  # another shape
+
+
+def kuhn_offsets(d, m):
+    """All 2^(d+1) - 1 offsets P_j - P_i of the Kuhn grid's diagonals."""
+    shift = kuhn_paths(d) @ (m - 1) ** np.arange(d)
+    return np.unique(shift[:, None, :] - shift[:, :, None])
+
+
+def padded_to(operator, offsets):
+    """``operator`` stored on all of ``offsets``, its missing diagonals zero."""
+    data = np.zeros((len(offsets), operator.shape[1]))
+    data[np.searchsorted(offsets, operator.offsets)] = operator.data
+    return sparse.dia_matrix((data, offsets), shape=operator.shape)
+
+
+def coo_triplets(operator):
+    """CSR summed by scipy from COO triplets of every stored DIA entry,
+    explicit zeros included."""
+    n = operator.shape[0]
+    rows, cols, vals = [], [], []
+    for offset, diagonal in zip(operator.offsets, operator.data):
+        col = np.arange(max(offset, 0), min(n + offset, n))  # stored by column
+        rows.append(col - offset)
+        cols.append(col)
+        vals.append(diagonal[col])
+    return sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=operator.shape).tocsr()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_products_equal_full_diagonal_and_coo_products_bit_for_bit(d, m):
+    mesh = BUILDERS[d - 1](m)
+    tau = 1e-3
+    mass = assemble_mass(mesh)
+    stiffness = assemble_stiffness(mesh, [ONE] * d, ZERO)
+    zero = np.zeros(mesh.num_interior)
+    disc = Discretization(mesh, mass, stiffness, zero, zero)
+    offsets = kuhn_offsets(d, m)  # every diagonal, all-zero ones too
+    full = padded_to(stiffness, offsets)
+    full_system = sparse.dia_matrix(
+        (padded_to(mass, offsets).data + tau * full.data, offsets), shape=mass.shape)
+    system = disc.system_matrix(tau)
+    assert np.array_equal(padded_to(system, offsets).data, full_system.data)
+    rng = np.random.default_rng(d * 10 + m)
+    for v in (rng.standard_normal(mesh.num_interior),
+              np.asfortranarray(rng.standard_normal((mesh.num_interior, 3)))):
+        for got, want in ((stiffness, full), (system, full_system)):
+            product = got @ v
+            assert np.array_equal(product, want @ v)
+            assert np.array_equal(product, coo_triplets(want) @ v)
 
 
 def test_dia_products_equal_csr_products_bit_for_bit():

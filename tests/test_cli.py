@@ -427,6 +427,30 @@ def test_eigs_from_a_stored_run_holds_one_segment_block(tmp_path, eigs_1d_run):
     assert peak < payload / 2  # a whole-file read alone would exceed it
 
 
+def test_eigs_from_a_stored_run_holds_no_second_block(tmp_path):
+    # tall blocks (16,384 dofs x 21 columns, 2.75 MB) outweigh the operators;
+    # a reaction-only problem (S = M) keeps the power iteration to two steps
+    cfg = {
+        "name": "tall2d", "dimension": 2, "alpha": ["0", "0"], "c": "1", "f": "0",
+        "u0": "sin(pi*x)*sin(pi*y)", "tau": 1e-4, "m": 129,
+        "segment_steps": 20, "segment_count": 3,
+    }
+    path = tmp_path / "tall2d.json"
+    path.write_text(json.dumps(cfg))
+    execute(RunConfig(config_path=str(path), mode="hifi", out=str(tmp_path / "run")))
+    block_bytes = 8 * 128**2 * 21
+    tracemalloc.start()
+    try:
+        execute(RunConfig(config_path=str(path), mode="eigs", out=str(tmp_path / "eigs"),
+                          snapshots_path=str(tmp_path / "run" / "snapshots.bin")))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 1.8 blocks when each block is dropped before the next is read;
+    # 3.3 when the loops held the previous block while the next one was made
+    assert peak < 2.5 * block_bytes
+
+
 def test_eigs_from_a_stored_run_matches_the_in_process_run(tmp_path, eigs_1d_run):
     path, out = eigs_1d_run
     stored = tmp_path / "eigs"

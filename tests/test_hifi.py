@@ -186,8 +186,8 @@ def test_residuals_at_random_steps():
         mass = disc.mass
         for n in rng.integers(1, snaps.num_columns, size=10):
             load = assemble_load(disc.mesh, problem.f, n * problem.tau)
-            rhs = mass @ snaps.column(n - 1) + problem.tau * load
-            res = system @ snaps.column(n) - rhs
+            rhs = mass @ snaps.data[:, n - 1] + problem.tau * load
+            res = system @ snaps.data[:, n] - rhs
             assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs), (f, n)
 
 

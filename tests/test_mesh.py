@@ -1,12 +1,13 @@
+import dataclasses
 import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from seampde.mesh import build_cube_mesh, build_interval_mesh, build_square_mesh
+from seampde.mesh import Mesh, build_cube_mesh, build_interval_mesh, build_square_mesh
 
-from oracles import element_geometry
+from oracles import element_geometry, kuhn_grid
 
 BUILDERS = {1: build_interval_mesh, 2: build_square_mesh, 3: build_cube_mesh}
 
@@ -16,10 +17,15 @@ def cell_volumes(mesh):
     return volumes
 
 
+def num_cells(mesh):
+    return len(kuhn_grid(mesh)[1])
+
+
 def test_interval_m99_size():
     mesh = build_interval_mesh(99)
-    assert len(mesh.cells) == 99
-    assert len(mesh.vertices) == 100
+    vertices, cells, _ = kuhn_grid(mesh)
+    assert len(cells) == 99
+    assert len(vertices) == 100
     assert mesh.num_interior == 98
 
 
@@ -38,30 +44,30 @@ def test_interval_uniform_partition():
 
 def test_square_m32_size():
     mesh = build_square_mesh(32)
-    assert len(mesh.cells) == 2048
+    assert num_cells(mesh) == 2048
     assert mesh.num_interior == 961
 
 
 def test_square_smallest():
     mesh = build_square_mesh(2)
-    assert len(mesh.cells) == 8
+    assert num_cells(mesh) == 8
     assert mesh.num_interior == 1
     np.testing.assert_allclose(mesh.interior_nodes(), [[0.5, 0.5]])
 
 
 def test_square_m4_counts_and_area():
     mesh = build_square_mesh(4)
-    assert len(mesh.cells) == 32
+    assert num_cells(mesh) == 32
     assert mesh.num_interior == 9
     assert abs(cell_volumes(mesh).sum() - 1.0) < 1e-12
 
 
 def test_cube_counts():
     mesh = build_cube_mesh(2)
-    assert len(mesh.cells) == 48
+    assert num_cells(mesh) == 48
     assert mesh.num_interior == 1
     mesh = build_cube_mesh(3)
-    assert len(mesh.cells) == 162
+    assert num_cells(mesh) == 162
     assert abs(cell_volumes(mesh).sum() - 1.0) < 1e-12
 
 
@@ -116,23 +122,25 @@ def loop_kuhn_mesh(d, m):
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_kuhn_mesh_matches_loop_oracle(d, m):
-    # same cells in the same order: each operator is summed cell by cell
-    # with np.bincount into the shared pattern, so any reordering would
-    # move assembled entries by round-off
+    # the vectorized cells that the assembly oracles scatter from, and the
+    # interior nodes the mesh computes from (d, m) alone, are the loop's
     mesh = BUILDERS[d](m)
     vertices, cells, interior = loop_kuhn_mesh(d, m)
-    for got, want in ((mesh.vertices, vertices), (mesh.cells, cells),
-                      (mesh.interior_index, interior)):
+    for got, want in zip(kuhn_grid(mesh), (vertices, cells, interior)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
     if d == 2:
-        assert np.array_equal(mesh.cells, loop_square_cells(m))
+        assert np.array_equal(kuhn_grid(mesh)[1], loop_square_cells(m))
+    nodes = mesh.interior_nodes()
+    assert nodes.dtype == vertices.dtype
+    assert np.array_equal(nodes, vertices[interior >= 0])
+    assert mesh.num_interior == (interior >= 0).sum()
 
 
 @pytest.mark.slow
 def test_cube_m32_counts():
     mesh = build_cube_mesh(32)
-    assert len(mesh.cells) == 6 * 32**3 == 196608
+    assert num_cells(mesh) == 6 * 32**3 == 196608
     assert mesh.num_interior == 31**3 == 29791
 
 
@@ -160,9 +168,9 @@ def test_volume_partition_exhaustive(d):
         assert abs(vols.sum() - 1.0) < 1e-12, f"d={d} m={m}"
 
 
-def _face_is_on_boundary(mesh, face):
-    coords = mesh.vertices[list(face)]
-    for axis in range(mesh.dimension):
+def _face_is_on_boundary(vertices, face):
+    coords = vertices[list(face)]
+    for axis in range(coords.shape[1]):
         if np.all(coords[:, axis] == 0.0) or np.all(coords[:, axis] == 1.0):
             return True
     return False
@@ -170,21 +178,21 @@ def _face_is_on_boundary(mesh, face):
 
 @pytest.mark.parametrize("d,m", [(1, 6), (2, 4), (3, 3)])
 def test_conformity(d, m):
-    mesh = BUILDERS[d](m)
+    vertices, cells, _ = kuhn_grid(BUILDERS[d](m))
     faces = Counter()
-    for cell in mesh.cells:
+    for cell in cells:
         for face in itertools.combinations(cell, d):
             faces[tuple(sorted(face))] += 1
     for face, count in faces.items():
-        expected = 1 if _face_is_on_boundary(mesh, face) else 2
+        expected = 1 if _face_is_on_boundary(vertices, face) else 2
         assert count == expected, f"face {face} shared by {count} cells"
 
 
 def test_vertex_indices_in_range():
     for d in (1, 2, 3):
-        mesh = BUILDERS[d](3)
-        assert mesh.cells.min() >= 0
-        assert mesh.cells.max() < len(mesh.vertices)
+        vertices, cells, _ = kuhn_grid(BUILDERS[d](3))
+        assert cells.min() >= 0
+        assert cells.max() < len(vertices)
 
 
 def test_lexicographic_interior_order():
@@ -195,7 +203,11 @@ def test_lexicographic_interior_order():
     np.testing.assert_allclose(pts[:3, 0], [0.25, 0.5, 0.75])
 
 
-def test_mesh_arrays_read_only():
-    mesh = build_interval_mesh(4)
-    with pytest.raises(ValueError):
-        mesh.vertices[0, 0] = 7.0
+def test_mesh_is_the_value_of_its_dimension_and_divisions():
+    mesh = build_square_mesh(4)
+    assert mesh == Mesh(2, 4) and hash(mesh) == hash(Mesh(2, 4))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mesh.divisions = 5
+    first = mesh.interior_nodes()
+    first[0, 0] = 7.0  # a fresh array on every call
+    assert mesh.interior_nodes()[0, 0] == 0.25
