@@ -27,7 +27,6 @@ import json
 import platform
 import sys
 import time
-from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -55,13 +54,12 @@ from seampde.hifi import (
     SnapshotMatrix,
     discretize,
     read_snapshot_blocks,
-    read_snapshot_column,
     run_hifi,
     snapshot_writer,
     step_blocks,
 )
-from seampde.pod import export_spectra_csv
-from seampde.seam import SeamSolution, export_segment_metadata, run_parallel_seam
+from seampde.pod import SPECTRUM_HEAD
+from seampde.seam import run_parallel_seam
 
 MODES = ("hifi", "seam", "parallel-seam", "eigs", "bench", "hw-selftest")
 SLICE_TIMES = (0.25, 0.5, 0.75, 1.0)
@@ -182,26 +180,58 @@ def _write_error_csv(path, tau: float, error_sq: np.ndarray,
             writer.writerow([repr(j * tau), repr(abs_err), repr(rel)])
 
 
-def _write_slices(outdir, disc: Discretization, problem: ProblemSpec, stored,
-                  reduced: SeamSolution | None) -> None:
-    """Write the slice files. Each row is what csv.writer writes for plain
-    floats (shortest round-trip repr, CRLF line end); the coordinate text
-    is formatted once per run, not once per file."""
-    points = [",".join(map(repr, p)) for p in disc.mesh.interior_nodes().tolist()]
-    axes = list("xyz"[: disc.mesh.dimension])
-    for t in SLICE_TIMES:
-        index = round(t / problem.tau)
-        if index > problem.num_steps or abs(index * problem.tau - t) > problem.tau / 2:
-            continue
-        header = axes + ["hifi"] + (["seam"] if reduced is not None else [])
-        columns = [read_snapshot_column(stored, problem, index)]
-        if reduced is not None:
-            columns.append(reduced.column(index))
-        values = np.column_stack(columns).tolist()
-        with open(outdir / f"slices_t{t}.csv", "w", newline="") as fh:
-            csv.writer(fh).writerow(header)
-            fh.writelines(f"{p},{','.join(map(repr, v))}\r\n"
-                          for p, v in zip(points, values))
+def _write_segments_csv(path, rows) -> None:
+    """Per-segment CSV of (lambda0, system_coeff, mass_coeff, alpha0) rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["segment", "lambda0", "system_coeff", "mass_coeff", "alpha0"])
+        for segment, row in enumerate(rows):
+            writer.writerow([segment, *map(repr, row)])
+
+
+def _write_spectra_csv(path, spectra) -> None:
+    """Rows (segment, eigen_index, eigenvalue), the top SPECTRUM_HEAD of
+    each spectrum; segments are numbered by their position."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["segment", "index", "eigenvalue"])
+        for segment, spectrum in enumerate(spectra):
+            for index, value in enumerate(spectrum.eigenvalues[:SPECTRUM_HEAD]):
+                writer.writerow([segment, index, repr(float(value))])
+
+
+class _Slices:
+    """Each slice time's hifi (and seam) column, copied from the block that
+    holds it into an array made before the first block: copies made between
+    blocks would pin the heap above them, keeping freed blocks from the OS."""
+
+    def __init__(self, problem: ProblemSpec, width: int):
+        nearest = {t: round(t / problem.tau) for t in SLICE_TIMES}
+        self.indices = {t: j for t, j in nearest.items() if j <= problem.num_steps
+                        and abs(j * problem.tau - t) <= problem.tau / 2}
+        self.values = np.empty((len(self.indices), problem.num_dofs, width))
+        self.header = list("xyz"[: problem.dimension]) + ["hifi", "seam"][:width]
+        self.start = 0  # run column of the next block's first column
+
+    def take(self, *blocks) -> None:
+        """Copy the slice columns of the next blocks, one column per block."""
+        stop = self.start + blocks[0].shape[1]
+        for k, index in enumerate(self.indices.values()):
+            if self.start <= index < stop:
+                self.values[k] = np.column_stack(
+                    [block[:, index - self.start] for block in blocks])
+        self.start = stop
+
+    def write(self, outdir, disc: Discretization) -> None:
+        """One file per slice time. Each row is what csv.writer writes for
+        plain floats (shortest round-trip repr, CRLF line end); the
+        coordinate text is formatted once per run."""
+        points = [",".join(map(repr, p)) for p in disc.mesh.interior_nodes().tolist()]
+        for t, rows in zip(self.indices, self.values):
+            with open(outdir / f"slices_t{t}.csv", "w", newline="") as fh:
+                csv.writer(fh).writerow(self.header)
+                fh.writelines(f"{p},{','.join(map(repr, v))}\r\n"
+                              for p, v in zip(points, rows.tolist()))
 
 
 def _write_json(path, payload: dict) -> None:
@@ -242,24 +272,27 @@ def _stepped_blocks(problem: ProblemSpec, disc: Discretization, columns: int,
 
 def _reduce_blocks(blocks, problem: ProblemSpec, disc: Discretization,
                    segment_steps: int, path, summary: RunSummary):
-    """Reduce and score each block as it arrives and append its replay to
-    the snapshot file at ``path``, dropping both before the next block is
-    made; return the solution and error norms."""
-    parts, norms = [], []
+    """Reduce and score each one-segment block as it arrives, append its
+    replay to the snapshot file at ``path`` and take its slice columns,
+    dropping block, replay and basis before the next block is made. Return the
+    spectra, the segments.csv rows, the error norms and the _Slices."""
+    spectra, rows, norms, slices = [], [], [], _Slices(problem, 2)
     summary.offline_seconds = summary.online_seconds = 0.0
     with snapshot_writer(path, problem.num_dofs, problem.num_steps + 1,
                          problem.tau) as append:
         for block in blocks:
-            parts.append(_reduce(SnapshotMatrix(block, problem.tau), disc,
-                                 segment_steps, summary))
-            for reduced in parts[-1].blocks():
-                append(reduced)
-                norms.append(block_error_norms(block, reduced, disc.mass))
-            del block, reduced
-    solution = SeamSolution(sum((part.models for part in parts), ()),
-                            np.vstack([part.alphas for part in parts]), problem.tau,
-                            summary.online_seconds)
-    return solution, [np.concatenate(columns) for columns in zip(*norms)]
+            solution = _reduce(SnapshotMatrix(block, problem.tau), disc,
+                               segment_steps, summary)
+            [model], [reduced] = solution.models, solution.blocks()
+            append(reduced)
+            norms.append(block_error_norms(block, reduced, disc.mass))
+            slices.take(block, reduced)
+            spectra.append(model.spectrum)
+            rows.append((float(model.spectrum.eigenvalues[0]), model.system_coeff,
+                         model.mass_coeff, model.alpha0))
+            del block, solution, model, reduced
+    norms = [np.concatenate(columns) for columns in zip(*norms)]
+    return spectra, rows, norms, slices
 
 
 def execute(config: RunConfig) -> RunSummary:
@@ -284,31 +317,33 @@ def execute(config: RunConfig) -> RunSummary:
 
     segment_steps = (problem.num_steps if config.mode == "seam"
                      else problem.segment_steps)
-    stored = config.snapshots_path or outdir / "snapshots.bin"
     if config.snapshots_path:
-        _, blocks = read_snapshot_blocks(stored, problem, segment_steps + 1)
+        blocks = read_snapshot_blocks(config.snapshots_path, problem, segment_steps + 1)
     else:
-        blocks = _stepped_blocks(problem, disc, segment_steps + 1, stored, summary)
+        blocks = _stepped_blocks(problem, disc, segment_steps + 1,
+                                 outdir / "snapshots.bin", summary)
     outdir.mkdir(parents=True, exist_ok=True)  # not for a rejected snapshot file
     with closing(blocks):  # a snapshot file left half written is removed
         if config.mode == "hifi":
-            deque(blocks, maxlen=0)  # consume, holding no block
-            _write_slices(outdir, disc, problem, stored, None)
+            slices = _Slices(problem, 1)
+            for block in blocks:
+                slices.take(block)
+                del block
+            slices.write(outdir, disc)
         elif config.mode == "eigs":
             report = build_spectral_report(blocks, problem.tau, disc.mass,
                                            disc.stiffness, segment_steps)
             _write_json(outdir / "report.json", report.to_json_dict())
             spectra = report.spectra
         else:  # seam / parallel-seam
-            solution, norms = _reduce_blocks(blocks, problem, disc, segment_steps,
-                                             outdir / "seam.bin", summary)
-            spectra = [model.spectrum for model in solution.models]
+            spectra, rows, norms, slices = _reduce_blocks(
+                blocks, problem, disc, segment_steps, outdir / "seam.bin", summary)
             summary.error_l2 = space_time_error(*norms, problem.tau)
-            export_segment_metadata(solution, outdir / "segments.csv")
+            _write_segments_csv(outdir / "segments.csv", rows)
             _write_error_csv(outdir / "error.csv", problem.tau, *norms)
-            _write_slices(outdir, disc, problem, stored, solution)
+            slices.write(outdir, disc)
     if config.mode != "hifi":
-        export_spectra_csv(spectra, outdir / "eigenvalues.csv")
+        _write_spectra_csv(outdir / "eigenvalues.csv", spectra)
         summary.lambda0_first = float(spectra[0].eigenvalues[0])
         summary.lambda0_last = float(spectra[-1].eigenvalues[0])
 
@@ -366,10 +401,8 @@ def _run_hw_selftest(config: RunConfig) -> RunSummary:
         a = rng.uniform(-1, 1, (size, size))
         e = rng.uniform(-1, 1, (size, size))
         record = hoffman_wielandt_check((a + a.T) / 2, (e + e.T) / 2)
-        worst["frobenius_margin"] = min(worst["frobenius_margin"],
-                                        record.frobenius_margin)
-        worst["lower_margin"] = min(worst["lower_margin"], record.lower_margin)
-        worst["upper_margin"] = min(worst["upper_margin"], record.upper_margin)
+        for key in worst:
+            worst[key] = min(worst[key], getattr(record, key))
         all_hold = all_hold and record.holds(tol=1e-9)
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -251,23 +251,18 @@ def save_snapshots(snapshots: SnapshotMatrix, path) -> None:
 
 def load_snapshots(path, problem: ProblemSpec) -> SnapshotMatrix:
     """Read a whole snapshot file, checked as by read_snapshot_blocks."""
-    tau, [data] = read_snapshot_blocks(path, problem, problem.num_steps + 1)
-    return SnapshotMatrix(data, tau)
-
-
-def read_snapshot_column(path, problem: ProblemSpec, index: int) -> np.ndarray:
-    """Column ``index`` of a snapshot file that matches ``problem``."""
-    offset = len(_MAGIC) + _HEADER.size + 8 * problem.num_dofs * index
-    return np.fromfile(path, dtype="<f8", count=problem.num_dofs, offset=offset)
+    [data] = read_snapshot_blocks(path, problem, problem.num_steps + 1)
+    return SnapshotMatrix(data, problem.tau)
 
 
 def read_snapshot_blocks(path, problem: ProblemSpec, columns: int):
-    """Check the header (file size, and the problem's dofs, N+1 and tau);
-    return tau and a generator of fresh (M, columns) blocks, the last one
+    """Check the header (file size, and the problem's dofs, N+1 and tau)
+    now; return a generator of fresh (M, columns) blocks, the last one
     possibly narrower, each dropped here before the next is read. A short
     read raises ValueError; closing the generator closes the file."""
     blocks = _snapshot_blocks(path, problem, columns)
-    return next(blocks), blocks
+    next(blocks)  # runs the header check
+    return blocks
 
 
 def _snapshot_blocks(path, problem, columns):
@@ -289,7 +284,7 @@ def _snapshot_blocks(path, problem, columns):
         if (m, cols, tau) != wanted:
             raise ValueError(f"{path}: snapshot file has (dofs, columns, tau) "
                              f"= {(m, cols, tau)}, problem has {wanted}")
-        yield tau
+        yield
         for start in range(0, cols, columns):
             block = np.empty((min(columns, cols - start), m), dtype="<f8")
             if fh.readinto(block) != block.nbytes:

@@ -4,7 +4,7 @@
 with LAPACK's symmetric solver; snapshot counts stay small (n <= 1000 in
 every built-in scenario) so a full decomposition is cheap. `jacobi_eigh`,
 a cyclic Jacobi iteration, is kept as the reference solver that the
-tests and the Hoffman-Wielandt checks compare against. Rotations below
+tests compare LAPACK's results against; no run calls it. Rotations below
 an absolute threshold tied to the matrix scale are skipped, which makes
 sweeps on near-rank-1 Gram matrices essentially free after the first
 pass.
@@ -12,7 +12,6 @@ pass.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -150,14 +149,3 @@ def pod_basis(segment_data: np.ndarray, spectrum: GramSpectrum) -> np.ndarray:
     beta = segment_data @ spectrum.leading_vector / np.sqrt(lam0)
     beta.setflags(write=False)
     return beta
-
-
-def export_spectra_csv(spectra, path) -> None:
-    """Write rows (segment, eigen_index, eigenvalue), the top SPECTRUM_HEAD
-    of each spectrum; segments are numbered by their position."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["segment", "index", "eigenvalue"])
-        for segment, spectrum in enumerate(spectra):
-            for index, value in enumerate(spectrum.eigenvalues[:SPECTRUM_HEAD]):
-                writer.writerow([segment, index, repr(float(value))])

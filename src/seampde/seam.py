@@ -8,7 +8,6 @@ run costs O(1) work per step instead of a linear solve.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 
@@ -63,11 +62,6 @@ class SeamSolution:
     @property
     def num_columns(self) -> int:
         return self.alphas.size
-
-    def column(self, j: int) -> np.ndarray:
-        cols = self.segment_steps + 1
-        segment, offset = divmod(j, cols)
-        return self.alphas[segment, offset] * self.models[segment].basis
 
     def blocks(self):
         """Each segment's Fortran-ordered dofs x (n+1) block beta alpha_k'."""
@@ -133,15 +127,3 @@ def save_seam(solution: SeamSolution, path) -> None:
                          solution.tau) as append:
         for block in solution.blocks():
             append(block)
-
-
-def export_segment_metadata(solution: SeamSolution, path) -> None:
-    """Per-segment CSV: principal eigenvalue and the reduced scalars."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["segment", "lambda0", "system_coeff", "mass_coeff",
-                         "alpha0"])
-        for k, model in enumerate(solution.models):
-            writer.writerow([k, repr(float(model.spectrum.eigenvalues[0])),
-                             repr(model.system_coeff),
-                             repr(model.mass_coeff), repr(model.alpha0)])

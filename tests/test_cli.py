@@ -18,7 +18,7 @@ from seampde.hifi import (
     run_hifi,
     save_snapshots,
 )
-from seampde.seam import SeamSolution, export_segment_metadata, run_parallel_seam, save_seam
+from seampde.seam import SeamSolution, run_parallel_seam, save_seam
 
 
 def run_cli(*argv):
@@ -724,7 +724,9 @@ def whole_matrix_artifacts(problem, out):
     out.mkdir()
     save_snapshots(snapshots, out / "snapshots.bin")
     save_seam(solution, out / "seam.bin")
-    export_segment_metadata(solution, out / "segments.csv")
+    cli._write_segments_csv(out / "segments.csv", [
+        (float(model.spectrum.eigenvalues[0]), model.system_coeff,
+         model.mass_coeff, model.alpha0) for model in solution.models])
     cli._write_error_csv(out / "error.csv", problem.tau,
                          *column_error_norms(snapshots, solution, disc.mass))
 
@@ -821,6 +823,27 @@ def test_failure_mid_stream_removes_snapshot_files_before_it_propagates(
     for name in ("snapshots.bin", "seam.bin", "summary.json"):
         assert not (out / name).exists(), name
     assert raised.traceback
+
+
+def test_a_run_that_rewrites_its_snapshot_file_writes_what_a_copy_gives(tmp_path):
+    # the slices' hifi columns come from the blocks read, not from the file
+    # after the run has replaced it
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(STREAMED))
+    out = tmp_path / "out"
+    assert run_cli("--config", str(path), "--mode", "parallel-seam",
+                   "--out", str(out)) == 0
+    copy = tmp_path / "copy.bin"
+    shutil.copyfile(out / "seam.bin", copy)
+    from_copy = tmp_path / "from_copy"
+    assert run_cli("--config", str(path), "--mode", "parallel-seam",
+                   "--snapshots", str(copy), "--out", str(from_copy)) == 0
+    assert run_cli("--config", str(path), "--mode", "parallel-seam",
+                   "--snapshots", str(out / "seam.bin"), "--out", str(out)) == 0
+    slices = sorted(p.name for p in from_copy.glob("slices_t*.csv"))
+    assert len(slices) == 3
+    for name in ["seam.bin", "error.csv", "segments.csv", "eigenvalues.csv", *slices]:
+        assert (out / name).read_bytes() == (from_copy / name).read_bytes(), name
 
 
 def test_a_failed_streamed_run_leaves_earlier_snapshot_files_in_place(

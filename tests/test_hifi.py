@@ -404,8 +404,7 @@ def stored_ramp(tmp_path, m=3, cols=8):
 
 def test_block_reader_yields_the_segments(tmp_path):
     snaps, path = stored_ramp(tmp_path)
-    tau, blocks = read_snapshot_blocks(path, stored_run_problem(3, 8, 0.1), 4)
-    assert tau == snaps.tau
+    blocks = read_snapshot_blocks(path, stored_run_problem(3, 8, 0.1), 4)
     read = list(blocks)
     assert len(read) == 2
     for got, want in zip(read, snaps.segments(3)):
@@ -415,7 +414,7 @@ def test_block_reader_yields_the_segments(tmp_path):
 
 def test_block_reader_ends_with_the_remaining_columns(tmp_path):
     snaps, path = stored_ramp(tmp_path)
-    _, blocks = read_snapshot_blocks(path, stored_run_problem(3, 8, 0.1), 3)
+    blocks = read_snapshot_blocks(path, stored_run_problem(3, 8, 0.1), 3)
     read = list(blocks)
     assert [block.shape[1] for block in read] == [3, 3, 2]
     assert np.array_equal(np.hstack(read), snaps.data)
@@ -423,7 +422,7 @@ def test_block_reader_ends_with_the_remaining_columns(tmp_path):
 
 def test_block_reader_raises_on_a_short_read(tmp_path):
     _, path = stored_ramp(tmp_path, m=1024)  # 64 kB, past the read buffer
-    _, blocks = read_snapshot_blocks(path, stored_run_problem(1024, 8, 0.1), 4)
+    blocks = read_snapshot_blocks(path, stored_run_problem(1024, 8, 0.1), 4)
     os.truncate(path, os.path.getsize(path) - 8)  # after the header check
     assert next(blocks).shape == (1024, 4)
     with pytest.raises(ValueError, match="ends inside a block"):
@@ -440,7 +439,7 @@ def test_block_reader_closes_the_file(tmp_path, monkeypatch):
     monkeypatch.setattr(hifi, "open", tracked_open, raising=False)
     _, path = stored_ramp(tmp_path)
     problem = stored_run_problem(3, 8, 0.1)
-    _, blocks = read_snapshot_blocks(path, problem, 4)
+    blocks = read_snapshot_blocks(path, problem, 4)
     next(blocks)
     assert not handles[-1].closed
     blocks.close()  # the consumer stops after the first block

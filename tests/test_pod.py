@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from seampde import pod
+from seampde.cli import _write_spectra_csv
 from seampde.errors import DegenerateSnapshotError, StagnationError
 from seampde.pod import (
     GramSpectrum,
     eig_descending,
-    export_spectra_csv,
     gram,
     jacobi_eigh,
     pod_basis,
@@ -230,7 +230,7 @@ def test_export_spectra_csv(tmp_path):
         GramSpectrum(np.array([2.0, 0.25, 0.1]), np.eye(3)[0]),
     ]
     path = tmp_path / "spectra.csv"
-    export_spectra_csv(spectra, path)
+    _write_spectra_csv(path, spectra)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "segment,index,eigenvalue"
     # the first spectrum is cut after five values; segments count from 0

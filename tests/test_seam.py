@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+from seampde.cli import _write_segments_csv
 from seampde.errors import DegenerateSnapshotError, SegmentationError
 from seampde.hifi import SnapshotMatrix, load_snapshots, save_snapshots
 from seampde.pod import GramSpectrum
 from seampde.seam import (
     SeamModel,
-    export_segment_metadata,
     run_parallel_seam,
     save_seam,
     seam_offline,
@@ -157,17 +157,6 @@ def test_divisibility_violation(segment_steps):
                           np.zeros(4), segment_steps=segment_steps)
 
 
-def test_column_accessor():
-    v, seg = rank_one_segment(6, 4, 0.5)
-    snaps = SnapshotMatrix(seg, 0.1)
-    solution = run_parallel_seam(snaps, identity_operator(6),
-                                 identity_operator(6), np.zeros(6),
-                                 segment_steps=1)
-    full = solution.to_matrix()
-    for j in range(4):
-        np.testing.assert_allclose(solution.column(j), full[:, j])
-
-
 @pytest.mark.slow
 def test_galerkin_error_tracks_projection_error():
     # the reduced recurrence cannot beat the optimal projection, and on a
@@ -212,10 +201,16 @@ def test_save_and_metadata_export(tmp_path):
     np.testing.assert_allclose(back.data, solution.to_matrix())
 
     meta_path = tmp_path / "segments.csv"
-    export_segment_metadata(solution, meta_path)
+    _write_segments_csv(meta_path, [
+        (float(model.spectrum.eigenvalues[0]), model.system_coeff,
+         model.mass_coeff, model.alpha0) for model in solution.models])
     lines = meta_path.read_text().strip().splitlines()
     assert lines[0] == "segment,lambda0,system_coeff,mass_coeff,alpha0"
     assert len(lines) == 1 + len(solution.models)
+    for k, (line, model) in enumerate(zip(lines[1:], solution.models)):
+        assert line == ",".join([str(k), repr(float(model.spectrum.eigenvalues[0])),
+                                 repr(model.system_coeff), repr(model.mass_coeff),
+                                 repr(model.alpha0)])
 
 
 def test_save_seam_bytes_equal_dense_snapshot_file(tmp_path):
