@@ -15,8 +15,8 @@ config key alike, a snapshot file whose dofs, tau or column count differ
 from the problem's, a field expression that cannot be parsed or
 evaluated, initial data, a coefficient or a source term that is not
 finite, a JSON artifact value that is not finite, all-zero snapshots); 3
-solver failure; 4 segmentation (divisibility) violation; 1
-failed self-test. Problem and snapshot-header checks run before any compute.
+solver failure; 1 failed self-test. Problem and snapshot-header checks run
+before any compute.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import numpy as np
 from seampde.analysis import (
     block_error_norms,
     build_spectral_report,
-    column_error_norms,
     hoffman_wielandt_check,
     space_time_error,
 )
@@ -44,22 +43,19 @@ from seampde.errors import (
     EvaluationError,
     ExpressionError,
     SeamError,
-    SegmentationError,
     SolverFailure,
     StagnationError,
 )
 from seampde.fields import ProblemSpec, SCENARIO_NAMES, problem_from_config
 from seampde.hifi import (
     Discretization,
-    SnapshotMatrix,
     discretize,
     read_snapshot_blocks,
-    run_hifi,
     snapshot_writer,
     step_blocks,
 )
 from seampde.pod import SPECTRUM_HEAD
-from seampde.seam import run_parallel_seam
+from seampde.seam import seam_offline, seam_online
 
 MODES = ("hifi", "seam", "parallel-seam", "eigs", "bench", "hw-selftest")
 SLICE_TIMES = (0.25, 0.5, 0.75, 1.0)
@@ -80,40 +76,6 @@ class RunConfig:
     snapshots_path: str | None = None
     large: bool = False
     repeats: int = 3
-
-
-@dataclass
-class RunSummary:
-    scenario: str
-    mode: str
-    dofs: int
-    reduced_dofs: int = 1
-    hifi_seconds: float | None = None
-    offline_seconds: float | None = None
-    online_seconds: float | None = None
-    error_l2: float | None = None
-    lambda0_first: float | None = None
-    lambda0_last: float | None = None
-
-    @property
-    def reduction(self) -> str:
-        return f"{self.dofs}:{self.reduced_dofs}"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SUMMARY_SCHEMA,
-            "scenario": self.scenario,
-            "mode": self.mode,
-            "dofs": self.dofs,
-            "reduced_dofs": self.reduced_dofs,
-            "reduction": self.reduction,
-            "hifi_seconds": self.hifi_seconds,
-            "seam_offline_seconds": self.offline_seconds,
-            "seam_online_seconds": self.online_seconds,
-            "error_l2": self.error_l2,
-            "lambda0_first": self.lambda0_first,
-            "lambda0_last": self.lambda0_last,
-        }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,28 +204,17 @@ def _write_json(path, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def _reduce(snapshots: SnapshotMatrix, disc: Discretization, segment_steps: int,
-            summary: RunSummary):
-    """run_parallel_seam; its offline and online seconds add to the summary's."""
-    start = time.perf_counter()
-    solution = run_parallel_seam(snapshots, disc.mass, disc.stiffness, disc.load,
-                                 segment_steps=segment_steps)
-    summary.online_seconds += solution.online_seconds
-    summary.offline_seconds += time.perf_counter() - start - solution.online_seconds
-    return solution
-
-
 def _stepped_blocks(problem: ProblemSpec, disc: Discretization, columns: int,
-                    path, summary: RunSummary):
+                    path, summary: dict):
     """step_blocks, each block appended to the snapshot file at ``path`` as
     it is made and dropped here before the next one; hifi_seconds sums the
     time spent stepping."""
-    summary.hifi_seconds = 0.0
+    summary["hifi_seconds"] = 0.0
     with snapshot_writer(path, problem.num_dofs, problem.num_steps + 1,
                          problem.tau) as append:
         start = time.perf_counter()
         for block in step_blocks(problem, disc, columns):
-            summary.hifi_seconds += time.perf_counter() - start
+            summary["hifi_seconds"] += time.perf_counter() - start
             append(block)
             yield block
             del block
@@ -271,32 +222,40 @@ def _stepped_blocks(problem: ProblemSpec, disc: Discretization, columns: int,
 
 
 def _reduce_blocks(blocks, problem: ProblemSpec, disc: Discretization,
-                   segment_steps: int, path, summary: RunSummary):
-    """Reduce and score each one-segment block as it arrives, append its
-    replay to the snapshot file at ``path`` and take its slice columns,
-    dropping block, replay and basis before the next block is made. Return the
-    spectra, the segments.csv rows, the error norms and the _Slices."""
+                   segment_steps: int, path, summary: dict):
+    """Reduce (seam_offline), replay (seam_online) and score each one-segment
+    block as it arrives, append its replay to the snapshot file at ``path``
+    and take its slice columns, dropping block, replay and basis before the
+    next block is made; the summary's offline and online seconds sum the two
+    calls' times. Return the spectra, the segments.csv rows, the error norms
+    and the _Slices."""
     spectra, rows, norms, slices = [], [], [], _Slices(problem, 2)
-    summary.offline_seconds = summary.online_seconds = 0.0
+    summary["seam_offline_seconds"] = summary["seam_online_seconds"] = 0.0
     with snapshot_writer(path, problem.num_dofs, problem.num_steps + 1,
                          problem.tau) as append:
         for block in blocks:
-            solution = _reduce(SnapshotMatrix(block, problem.tau), disc,
-                               segment_steps, summary)
-            [model], [reduced] = solution.models, solution.blocks()
+            start = time.perf_counter()
+            model = seam_offline(block, disc.mass, disc.stiffness, disc.load,
+                                 problem.tau)
+            replay_start = time.perf_counter()
+            alphas = seam_online(model, segment_steps)
+            summary["seam_online_seconds"] += time.perf_counter() - replay_start
+            summary["seam_offline_seconds"] += replay_start - start
+            reduced = np.outer(alphas, model.basis).T
             append(reduced)
             norms.append(block_error_norms(block, reduced, disc.mass))
             slices.take(block, reduced)
             spectra.append(model.spectrum)
             rows.append((float(model.spectrum.eigenvalues[0]), model.system_coeff,
                          model.mass_coeff, model.alpha0))
-            del block, solution, model, reduced
+            del block, model, reduced
     norms = [np.concatenate(columns) for columns in zip(*norms)]
     return spectra, rows, norms, slices
 
 
-def execute(config: RunConfig) -> RunSummary:
-    """Run one mode end to end; artifact files land in the output directory."""
+def execute(config: RunConfig) -> dict | None:
+    """Run one mode end to end; artifact files land in the output directory.
+    Return the summary.json payload (None for hw-selftest, which writes none)."""
     from pathlib import Path
 
     if config.snapshots_path and config.mode in ("bench", "hw-selftest"):
@@ -304,12 +263,17 @@ def execute(config: RunConfig) -> RunSummary:
     if config.mode == "bench" and config.repeats < 1:
         raise ValueError("--repeats must be at least 1")
     if config.mode == "hw-selftest":
-        return _run_hw_selftest(config)
+        _run_hw_selftest(config)
+        return None
 
     problem = resolve_problem(config)
-    summary = RunSummary(scenario=problem.name, mode=config.mode, dofs=0)
     disc = discretize(problem)
-    summary.dofs = disc.mesh.num_interior
+    dofs = disc.mesh.num_interior
+    summary = {"schema": SUMMARY_SCHEMA, "scenario": problem.name,
+               "mode": config.mode, "dofs": dofs, "reduced_dofs": 1,
+               "reduction": f"{dofs}:1", "hifi_seconds": None,
+               "seam_offline_seconds": None, "seam_online_seconds": None,
+               "error_l2": None, "lambda0_first": None, "lambda0_last": None}
 
     outdir = Path(config.out)
     if config.mode == "bench":
@@ -338,57 +302,68 @@ def execute(config: RunConfig) -> RunSummary:
         else:  # seam / parallel-seam
             spectra, rows, norms, slices = _reduce_blocks(
                 blocks, problem, disc, segment_steps, outdir / "seam.bin", summary)
-            summary.error_l2 = space_time_error(*norms, problem.tau)
+            summary["error_l2"] = space_time_error(*norms, problem.tau)
             _write_segments_csv(outdir / "segments.csv", rows)
             _write_error_csv(outdir / "error.csv", problem.tau, *norms)
             slices.write(outdir, disc)
     if config.mode != "hifi":
         _write_spectra_csv(outdir / "eigenvalues.csv", spectra)
-        summary.lambda0_first = float(spectra[0].eigenvalues[0])
-        summary.lambda0_last = float(spectra[-1].eigenvalues[0])
+        summary["lambda0_first"] = float(spectra[0].eigenvalues[0])
+        summary["lambda0_last"] = float(spectra[-1].eigenvalues[0])
 
-    _write_json(outdir / "summary.json", summary.to_json_dict())
+    _write_json(outdir / "summary.json", summary)
     return summary
 
 
-def _run_bench(problem, disc, config, summary, outdir) -> RunSummary:
-    """Median-of-repeats timings for the full solve vs the reduced replay."""
+def _run_bench(problem, disc, config, summary, outdir) -> dict:
+    """Median-of-repeats timings for the full solve vs the reduced replay.
+
+    Each repeat steps the whole run into its segment blocks; the last
+    repeat's blocks are reduced once, and each repeat times one replay of
+    every segment's model. The error is scored block by block."""
+    steps = problem.segment_steps
     hifi_samples = []
-    snapshots = None
     for _ in range(config.repeats):
         start = time.perf_counter()
-        snapshots = run_hifi(problem, disc)
+        blocks = list(step_blocks(problem, disc, steps + 1))
         hifi_samples.append(time.perf_counter() - start)
+    start = time.perf_counter()
+    models = [seam_offline(block, disc.mass, disc.stiffness, disc.load, problem.tau)
+              for block in blocks]
+    summary["seam_offline_seconds"] = time.perf_counter() - start
     online_samples = []
     for _ in range(config.repeats):
-        summary.offline_seconds = summary.online_seconds = 0.0
-        solution = _reduce(snapshots, disc, problem.segment_steps, summary)
-        online_samples.append(summary.online_seconds)
-    summary.lambda0_first = float(solution.models[0].spectrum.eigenvalues[0])
-    summary.lambda0_last = float(solution.models[-1].spectrum.eigenvalues[0])
-    summary.hifi_seconds = float(np.median(hifi_samples))
-    summary.online_seconds = float(np.median(online_samples))
-    summary.error_l2 = space_time_error(
-        *column_error_norms(snapshots, solution, disc.mass), problem.tau)
-    payload = summary.to_json_dict()
-    payload.update({
+        start = time.perf_counter()
+        replays = [seam_online(model, steps) for model in models]
+        online_samples.append(time.perf_counter() - start)
+    norms = [block_error_norms(block, np.outer(alphas, model.basis).T, disc.mass)
+             for block, model, alphas in zip(blocks, models, replays)]
+    summary["hifi_seconds"] = float(np.median(hifi_samples))
+    summary["seam_online_seconds"] = float(np.median(online_samples))
+    summary["error_l2"] = space_time_error(
+        *(np.concatenate(columns) for columns in zip(*norms)), problem.tau)
+    summary["lambda0_first"] = float(models[0].spectrum.eigenvalues[0])
+    summary["lambda0_last"] = float(models[-1].spectrum.eigenvalues[0])
+    payload = {
+        **summary,
         "hifi_samples": hifi_samples,
         "online_samples": online_samples,
-        "speedup_online": summary.hifi_seconds / max(summary.online_seconds, 1e-12),
+        "speedup_online": (summary["hifi_seconds"]
+                           / max(summary["seam_online_seconds"], 1e-12)),
         "machine": {
             "platform": platform.platform(),
             "processor": platform.processor() or "unknown",
             "python": platform.python_version(),
         },
         "note": "online time excludes snapshot generation and basis extraction",
-    })
+    }
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "bench.json", payload)
-    _write_json(outdir / "summary.json", summary.to_json_dict())
+    _write_json(outdir / "summary.json", summary)
     return summary
 
 
-def _run_hw_selftest(config: RunConfig) -> RunSummary:
+def _run_hw_selftest(config: RunConfig) -> None:
     """Displacement-inequality suite on 100 random symmetric pairs."""
     from pathlib import Path
 
@@ -413,10 +388,8 @@ def _run_hw_selftest(config: RunConfig) -> RunSummary:
     print(f"hoffman-wielandt selftest: {status} "
           f"(worst margins {worst['frobenius_margin']:.2e}, "
           f"{worst['lower_margin']:.2e}, {worst['upper_margin']:.2e})")
-    summary = RunSummary(scenario="hw-selftest", mode=config.mode, dofs=0)
     if not all_hold:
         raise SeamError("hoffman-wielandt selftest failed")
-    return summary
 
 
 def main(argv=None) -> int:
@@ -431,21 +404,18 @@ def main(argv=None) -> int:
     except (SolverFailure, StagnationError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except SegmentationError as exc:
-        print(f"segmentation error: {exc}", file=sys.stderr)
-        return 4
     except SeamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if summary.mode != "hw-selftest":
-        parts = [f"{summary.scenario} [{summary.mode}]",
-                 f"dofs {summary.reduction}"]
-        if summary.hifi_seconds is not None:
-            parts.append(f"hifi {summary.hifi_seconds:.2f}s")
-        if summary.online_seconds is not None:
-            parts.append(f"online {summary.online_seconds * 1e3:.1f}ms")
-        if summary.error_l2 is not None:
-            parts.append(f"error {summary.error_l2:.3e}")
+    if summary is not None:
+        parts = [f"{summary['scenario']} [{summary['mode']}]",
+                 f"dofs {summary['reduction']}"]
+        if summary["hifi_seconds"] is not None:
+            parts.append(f"hifi {summary['hifi_seconds']:.2f}s")
+        if summary["seam_online_seconds"] is not None:
+            parts.append(f"online {summary['seam_online_seconds'] * 1e3:.1f}ms")
+        if summary["error_l2"] is not None:
+            parts.append(f"error {summary['error_l2']:.3e}")
         print("  ".join(parts))
     return 0
 

@@ -111,7 +111,9 @@ def eig_descending(x: np.ndarray) -> GramSpectrum:
 
     Non-finite entries and asymmetry beyond 1e-10 relative are rejected;
     eigenvalues below -1e-12 * trace are treated as a numerical fault
-    rather than clamped.
+    rather than clamped. A matrix whose largest eigenvalue is at most
+    machine epsilon times its trace (the Gram matrix of an all-zero block)
+    raises DegenerateSnapshotError: it has no POD basis.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
@@ -130,6 +132,11 @@ def eig_descending(x: np.ndarray) -> GramSpectrum:
             "input is not numerically positive semi-definite"
         )
     values = np.maximum(values, 0.0)
+    trace = float(np.trace(x))
+    if values[0] <= np.finfo(float).eps * trace or trace == 0.0:
+        raise DegenerateSnapshotError(
+            "snapshot block is numerically zero; no POD basis exists"
+        )
     b0 = vectors[:, 0]
     if b0[np.argmax(np.abs(b0))] < 0:
         b0 = -b0
@@ -138,14 +145,10 @@ def eig_descending(x: np.ndarray) -> GramSpectrum:
 
 def pod_basis(segment_data: np.ndarray, spectrum: GramSpectrum) -> np.ndarray:
     """Read-only rank-1 basis beta = (1/sqrt(lam0)) * segment @ b0 from the
-    segment's Gram spectrum; unit 2-norm by construction."""
+    segment's Gram spectrum, which eig_descending has checked is not zero;
+    unit 2-norm by construction."""
     segment_data = np.asarray(segment_data, dtype=float)
     lam0 = float(spectrum.eigenvalues[0])
-    trace = float(np.einsum("ij,ij->", segment_data, segment_data))
-    if lam0 <= np.finfo(float).eps * trace or trace == 0.0:
-        raise DegenerateSnapshotError(
-            "snapshot block is numerically zero; no POD basis exists"
-        )
     beta = segment_data @ spectrum.leading_vector / np.sqrt(lam0)
     beta.setflags(write=False)
     return beta

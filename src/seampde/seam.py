@@ -8,7 +8,6 @@ run costs O(1) work per step instead of a linear solve.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +45,6 @@ class SeamSolution:
     models: tuple
     alphas: np.ndarray  # (segments, n+1)
     tau: float
-    online_seconds: float  # wall time of the replay that made alphas
 
     def __post_init__(self):
         self.alphas.setflags(write=False)
@@ -109,16 +107,15 @@ def run_parallel_seam(snapshots: SnapshotMatrix, mass: sparse.dia_matrix,
                       segment_steps: int) -> SeamSolution:
     """Reduce every segment of a snapshot matrix independently, then replay.
 
-    The column count must be an exact multiple of segment_steps+1. The
-    solution records the wall time of the replay.
+    The column count must be an exact multiple of segment_steps+1. Nothing
+    is timed: the command line reduces and replays each streamed block with
+    seam_offline and seam_online, and times those calls itself.
     """
     tau = snapshots.tau
     models = tuple(seam_offline(block, mass, stiffness, load, tau)
                    for block in snapshots.segments(segment_steps))
-    start = time.perf_counter()
     alphas = np.vstack([seam_online(model, segment_steps) for model in models])
-    online_seconds = time.perf_counter() - start
-    return SeamSolution(models, alphas, tau, online_seconds)
+    return SeamSolution(models, alphas, tau)
 
 
 def save_seam(solution: SeamSolution, path) -> None:

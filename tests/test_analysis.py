@@ -239,7 +239,7 @@ def test_relative_error_identical_is_zero(segmented_run):
 def test_relative_error_zero_model_is_one(segmented_run):
     snapshots, solution, mass = segmented_run
     zero = SeamSolution(solution.models, np.zeros_like(solution.alphas),
-                        solution.tau, 0.0)
+                        solution.tau)
     assert relative_l2_error(snapshots, zero, mass, 0.1) == pytest.approx(1.0)
 
 
@@ -258,7 +258,7 @@ def test_relative_error_column_permutation_invariance(segmented_run):
     blocks = np.split(snapshots.data, len(solution.models), axis=1)
     reference = SnapshotMatrix(np.hstack([blocks[k] for k in perm]), snapshots.tau)
     reduced = SeamSolution(tuple(solution.models[k] for k in perm),
-                           solution.alphas[perm], solution.tau, 0.0)
+                           solution.alphas[perm], solution.tau)
     assert relative_l2_error(reference, reduced, mass, 0.2) == pytest.approx(
         base, rel=1e-12)
 

@@ -3,6 +3,7 @@ import os
 import shutil
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -281,9 +282,10 @@ def test_parallel_seam_solves_each_segment_once(tmp_path, monkeypatch):
 
 def test_parallel_seam_never_builds_the_dense_reduced_matrix(tmp_path, monkeypatch):
     def refuse(self):
-        raise AssertionError("dense reduced matrix rebuilt")
+        raise AssertionError("whole-run snapshot or reduced matrix built")
 
-    monkeypatch.setattr(SeamSolution, "to_matrix", refuse)
+    for whole_run in (SnapshotMatrix, SeamSolution):
+        monkeypatch.setattr(whole_run, "__post_init__", refuse)
     cfg = {
         "name": "mini", "dimension": 1, "alpha": ["1"], "c": "0", "f": "1",
         "u0": "sin(pi*x)", "tau": 0.025, "T": 0.95, "m": 6,
@@ -296,6 +298,8 @@ def test_parallel_seam_never_builds_the_dense_reduced_matrix(tmp_path, monkeypat
                    "--out", str(out)) == 0
     for name in ("seam.bin", "error.csv", "slices_t0.25.csv", "summary.json"):
         assert (out / name).exists(), name
+    assert run_cli("--config", str(path), "--mode", "bench", "--repeats", "1",
+                   "--out", str(tmp_path / "bench")) == 0
 
 
 def test_error_csv_matches_per_column_oracle(tmp_path):
@@ -352,10 +356,11 @@ def test_all_zero_snapshots_exit_2(tmp_path):
     }
     path = tmp_path / "zero.json"
     path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    assert run_cli("--config", str(path), "--mode", "parallel-seam",
-                   "--out", str(out)) == 2
-    assert not (out / "summary.json").exists()
+    for mode in ("parallel-seam", "eigs"):
+        out = tmp_path / mode
+        assert run_cli("--config", str(path), "--mode", mode, "--out", str(out)) == 2
+        for name in ("snapshots.bin", "report.json", "summary.json"):
+            assert not (out / name).exists(), (mode, name)
 
 
 def test_eigs_mode(tmp_path):
@@ -479,26 +484,6 @@ def test_eigs_on_a_file_truncated_after_the_header_check_exits_2(
     assert not (result / "summary.json").exists()
 
 
-def test_divisibility_violation_exit_4(tmp_path, monkeypatch):
-    cfg = {
-        "name": "mini", "dimension": 1, "alpha": ["1"], "c": "0", "f": "0",
-        "u0": "x", "tau": 0.001, "T": 0.01, "m": 6,
-        "segment_steps": 10, "segment_count": 1,
-    }
-    path = tmp_path / "p.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    assert run_cli("--config", str(path), "--mode", "hifi", "--out", str(out)) == 0
-    # Checked CLI inputs always split evenly, so the violation comes from
-    # the reduction itself: 11 columns cannot split into segments of 4.
-    reduce = cli.run_parallel_seam
-    monkeypatch.setattr(cli, "run_parallel_seam",
-                        lambda *args, segment_steps: reduce(*args, segment_steps=3))
-    assert run_cli("--config", str(path), "--mode", "parallel-seam",
-                   "--out", str(tmp_path / "out3"),
-                   "--snapshots", str(out / "snapshots.bin")) == 4
-
-
 def test_bench_mode(tmp_path, heat1d_run):
     out = tmp_path / "bench"
     code = run_cli("--scenario", "heat1d", "--mode", "bench", "--repeats", "2",
@@ -508,7 +493,9 @@ def test_bench_mode(tmp_path, heat1d_run):
     assert len(bench["hifi_samples"]) == 2
     assert len(bench["online_samples"]) == 2
     # bench reduces and scores exactly as a parallel-seam run does
-    assert bench["error_l2"] == read_json(heat1d_run / "summary.json")["error_l2"]
+    summary = read_json(heat1d_run / "summary.json")
+    for key in ("error_l2", "lambda0_first", "lambda0_last"):
+        assert bench[key] == summary[key], key
     assert read_json(out / "summary.json")["error_l2"] == bench["error_l2"]
     assert bench["speedup_online"] > 0
     assert "machine" in bench and "note" in bench
@@ -771,6 +758,38 @@ def test_streamed_parallel_seam_holds_one_segment_block(tmp_path):
         tracemalloc.stop()
     assert os.path.getsize(tmp_path / "out" / "snapshots.bin") > matrix_bytes
     assert peak < matrix_bytes / 2  # the whole snapshot matrix alone exceeds it
+
+
+def one_live_block(source):
+    """Wrap a block source so that, each time it yields the next block, every
+    block passed on before is asserted dead (a tracemalloc peak cannot tell
+    a second live block from the replay and error temporaries of one)."""
+    def passed_on(blocks):
+        earlier = []
+        for block in blocks:
+            assert all(ref() is None for ref in earlier), "an earlier block is alive"
+            earlier.append(weakref.ref(block))
+            yield block
+            del block
+
+    return lambda *args, **kwargs: passed_on(source(*args, **kwargs))
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["computed", "stored"])
+@pytest.mark.parametrize("mode", ["hifi", "eigs", "parallel-seam"])
+def test_streamed_modes_drop_each_block_before_the_next(tmp_path, monkeypatch,
+                                                        mode, stored):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(STREAMED))
+    snapshots = None
+    if stored:
+        execute(RunConfig(config_path=str(path), mode="hifi", out=str(tmp_path / "run")))
+        snapshots = str(tmp_path / "run" / "snapshots.bin")
+    monkeypatch.setattr(cli, "step_blocks", one_live_block(cli.step_blocks))
+    monkeypatch.setattr(cli, "read_snapshot_blocks",
+                        one_live_block(cli.read_snapshot_blocks))
+    execute(RunConfig(config_path=str(path), mode=mode, out=str(tmp_path / "out"),
+                      snapshots_path=snapshots))
 
 
 def test_solver_failure_mid_stream_leaves_no_snapshot_files(tmp_path, monkeypatch):
