@@ -158,7 +158,7 @@ def assemble_stiffness(mesh: Mesh, alpha_diag, c) -> sparse.dia_matrix:
 def assemble_load(mesh: Mesh, f, t: float) -> np.ndarray:
     """Read-only right-hand side F_k = sum_T f(centroid, t) * |T| / (d+1).
 
-    f must be finite at every centroid.
+    f must be finite at every centroid, and F.F finite: CG forms that sum.
     """
     paths, volumes, _ = _reference_simplices(mesh)
     d, m = mesh.dimension, mesh.divisions
@@ -171,14 +171,18 @@ def assemble_load(mesh: Mesh, f, t: float) -> np.ndarray:
         for corner in path:
             cells, nodes = _box(m, corner)
             grid[nodes] += contrib[cells]
+    if not np.isfinite(values @ values):
+        raise EvaluationError(f"load vector's squared 2-norm overflows at t = {t!r}")
     values.setflags(write=False)
     return values
 
 
 def interpolate_initial(mesh: Mesh, u0) -> np.ndarray:
-    """Nodal interpolant of u0 on interior nodes, which must all be finite."""
+    """Nodal interpolant of u0 on interior nodes, whose squared 2-norm (which
+    CG forms) must be finite: so must every value."""
     u = u0(*mesh.interior_nodes().T)
     values = np.asarray(np.broadcast_to(u, mesh.num_interior), dtype=float).copy()
-    if not np.isfinite(values).all():
-        raise EvaluationError("initial data is not finite at every interior node")
+    if not np.isfinite(values @ values):
+        raise EvaluationError("initial data is not finite at every interior node, "
+                              "or its squared 2-norm overflows")
     return values

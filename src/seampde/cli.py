@@ -6,7 +6,8 @@ hifi           high-fidelity run only, snapshots written to disk
 seam           one basis over the whole run (single segment)
 parallel-seam  segmented reduction with the scenario's segment length
 eigs           per-segment Gram spectra and the rank-one-reference report
-bench          wall-time comparison of the full solve vs the reduced replay
+bench          the parallel-seam pass, --repeats times over; median timings
+               of the full solve and the reduced replays in bench.json
 hw-selftest    eigenvalue-displacement inequality suite on random matrices
 
 Exit codes: 0 success; 2 configuration error (bad options or files, a
@@ -14,7 +15,8 @@ problem that breaks a rule of fields.ProblemSpec, given by flag or by
 config key alike, a snapshot file whose dofs, tau or column count differ
 from the problem's, a field expression that cannot be parsed or
 evaluated, initial data, a coefficient or a source term that is not
-finite, a JSON artifact value that is not finite, all-zero snapshots); 3
+finite, a load or initial vector whose squared 2-norm overflows, a JSON
+artifact value that is not finite, all-zero snapshots); 3
 solver failure; 1 failed self-test. Problem and snapshot-header checks run
 before any compute.
 """
@@ -277,8 +279,18 @@ def execute(config: RunConfig) -> dict | None:
 
     outdir = Path(config.out)
     if config.mode == "bench":
-        return _run_bench(problem, disc, config, summary, outdir)
+        _run_bench(problem, disc, config, summary, outdir)
+    else:
+        _pass(problem, disc, config, summary, outdir)
+    _write_json(outdir / "summary.json", summary)
+    return summary
 
+
+def _pass(problem: ProblemSpec, disc: Discretization, config: RunConfig,
+          summary: dict, outdir) -> None:
+    """One pass of the mode over the run's blocks, stepped and stored or read
+    from the snapshot file: write every artifact but summary.json to
+    ``outdir`` and fill in the summary."""
     segment_steps = (problem.num_steps if config.mode == "seam"
                      else problem.segment_steps)
     if config.snapshots_path:
@@ -294,56 +306,35 @@ def execute(config: RunConfig) -> dict | None:
                 slices.take(block)
                 del block
             slices.write(outdir, disc)
-        elif config.mode == "eigs":
+            return
+        if config.mode == "eigs":
             report = build_spectral_report(blocks, problem.tau, disc.mass,
                                            disc.stiffness, segment_steps)
             _write_json(outdir / "report.json", report.to_json_dict())
             spectra = report.spectra
-        else:  # seam / parallel-seam
+        else:  # seam / parallel-seam / bench
             spectra, rows, norms, slices = _reduce_blocks(
                 blocks, problem, disc, segment_steps, outdir / "seam.bin", summary)
             summary["error_l2"] = space_time_error(*norms, problem.tau)
             _write_segments_csv(outdir / "segments.csv", rows)
             _write_error_csv(outdir / "error.csv", problem.tau, *norms)
             slices.write(outdir, disc)
-    if config.mode != "hifi":
-        _write_spectra_csv(outdir / "eigenvalues.csv", spectra)
-        summary["lambda0_first"] = float(spectra[0].eigenvalues[0])
-        summary["lambda0_last"] = float(spectra[-1].eigenvalues[0])
-
-    _write_json(outdir / "summary.json", summary)
-    return summary
+    _write_spectra_csv(outdir / "eigenvalues.csv", spectra)
+    summary["lambda0_first"] = float(spectra[0].eigenvalues[0])
+    summary["lambda0_last"] = float(spectra[-1].eigenvalues[0])
 
 
-def _run_bench(problem, disc, config, summary, outdir) -> dict:
-    """Median-of-repeats timings for the full solve vs the reduced replay.
-
-    Each repeat steps the whole run into its segment blocks; the last
-    repeat's blocks are reduced once, and each repeat times one replay of
-    every segment's model. The error is scored block by block."""
-    steps = problem.segment_steps
-    hifi_samples = []
+def _run_bench(problem, disc, config, summary, outdir) -> None:
+    """The parallel-seam pass, ``config.repeats`` times; the summary's hifi
+    and online seconds become the medians of the passes' figures, which
+    bench.json adds as samples."""
+    hifi_samples, online_samples = [], []
     for _ in range(config.repeats):
-        start = time.perf_counter()
-        blocks = list(step_blocks(problem, disc, steps + 1))
-        hifi_samples.append(time.perf_counter() - start)
-    start = time.perf_counter()
-    models = [seam_offline(block, disc.mass, disc.stiffness, disc.load, problem.tau)
-              for block in blocks]
-    summary["seam_offline_seconds"] = time.perf_counter() - start
-    online_samples = []
-    for _ in range(config.repeats):
-        start = time.perf_counter()
-        replays = [seam_online(model, steps) for model in models]
-        online_samples.append(time.perf_counter() - start)
-    norms = [block_error_norms(block, np.outer(alphas, model.basis).T, disc.mass)
-             for block, model, alphas in zip(blocks, models, replays)]
+        _pass(problem, disc, config, summary, outdir)
+        hifi_samples.append(summary["hifi_seconds"])
+        online_samples.append(summary["seam_online_seconds"])
     summary["hifi_seconds"] = float(np.median(hifi_samples))
     summary["seam_online_seconds"] = float(np.median(online_samples))
-    summary["error_l2"] = space_time_error(
-        *(np.concatenate(columns) for columns in zip(*norms)), problem.tau)
-    summary["lambda0_first"] = float(models[0].spectrum.eigenvalues[0])
-    summary["lambda0_last"] = float(models[-1].spectrum.eigenvalues[0])
     payload = {
         **summary,
         "hifi_samples": hifi_samples,
@@ -357,10 +348,7 @@ def _run_bench(problem, disc, config, summary, outdir) -> dict:
         },
         "note": "online time excludes snapshot generation and basis extraction",
     }
-    outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "bench.json", payload)
-    _write_json(outdir / "summary.json", summary)
-    return summary
 
 
 def _run_hw_selftest(config: RunConfig) -> None:

@@ -126,13 +126,14 @@ def cg_solve(matrix, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
     raises SolverFailure (carrying the final relative residual) after
     ``_CG_MAXITER_PER_DOF`` times the system dimension iterations, at once
     on a curvature p.Ap that is not positive (NaN included), and before the
-    first iteration when ``rhs`` or ``x0`` is not finite.
+    first iteration when ``||rhs||`` (infinite also when its square
+    overflows) or ``x0`` is not finite.
     """
-    for name, vector in (("right-hand side", rhs), ("start vector", x0)):
-        if not np.isfinite(vector).all():
+    rhs_norm = np.linalg.norm(rhs)
+    for name, value in (("right-hand side norm", rhs_norm), ("start vector", x0)):
+        if not np.isfinite(value).all():
             raise SolverFailure(f"conjugate gradients got a non-finite {name}",
                                 float("nan"))
-    rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
     x = x0.astype(float, copy=True)

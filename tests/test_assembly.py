@@ -12,6 +12,7 @@ from seampde.assembly import (
     assemble_stiffness,
     interpolate_initial,
 )
+from seampde.errors import EvaluationError
 from seampde.fields import parse_expression as expr, scenario
 from seampde.hifi import Discretization, discretize
 from seampde.mesh import build_cube_mesh, build_interval_mesh, build_square_mesh, kuhn_paths
@@ -155,6 +156,17 @@ def test_interpolate_zero_and_constant():
     mesh = build_square_mesh(3)
     np.testing.assert_array_equal(interpolate_initial(mesh, ZERO), 0.0)
     np.testing.assert_array_equal(interpolate_initial(mesh, ONE), 1.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("build", [
+    lambda mesh: load_of(mesh, expr("1e300*x")),
+    lambda mesh: interpolate_initial(mesh, expr("1e200*x")),
+], ids=["load", "initial"])
+def test_vectors_whose_squared_norm_overflows_are_rejected(build):
+    # every entry is finite, but CG cannot form v.v
+    with pytest.raises(EvaluationError, match="squared 2-norm overflows"):
+        build(build_interval_mesh(6))
 
 
 def test_interpolate_3d_center_node_zero():

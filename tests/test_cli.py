@@ -492,11 +492,23 @@ def test_bench_mode(tmp_path, heat1d_run):
     bench = read_json(out / "bench.json")
     assert len(bench["hifi_samples"]) == 2
     assert len(bench["online_samples"]) == 2
-    # bench reduces and scores exactly as a parallel-seam run does
-    summary = read_json(heat1d_run / "summary.json")
-    for key in ("error_l2", "lambda0_first", "lambda0_last"):
-        assert bench[key] == summary[key], key
-    assert read_json(out / "summary.json")["error_l2"] == bench["error_l2"]
+    # bench is the parallel-seam pass: the same files, byte for byte
+    names = sorted(p.name for p in out.iterdir() if p.name != "bench.json")
+    assert names == sorted(p.name for p in heat1d_run.iterdir())
+    for name in names:
+        if name != "summary.json":
+            assert (out / name).read_bytes() == (heat1d_run / name).read_bytes(), name
+
+    def untimed(summary):
+        return {k: v for k, v in summary.items()
+                if not k.endswith("_seconds") and k != "mode"}
+
+    summary = read_json(out / "summary.json")
+    assert untimed(summary) == untimed(read_json(heat1d_run / "summary.json"))
+    assert summary["mode"] == "bench"
+    assert {k: bench[k] for k in summary} == summary
+    assert summary["hifi_seconds"] == np.median(bench["hifi_samples"])
+    assert summary["seam_online_seconds"] == np.median(bench["online_samples"])
     assert bench["speedup_online"] > 0
     assert "machine" in bench and "note" in bench
 
@@ -640,6 +652,26 @@ def test_overflowing_coefficient_exits_2(tmp_path, key, value, mode):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("u0,f,mode", [
+    pytest.param("0", "1e300*x", "hifi", id="f-from-zero"),
+    pytest.param("x", "1e300*x", "hifi", id="f-hifi"),
+    pytest.param("x", "1e300*x", "parallel-seam", id="f-parallel-seam"),
+    pytest.param("x", "1e300*x", "eigs", id="f-eigs"),
+    pytest.param("1e200*x", "0", "hifi", id="u0"),
+    pytest.param("x", "1e150*x*exp(10000*t)", "hifi", id="f-at-step-2"),
+])
+def test_overflowing_load_or_initial_vector_exits_2(tmp_path, u0, f, mode):
+    # every entry is finite, but not the squared 2-norm that CG forms: from
+    # u0 = 0 the run was once accepted as all zeros, else it exited 3
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**MINI, "u0": u0, "f": f}))
+    out = tmp_path / "out"
+    assert run_cli("--config", str(path), "--mode", mode, "--out", str(out)) == 2
+    assert not (out / "snapshots.bin").exists()
+    assert not (out / "summary.json").exists()
+
+
 def test_non_finite_summary_value_exits_2_without_summary(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "space_time_error", lambda *args: float("inf"))
     path = tmp_path / "p.json"
@@ -775,8 +807,10 @@ def one_live_block(source):
     return lambda *args, **kwargs: passed_on(source(*args, **kwargs))
 
 
-@pytest.mark.parametrize("stored", [False, True], ids=["computed", "stored"])
-@pytest.mark.parametrize("mode", ["hifi", "eigs", "parallel-seam"])
+@pytest.mark.parametrize("mode,stored", [
+    pytest.param(mode, stored, id=f"{mode}-{'stored' if stored else 'computed'}")
+    for mode in ("hifi", "eigs", "parallel-seam") for stored in (False, True)
+] + [pytest.param("bench", False, id="bench-computed")])
 def test_streamed_modes_drop_each_block_before_the_next(tmp_path, monkeypatch,
                                                         mode, stored):
     path = tmp_path / "p.json"
@@ -789,7 +823,7 @@ def test_streamed_modes_drop_each_block_before_the_next(tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "read_snapshot_blocks",
                         one_live_block(cli.read_snapshot_blocks))
     execute(RunConfig(config_path=str(path), mode=mode, out=str(tmp_path / "out"),
-                      snapshots_path=snapshots))
+                      snapshots_path=snapshots, repeats=2))
 
 
 def test_solver_failure_mid_stream_leaves_no_snapshot_files(tmp_path, monkeypatch):

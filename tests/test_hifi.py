@@ -9,7 +9,7 @@ import scipy.sparse as sparse
 
 import seampde.hifi as hifi
 from seampde.assembly import assemble_load
-from seampde.errors import SolverFailure
+from seampde.errors import EvaluationError, SolverFailure
 from seampde.fields import ProblemSpec, parse_expression as expr, scenario
 from seampde.hifi import (
     cg_solve,
@@ -102,6 +102,26 @@ def test_cg_rejects_non_finite_input_before_iterating(bad, where):
     with pytest.raises(SolverFailure, match="non-finite"):
         cg_solve(a, rhs, x0=x0)
     assert a.matvecs == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cg_rejects_a_rhs_whose_norm_overflows():
+    # every entry is finite, but ||rhs|| is not: inf <= CG_RTOL * inf would
+    # accept the start vector as converged
+    a = CountingMatrix(sparse.eye(5, format="csr"))
+    with pytest.raises(SolverFailure, match="non-finite right-hand side norm"):
+        cg_solve(a, np.full(5, 1e300), x0=np.zeros(5))
+    assert a.matvecs == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_step_blocks_rejects_the_load_at_the_step_where_it_overflows():
+    # F.F is about 5e298 at t = 0 and grows by e^20 a step
+    problem = small_problem(m=6, steps=10, u0="x", f="1e150*x*exp(10000*t)")
+    blocks = step_blocks(problem, discretize(problem), 1)
+    next(blocks), next(blocks)  # the columns of t = 0 and t = tau
+    with pytest.raises(EvaluationError, match="overflows at t = 0.002"):
+        next(blocks)
 
 
 def test_cg_breaks_down_at_once_on_nan_curvature():
