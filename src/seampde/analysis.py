@@ -22,7 +22,7 @@ import scipy.sparse as sparse
 
 from seampde.errors import DegenerateReferenceError, StagnationError
 from seampde.hifi import SnapshotMatrix, cg_solve, galerkin_start
-from seampde.pod import SPECTRUM_HEAD, GramSpectrum, eig_descending, gram
+from seampde.pod import SPECTRUM_HEAD, GramSpectrum, block_spectrum
 from seampde.seam import SeamSolution
 
 # operator_norm's stopping rule: relative change of the estimate, step cap
@@ -244,7 +244,7 @@ def build_spectral_report(blocks, tau: float, mass: sparse.dia_matrix,
     spectra, u0 = [], None
     for block in blocks:
         u0 = block[:, 0].copy() if u0 is None else u0
-        spectra.append(eig_descending(gram(block)))
+        spectra.append(block_spectrum(block))
         del block
     norm_a = operator_norm(mass, stiffness)
     if norm_a <= 0:

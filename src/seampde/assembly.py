@@ -57,8 +57,9 @@ def _at_centroids(mesh: Mesh, paths: np.ndarray, fields, message: str, **kwargs)
     for shift in paths.mean(axis=1):
         coords = [((np.arange(m) + shift[a]) / m).reshape((m,) + (1,) * a)
                   for a in range(d)]
-        values.append([np.broadcast_to(field(*coords, **kwargs), (m,) * d)
-                       for field in fields])
+        with np.errstate(over="ignore", invalid="ignore"):
+            values.append([np.broadcast_to(field(*coords, **kwargs), (m,) * d)
+                           for field in fields])
     if not all(np.isfinite(v).all() for per_type in values for v in per_type):
         raise EvaluationError(message)
     return values
@@ -171,7 +172,9 @@ def assemble_load(mesh: Mesh, f, t: float) -> np.ndarray:
         for corner in path:
             cells, nodes = _box(m, corner)
             grid[nodes] += contrib[cells]
-    if not np.isfinite(values @ values):
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_sq = values @ values
+    if not np.isfinite(norm_sq):
         raise EvaluationError(f"load vector's squared 2-norm overflows at t = {t!r}")
     values.setflags(write=False)
     return values
@@ -180,9 +183,11 @@ def assemble_load(mesh: Mesh, f, t: float) -> np.ndarray:
 def interpolate_initial(mesh: Mesh, u0) -> np.ndarray:
     """Nodal interpolant of u0 on interior nodes, whose squared 2-norm (which
     CG forms) must be finite: so must every value."""
-    u = u0(*mesh.interior_nodes().T)
-    values = np.asarray(np.broadcast_to(u, mesh.num_interior), dtype=float).copy()
-    if not np.isfinite(values @ values):
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = u0(*mesh.interior_nodes().T)
+        values = np.asarray(np.broadcast_to(u, mesh.num_interior), dtype=float).copy()
+        norm_sq = values @ values
+    if not np.isfinite(norm_sq):
         raise EvaluationError("initial data is not finite at every interior node, "
                               "or its squared 2-norm overflows")
     return values

@@ -62,6 +62,9 @@ from seampde.seam import seam_offline, seam_online
 MODES = ("hifi", "seam", "parallel-seam", "eigs", "bench", "hw-selftest")
 SLICE_TIMES = (0.25, 0.5, 0.75, 1.0)
 SUMMARY_SCHEMA = 1
+# _reduce_blocks expands, writes and scores each block's replay in column
+# chunks of at most this many bytes.
+_CHUNK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -225,13 +228,16 @@ def _stepped_blocks(problem: ProblemSpec, disc: Discretization, columns: int,
 
 def _reduce_blocks(blocks, problem: ProblemSpec, disc: Discretization,
                    segment_steps: int, path, summary: dict):
-    """Reduce (seam_offline), replay (seam_online) and score each one-segment
-    block as it arrives, append its replay to the snapshot file at ``path``
-    and take its slice columns, dropping block, replay and basis before the
-    next block is made; the summary's offline and online seconds sum the two
-    calls' times. Return the spectra, the segments.csv rows, the error norms
-    and the _Slices."""
+    """Reduce (seam_offline) and replay (seam_online) each one-segment block
+    as it arrives, then walk it in chunks of at most _CHUNK_BYTES of
+    columns: expand each chunk's replay beta alpha', append it to the
+    snapshot file at ``path``, score it against the block's columns and take
+    its slice columns. No block-sized array is formed beside the block, and
+    block and basis are dropped before the next block is made; the summary's
+    offline and online seconds sum the two calls' times. Return the spectra,
+    the segments.csv rows, the error norms and the _Slices."""
     spectra, rows, norms, slices = [], [], [], _Slices(problem, 2)
+    width = max(1, _CHUNK_BYTES // (8 * problem.num_dofs))
     summary["seam_offline_seconds"] = summary["seam_online_seconds"] = 0.0
     with snapshot_writer(path, problem.num_dofs, problem.num_steps + 1,
                          problem.tau) as append:
@@ -243,14 +249,16 @@ def _reduce_blocks(blocks, problem: ProblemSpec, disc: Discretization,
             alphas = seam_online(model, segment_steps)
             summary["seam_online_seconds"] += time.perf_counter() - replay_start
             summary["seam_offline_seconds"] += replay_start - start
-            reduced = np.outer(alphas, model.basis).T
-            append(reduced)
-            norms.append(block_error_norms(block, reduced, disc.mass))
-            slices.take(block, reduced)
+            for first in range(0, block.shape[1], width):
+                cols = slice(first, first + width)
+                chunk = np.outer(alphas[cols], model.basis).T
+                append(chunk)
+                norms.append(block_error_norms(block[:, cols], chunk, disc.mass))
+                slices.take(block[:, cols], chunk)
             spectra.append(model.spectrum)
             rows.append((float(model.spectrum.eigenvalues[0]), model.system_coeff,
                          model.mass_coeff, model.alpha0))
-            del block, model, reduced
+            del block, model, chunk
     norms = [np.concatenate(columns) for columns in zip(*norms)]
     return spectra, rows, norms, slices
 

@@ -129,7 +129,8 @@ def cg_solve(matrix, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
     first iteration when ``||rhs||`` (infinite also when its square
     overflows) or ``x0`` is not finite.
     """
-    rhs_norm = np.linalg.norm(rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs_norm = np.linalg.norm(rhs)
     for name, value in (("right-hand side norm", rhs_norm), ("start vector", x0)):
         if not np.isfinite(value).all():
             raise SolverFailure(f"conjugate gradients got a non-finite {name}",

@@ -1,8 +1,10 @@
 """Gram-matrix eigenanalysis and rank-1 POD basis extraction.
 
-`eig_descending` solves the (n+1)x(n+1) Gram matrix of a snapshot block
-with LAPACK's symmetric solver; snapshot counts stay small (n <= 1000 in
-every built-in scenario) so a full decomposition is cheap. `jacobi_eigh`,
+`block_spectrum` gives a snapshot block's Gram spectrum from the smaller
+of its two products: `eig_descending` solves the (n+1)x(n+1) Gram matrix
+X^T X with LAPACK's symmetric solver, or, for a block with more columns
+than dofs, the dofs x dofs product X X^T, which has the same non-zero
+eigenvalues (Sirovich's method of snapshots). `jacobi_eigh`,
 a cyclic Jacobi iteration, is kept as the reference solver that the
 tests compare LAPACK's results against; no run calls it. Rotations below
 an absolute threshold tied to the matrix scale are skipped, which makes
@@ -137,10 +139,27 @@ def eig_descending(x: np.ndarray) -> GramSpectrum:
         raise DegenerateSnapshotError(
             "snapshot block is numerically zero; no POD basis exists"
         )
-    b0 = vectors[:, 0]
-    if b0[np.argmax(np.abs(b0))] < 0:
-        b0 = -b0
-    return GramSpectrum(values, b0.copy())
+    return GramSpectrum(values, _largest_entry_positive(vectors[:, 0]).copy())
+
+
+def _largest_entry_positive(vector: np.ndarray) -> np.ndarray:
+    return -vector if vector[np.argmax(np.abs(vector))] < 0 else vector
+
+
+def block_spectrum(segment: np.ndarray) -> GramSpectrum:
+    """eig_descending(gram(X)) of a snapshot block X, from the smaller
+    product: a block with more columns than rows solves X X^T (the same
+    non-zero eigenvalues), pads them with exact zeros to one per column,
+    and takes the leading vector as X^T u0 (of norm sqrt(lam0)) from the
+    leading u0 of X X^T, unit-normed, largest-magnitude entry positive."""
+    segment = np.asarray(segment, dtype=float)
+    if segment.ndim != 2 or segment.shape[1] <= segment.shape[0]:
+        return eig_descending(gram(segment))
+    left = eig_descending(gram(segment.T))
+    values = np.zeros(segment.shape[1])
+    values[:len(left.eigenvalues)] = left.eigenvalues
+    b0 = segment.T @ left.leading_vector
+    return GramSpectrum(values, _largest_entry_positive(b0 / np.linalg.norm(b0)))
 
 
 def pod_basis(segment_data: np.ndarray, spectrum: GramSpectrum) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from seampde.hifi import SnapshotMatrix, snapshot_writer
-from seampde.pod import GramSpectrum, eig_descending, gram, pod_basis
+from seampde.pod import GramSpectrum, block_spectrum, pod_basis
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def seam_offline(segment_data: np.ndarray, mass: sparse.dia_matrix,
                  tau: float) -> SeamModel:
     """Extract the rank-1 basis of a snapshot block and reduce the operators."""
     segment_data = np.asarray(segment_data, dtype=float)
-    spectrum = eig_descending(gram(segment_data))
+    spectrum = block_spectrum(segment_data)
     beta = pod_basis(segment_data, spectrum)
     mass_coeff = float(beta @ (mass @ beta))
     system_coeff = float(mass_coeff + tau * (beta @ (stiffness @ beta)))

@@ -158,7 +158,6 @@ def test_interpolate_zero_and_constant():
     np.testing.assert_array_equal(interpolate_initial(mesh, ONE), 1.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("build", [
     lambda mesh: load_of(mesh, expr("1e300*x")),
     lambda mesh: interpolate_initial(mesh, expr("1e200*x")),

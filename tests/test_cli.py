@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import subprocess
 import sys
 import tracemalloc
 import weakref
@@ -19,6 +20,7 @@ from seampde.hifi import (
     run_hifi,
     save_snapshots,
 )
+from seampde.pod import eig_descending, gram
 from seampde.seam import SeamSolution, run_parallel_seam, save_seam
 
 
@@ -432,28 +434,54 @@ def test_eigs_from_a_stored_run_holds_one_segment_block(tmp_path, eigs_1d_run):
     assert peak < payload / 2  # a whole-file read alone would exceed it
 
 
-def test_eigs_from_a_stored_run_holds_no_second_block(tmp_path):
-    # tall blocks (16,384 dofs x 21 columns, 2.75 MB) outweigh the operators;
-    # a reaction-only problem (S = M) keeps the power iteration to two steps
+@pytest.fixture(scope="module")
+def tall2d_run(tmp_path_factory):
+    """A stored run of tall blocks (16,384 dofs x 21 columns, 2.75 MB) that
+    outweigh the operators; a reaction-only problem (S = M) keeps the power
+    iteration to two steps. Returns the config path, the snapshot file and
+    the block size in bytes."""
+    root = tmp_path_factory.mktemp("tall2d")
     cfg = {
         "name": "tall2d", "dimension": 2, "alpha": ["0", "0"], "c": "1", "f": "0",
         "u0": "sin(pi*x)*sin(pi*y)", "tau": 1e-4, "m": 129,
         "segment_steps": 20, "segment_count": 3,
     }
-    path = tmp_path / "tall2d.json"
+    path = root / "tall2d.json"
     path.write_text(json.dumps(cfg))
-    execute(RunConfig(config_path=str(path), mode="hifi", out=str(tmp_path / "run")))
-    block_bytes = 8 * 128**2 * 21
+    execute(RunConfig(config_path=str(path), mode="hifi", out=str(root / "run")))
+    return path, str(root / "run" / "snapshots.bin"), 8 * 128**2 * 21
+
+
+def traced_peak(config: RunConfig) -> int:
     tracemalloc.start()
     try:
-        execute(RunConfig(config_path=str(path), mode="eigs", out=str(tmp_path / "eigs"),
-                          snapshots_path=str(tmp_path / "run" / "snapshots.bin")))
+        execute(config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def test_eigs_from_a_stored_run_holds_no_second_block(tmp_path, tall2d_run):
+    path, snapshots, block_bytes = tall2d_run
+    peak = traced_peak(RunConfig(config_path=str(path), mode="eigs",
+                                 out=str(tmp_path / "eigs"), snapshots_path=snapshots))
     # 1.8 blocks when each block is dropped before the next is read;
     # 3.3 when the loops held the previous block while the next one was made
     assert peak < 2.5 * block_bytes
+
+
+def test_stored_parallel_seam_forms_nothing_block_sized_beside_the_block(
+        tmp_path, tall2d_run):
+    path, snapshots, block_bytes = tall2d_run
+    peak = traced_peak(RunConfig(config_path=str(path), mode="parallel-seam",
+                                 out=str(tmp_path / "seam"), snapshots_path=snapshots))
+    # 2.96 blocks: the block, the discretization (0.77 blocks) and three
+    # 1 MiB chunk arrays (replay, scoring copy, M times that copy; 0.38
+    # blocks each). 4.82 blocks while each of the three was block-sized; any
+    # one of them block-sized again adds at least 0.6 blocks. Block and
+    # operators alone are 1.77 blocks, so 1 MiB chunks cannot stay below 2.
+    assert peak < 3.25 * block_bytes
 
 
 def test_eigs_from_a_stored_run_matches_the_in_process_run(tmp_path, eigs_1d_run):
@@ -615,7 +643,6 @@ def test_slice_fields_are_plain_numbers(tmp_path):
         np.testing.assert_array_equal(values[:, 3], reduced[:, index])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_initial_data_exits_2(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({**MINI, "u0": "1e308*(1+x)"}))
@@ -624,10 +651,11 @@ def test_overflowing_initial_data_exits_2(tmp_path):
     assert not (out / "snapshots.bin").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("key,value,mode", [
     pytest.param("c", "exp(1000*x)", "hifi", id="c-exp(1000*x)"),
-    pytest.param("alpha", ["exp(1000*x)"], "hifi", id="alpha-value1"),
+    # the diffusion-sign sample in fields.ProblemSpec still warns on it
+    pytest.param("alpha", ["exp(1000*x)"], "hifi", id="alpha-value1",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
     pytest.param("f", "exp(1000*x)", "hifi", id="f-hifi"),
     pytest.param("f", "exp(1000*x)", "parallel-seam", id="f-parallel-seam-snapshots"),
     # finite at t = 0, infinite from the first step on
@@ -652,7 +680,6 @@ def test_overflowing_coefficient_exits_2(tmp_path, key, value, mode):
     assert not (out / "summary.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("u0,f,mode", [
     pytest.param("0", "1e300*x", "hifi", id="f-from-zero"),
     pytest.param("x", "1e300*x", "hifi", id="f-hifi"),
@@ -670,6 +697,40 @@ def test_overflowing_load_or_initial_vector_exits_2(tmp_path, u0, f, mode):
     assert run_cli("--config", str(path), "--mode", mode, "--out", str(out)) == 2
     assert not (out / "snapshots.bin").exists()
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("key,value", [("f", "1e300*x"), ("c", "exp(1000*x)")])
+def test_overflowing_input_prints_one_error_line(tmp_path, key, value):
+    # NumPy's overflow RuntimeWarning, naming a source line of the package,
+    # was once printed before the error line
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**MINI, key: value}))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "seampde.cli", "--config", str(path), "--mode", "hifi",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ")
+
+
+def test_wide_seam_run_reports_the_column_gram_lambda0(tmp_path):
+    # 20 dofs x 400 columns: the run solves the 20 x 20 product X X^T
+    cfg = {
+        "name": "wide1d", "dimension": 1, "alpha": ["1"], "c": "0", "f": "1",
+        "u0": "sin(pi*x)", "tau": 1e-3, "m": 21, "segment_steps": 399,
+        "segment_count": 1,
+    }
+    path = tmp_path / "wide1d.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli("--config", str(path), "--mode", "seam", "--out", str(out)) == 0
+    snapshots = load_snapshots(out / "snapshots.bin", config_problem(path)).data
+    assert snapshots.shape == (20, 400)
+    reference = eig_descending(gram(snapshots)).eigenvalues[0]
+    lambda0 = float((out / "segments.csv").read_text().splitlines()[1].split(",")[1])
+    assert abs(lambda0 - reference) <= 1e-13 * reference
 
 
 def test_non_finite_summary_value_exits_2_without_summary(tmp_path, monkeypatch):
@@ -846,7 +907,6 @@ def test_solver_failure_mid_stream_leaves_no_snapshot_files(tmp_path, monkeypatc
         assert not (out / name).exists(), name
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("source,error", [
     ("load-overflows-in-segment-3", EvaluationError),
     ("stored-nan-in-segment-2", ValueError),

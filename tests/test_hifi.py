@@ -104,7 +104,6 @@ def test_cg_rejects_non_finite_input_before_iterating(bad, where):
     assert a.matvecs == 0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cg_rejects_a_rhs_whose_norm_overflows():
     # every entry is finite, but ||rhs|| is not: inf <= CG_RTOL * inf would
     # accept the start vector as converged
@@ -114,7 +113,6 @@ def test_cg_rejects_a_rhs_whose_norm_overflows():
     assert a.matvecs == 0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_step_blocks_rejects_the_load_at_the_step_where_it_overflows():
     # F.F is about 5e298 at t = 0 and grows by e^20 a step
     problem = small_problem(m=6, steps=10, u0="x", f="1e150*x*exp(10000*t)")

@@ -6,6 +6,7 @@ from seampde.cli import _write_spectra_csv
 from seampde.errors import DegenerateSnapshotError, StagnationError
 from seampde.pod import (
     GramSpectrum,
+    block_spectrum,
     eig_descending,
     gram,
     jacobi_eigh,
@@ -130,6 +131,47 @@ def test_eig_descending_matches_jacobi_on_s1_gram_blocks():
                                    rtol=0, atol=1e-12 * lam0)
         b0 = vectors[:, 0] * np.sign(vectors[np.argmax(np.abs(vectors[:, 0])), 0])
         np.testing.assert_allclose(spectrum.leading_vector, b0, rtol=0, atol=1e-10)
+
+
+def heat1d_block():
+    from seampde.fields import scenario
+    from seampde.hifi import discretize, step_blocks
+
+    problem = scenario("heat1d")
+    [block] = step_blocks(problem, discretize(problem), problem.num_steps + 1)
+    return block
+
+
+@pytest.mark.parametrize("block", [
+    pytest.param(lambda: np.random.default_rng(5).standard_normal((12, 40)),
+                 id="random-12x40"),
+    # the same X X^T, so the same u0, but X^T u0 changes sign
+    pytest.param(lambda: -np.random.default_rng(5).standard_normal((12, 40)),
+                 id="random-12x40-negated"),
+    pytest.param(heat1d_block, id="heat1d-98x1001"),
+])
+def test_block_spectrum_of_a_wide_block_matches_the_column_gram(block):
+    # more columns than rows: the rows x rows product X X^T is solved
+    block = block()
+    rows, cols = block.shape
+    assert cols > rows
+    wide, reference = block_spectrum(block), eig_descending(gram(block))
+    lam0 = reference.eigenvalues[0]
+    assert wide.eigenvalues.shape == (cols,)
+    np.testing.assert_allclose(wide.eigenvalues, reference.eigenvalues,
+                               rtol=0, atol=1e-12 * lam0)
+    assert not wide.eigenvalues[rows:].any()  # exact zeros beyond the rows
+    np.testing.assert_allclose(wide.leading_vector, reference.leading_vector,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pod_basis(block, wide), pod_basis(block, reference),
+                               rtol=0, atol=1e-12)
+
+
+def test_block_spectrum_of_a_narrow_block_is_the_column_gram_spectrum():
+    block = np.random.default_rng(6).standard_normal((40, 12))
+    spectrum, reference = block_spectrum(block), eig_descending(gram(block))
+    assert np.array_equal(spectrum.eigenvalues, reference.eigenvalues)
+    assert np.array_equal(spectrum.leading_vector, reference.leading_vector)
 
 
 def test_eig_clamps_roundoff_negatives():
