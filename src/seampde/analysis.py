@@ -206,41 +206,13 @@ def space_time_error(error_sq: np.ndarray, reference_sq: np.ndarray,
     return float(np.sqrt(num / den))
 
 
-@dataclass(frozen=True)
-class SpectralReport:
-    """Per-segment eigenvalue heads plus the rank-one-reference diagnostics."""
-
-    spectra: tuple          # GramSpectrum per segment
-    norm_a: float
-    tau_norm_a: float       # the time-step smallness product, reported not enforced
-    lambda0_ref: np.longdouble
-    perturbation: PerturbationRecord
-    segment_steps: int
-    tau: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "segments": [
-                {"segment": k,
-                 "eigenvalues": [float(v) for v in s.eigenvalues[:SPECTRUM_HEAD]]}
-                for k, s in enumerate(self.spectra)
-            ],
-            "norm_a": self.norm_a,
-            "tau_norm_a": self.tau_norm_a,
-            "time_step_assumption_satisfied": self.tau_norm_a < 1.0,
-            "lambda0_reference": _json_number(self.lambda0_ref),
-            "perturbation": self.perturbation.to_json_dict(),
-            "segment_steps": self.segment_steps,
-            "tau": self.tau,
-        }
-
-
 def build_spectral_report(blocks, tau: float, mass: sparse.dia_matrix,
                           stiffness: sparse.dia_matrix,
-                          segment_steps: int) -> SpectralReport:
+                          segment_steps: int) -> tuple[list, dict]:
     """Eigenanalyze each segment block in turn, dropping it before the next
-    one is made; compare the first to the reference."""
+    one is made; compare the first to the reference. Return the spectra and
+    the report.json payload: each segment's eigenvalue head and the
+    rank-one-reference diagnostics."""
     spectra, u0 = [], None
     for block in blocks:
         u0 = block[:, 0].copy() if u0 is None else u0
@@ -253,15 +225,21 @@ def build_spectral_report(blocks, tau: float, mass: sparse.dia_matrix,
         warnings.simplefilter("ignore")  # the report flags tau*||A|| >= 1
         lambda0_ref = reference_principal_eigenvalue(u0, norm_a, tau, segment_steps)
     record = perturbation_quantity(spectra[0], lambda0_ref, segment_steps, tau)
-    return SpectralReport(
-        spectra=tuple(spectra),
-        norm_a=norm_a,
-        tau_norm_a=tau * norm_a,
-        lambda0_ref=lambda0_ref,
-        perturbation=record,
-        segment_steps=segment_steps,
-        tau=tau,
-    )
+    return spectra, {
+        "schema": 1,
+        "segments": [
+            {"segment": k,
+             "eigenvalues": [float(v) for v in s.eigenvalues[:SPECTRUM_HEAD]]}
+            for k, s in enumerate(spectra)
+        ],
+        "norm_a": norm_a,
+        "tau_norm_a": tau * norm_a,
+        "time_step_assumption_satisfied": tau * norm_a < 1.0,
+        "lambda0_reference": _json_number(lambda0_ref),
+        "perturbation": record.to_json_dict(),
+        "segment_steps": segment_steps,
+        "tau": tau,
+    }
 
 
 def _json_number(value):

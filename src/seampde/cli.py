@@ -12,7 +12,9 @@ hw-selftest    eigenvalue-displacement inequality suite on random matrices
 
 Exit codes: 0 success; 2 configuration error (bad options or files, a
 problem that breaks a rule of fields.ProblemSpec, given by flag or by
-config key alike, a snapshot file whose dofs, tau or column count differ
+config key alike, a horizon T, from the config or from --T, other than
+the one the run steps to once the flags replace the config's keys, a
+snapshot file whose dofs, tau or column count differ
 from the problem's, a field expression that cannot be parsed or
 evaluated, initial data, a coefficient or a source term that is not
 finite, a load or initial vector whose squared 2-norm overflows, a JSON
@@ -114,7 +116,8 @@ def config_from_args(args) -> RunConfig:
 
 
 def resolve_problem(config: RunConfig) -> ProblemSpec:
-    """Scenario or config file plus overrides, checked before any compute."""
+    """Build the scenario or config file as written, then, if a flag is given,
+    once more with the flags over its keys; checked before any compute."""
     if config.scenario and config.config_path:
         raise ValueError("give either --scenario or --config, not both")
     if config.config_path:
@@ -128,8 +131,11 @@ def resolve_problem(config: RunConfig) -> ProblemSpec:
         raise ValueError("a scenario name or a config file is required")
     if spec.get("scenario") == "heat3d" and spec.get("m") is None and not config.large:
         spec["m"] = 16  # desk-scale default; the full m=32 preset sits behind --large
-    return problem_from_config(spec).with_overrides(config.m, config.tau, config.n,
-                                                    None, config.big_t)
+    problem = problem_from_config(spec)
+    n_key = "n" if "scenario" in spec else "segment_steps"
+    flags = {"m": config.m, "tau": config.tau, n_key: config.n, "T": config.big_t}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    return problem_from_config({**spec, **flags}) if flags else problem
 
 
 def _write_error_csv(path, tau: float, error_sq: np.ndarray,
@@ -316,10 +322,9 @@ def _pass(problem: ProblemSpec, disc: Discretization, config: RunConfig,
             slices.write(outdir, disc)
             return
         if config.mode == "eigs":
-            report = build_spectral_report(blocks, problem.tau, disc.mass,
-                                           disc.stiffness, segment_steps)
-            _write_json(outdir / "report.json", report.to_json_dict())
-            spectra = report.spectra
+            spectra, report = build_spectral_report(blocks, problem.tau, disc.mass,
+                                                    disc.stiffness, segment_steps)
+            _write_json(outdir / "report.json", report)
         else:  # seam / parallel-seam / bench
             spectra, rows, norms, slices = _reduce_blocks(
                 blocks, problem, disc, segment_steps, outdir / "seam.bin", summary)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -305,27 +305,14 @@ class ProblemSpec:
                              "finite and positive")
         self._warn_if_alpha_negative()
 
-    def with_overrides(self, m, tau, n, segments, T) -> ProblemSpec:
-        """Each given value replaces its field and None keeps it. The horizon
-        follows from the result; a given T is only checked against it."""
-        given = {"divisions": m, "segment_steps": n, "segment_count": segments,
-                 "tau": tau if tau is None else float(_typed("tau", tau, numbers.Real))}
-        spec = replace(self, **{k: v for k, v in given.items() if v is not None})
-        if T is not None:
-            T = float(_typed("T", T, numbers.Real))
-            if not 0 < T < math.inf:
-                raise ValueError(f"T = {T!r} must be finite and positive")
-            if abs(spec.T - T) > 1e-9 * T:
-                raise ValueError(f"horizon mismatch: {spec.segment_count} segments of "
-                                 f"{spec.segment_steps + 1} columns need T = "
-                                 f"{spec.T!r}, spec says T = {T!r}")
-        return spec
-
     def _warn_if_alpha_negative(self):
         sample = np.linspace(0.0, 1.0, 9)
         grids = np.meshgrid(*([sample] * self.dimension))
         for a in self.alpha_diag:
-            if np.any(a(*grids) < 0):
+            # only the sign is read; an overflow is the assembly's to reject
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                negative = np.any(a(*grids) < 0)
+            if negative:
                 warnings.warn(
                     f"diffusion coefficient {a.source} is negative "
                     "somewhere on the sample grid",
@@ -355,6 +342,10 @@ SCENARIO_NAMES = tuple(_PRESETS)
 _EXPLICIT_KEYS = {"dimension", "alpha", "c", "f", "u0", "tau", "m",
                   "segment_steps", "segment_count"}
 
+# a scenario form's optional key -> the explicit key it sets
+_SCENARIO_KEYS = {"m": "m", "tau": "tau", "n": "segment_steps",
+                  "segments": "segment_count", "T": "T"}
+
 
 def _typed(key, value, kind: type):
     """``value`` if it is a ``kind`` (a bool is not a number), else ValueError."""
@@ -364,32 +355,19 @@ def _typed(key, value, kind: type):
 
 
 def scenario(name: str, f_variant: str | None = None) -> ProblemSpec:
-    """Build one of the five registered scenarios.
+    """Build one of the five registered scenarios: ``problem_from_config``
+    of ``{"scenario": name, "f": f_variant}``.
 
     ``f_variant`` selects the source term where a scenario defines
     several ("0", "10" or "xy"); the default is the first listed.
     """
-    try:
-        keys, variants = _PRESETS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; choose from {', '.join(_PRESETS)}"
-        ) from None
-    if f_variant is None:
-        f_variant = variants[0]
-    f_variant = str(f_variant)
-    if f_variant not in variants:
-        raise ValueError(
-            f"scenario {name!r} has no f variant {f_variant!r}; "
-            f"available: {', '.join(variants)}"
-        )
-    return _build({**keys, "name": name,
-                   "f": {"0": "0", "10": "10", "xy": "x*y"}[f_variant]})
+    return problem_from_config({"scenario": name, "f": f_variant})
 
 
 def _build(config) -> ProblemSpec:
-    """The one builder from config keys to a ProblemSpec, and their one type
-    check; a given "T" is checked against the horizon tau and the counts imply."""
+    """Type and check an explicit config once, building its ProblemSpec; a
+    given "T" must be finite, positive and within 1e-9 of the horizon that
+    tau and the counts imply."""
     alpha = _typed("alpha", config["alpha"], list)
     spec = ProblemSpec(
         name=config.get("name", "custom"),
@@ -403,16 +381,28 @@ def _build(config) -> ProblemSpec:
         segment_steps=config["segment_steps"],
         segment_count=config["segment_count"],
     )
-    return spec.with_overrides(None, None, None, None, config.get("T"))
+    T = config.get("T")
+    if T is not None:
+        T = float(_typed("T", T, numbers.Real))
+        if not 0 < T < math.inf:
+            raise ValueError(f"T = {T!r} must be finite and positive")
+        if abs(spec.T - T) > 1e-9 * T:
+            raise ValueError(f"horizon mismatch: {spec.segment_count} segments of "
+                             f"{spec.segment_steps + 1} columns need T = "
+                             f"{spec.T!r}, spec says T = {T!r}")
+    return spec
 
 
 def problem_from_config(config: dict) -> ProblemSpec:
-    """Build a ProblemSpec from a JSON-style mapping: ``{"scenario": name,
-    ...}`` with optional keys f/m/tau/n/segments/T, or a fully explicit spec
-    with expression strings, every key of ``_EXPLICIT_KEYS`` and an optional
-    "name" and "T". Any other key is rejected."""
+    """The one builder from a JSON-style mapping to a ProblemSpec. The mapping
+    is ``{"scenario": name, ...}`` with optional keys f/m/tau/n/segments/T, or
+    a fully explicit spec with expression strings, every key of
+    ``_EXPLICIT_KEYS`` and an optional "name" and "T"; any other key is
+    rejected. A scenario form becomes its preset's explicit keys with the
+    variant's f and every given key merged in (None keeps the preset's), and
+    ``_build`` checks the explicit mapping."""
     if "scenario" in config:
-        allowed = {"scenario", "f", "m", "tau", "n", "segments", "T"}
+        allowed = {"scenario", "f", *_SCENARIO_KEYS}
     else:
         allowed = _EXPLICIT_KEYS | {"name", "T"}
         missing = _EXPLICIT_KEYS - set(config)
@@ -423,5 +413,16 @@ def problem_from_config(config: dict) -> ProblemSpec:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "scenario" not in config:
         return _build(config)
-    return scenario(config["scenario"], config.get("f")).with_overrides(
-        *(config.get(key) for key in ("m", "tau", "n", "segments", "T")))
+    name = config["scenario"]
+    if name not in _PRESETS:
+        raise ValueError(f"unknown scenario {name!r}; "
+                         f"choose from {', '.join(_PRESETS)}")
+    keys, variants = _PRESETS[name]
+    variant = variants[0] if config.get("f") is None else str(config["f"])
+    if variant not in variants:
+        raise ValueError(f"scenario {name!r} has no f variant {variant!r}; "
+                         f"available: {', '.join(variants)}")
+    given = {_SCENARIO_KEYS[key]: value for key, value in config.items()
+             if key in _SCENARIO_KEYS and value is not None}
+    return _build({**keys, "name": name,
+                   "f": {"0": "0", "10": "10", "xy": "x*y"}[variant], **given})

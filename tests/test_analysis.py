@@ -131,9 +131,8 @@ def test_time_step_check_arithmetic():
     mass = diag_op([1.0, 1.0, 1.0])
     for tau, stiffness, product, satisfied in ((1e-4, [1e3, 3e3, 5e3], 0.5, True),
                                                (1e-3, [5e2, 2e3, 1e3], 2.0, False)):
-        report = build_spectral_report(snaps.segments(3), tau, mass,
-                                       diag_op(stiffness), segment_steps=3)
-        payload = report.to_json_dict()
+        _, payload = build_spectral_report(snaps.segments(3), tau, mass,
+                                           diag_op(stiffness), segment_steps=3)
         assert payload["tau_norm_a"] == pytest.approx(product)
         assert payload["time_step_assumption_satisfied"] is satisfied
     with pytest.raises(ValueError, match="operator norm must be positive"):
@@ -302,17 +301,18 @@ def test_spectral_report_roundtrip():
     rng = np.random.default_rng(2)
     data = rng.standard_normal((7, 12)) * np.exp(-0.3 * np.arange(12))
     snaps = SnapshotMatrix(data, 0.01)
-    report = build_spectral_report(snaps.segments(3), snaps.tau, mass, stiffness,
-                                   segment_steps=3)
-    assert len(report.spectra) == 3
-    assert report.norm_a > 0
-    assert float(report.perturbation.quantity) >= report.perturbation.tail_sum_sq * (1 - 1e-12)
+    spectra, payload = build_spectral_report(snaps.segments(3), snaps.tau, mass,
+                                             stiffness, segment_steps=3)
+    assert len(spectra) == 3
+    assert payload["norm_a"] > 0
+    perturbation = payload["perturbation"]
+    assert perturbation["quantity"] >= perturbation["tail_sum_sq"] * (1 - 1e-12)
 
-    loaded = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
+    loaded = json.loads(json.dumps(payload, allow_nan=False))
     assert loaded["schema"] == 1
     assert [s["segment"] for s in loaded["segments"]] == [0, 1, 2]
     assert len(loaded["segments"][0]["eigenvalues"]) <= 5
-    assert loaded["tau_norm_a"] == pytest.approx(0.01 * report.norm_a)
+    assert loaded["tau_norm_a"] == pytest.approx(0.01 * payload["norm_a"])
 
 
 @pytest.mark.parametrize("segment_steps", [3, -1])

@@ -125,6 +125,10 @@ MINI = {
     pytest.param({**MINI, "alpha": [2]}, [], id="config-alpha-number"),
     pytest.param({"scenario": "heat1d", "tau": True}, [], id="scenario-tau-bool"),
     pytest.param({"scenario": "heat1d", "T": "0.1"}, [], id="scenario-T-string"),
+    # a T the file states must match the horizon the flags make
+    pytest.param(MINI, ["--n", "9"], id="config-T-vs-flag-n"),
+    pytest.param({"scenario": "s3", "m": 4, "T": 1.1}, ["--tau", "1e-3"],
+                 id="scenario-config-T-vs-flag-tau"),
 ])
 def test_bad_override_exits_2(tmp_path, monkeypatch, config, flags):
     def no_hifi(*args, **kwargs):
@@ -140,6 +144,24 @@ def test_bad_override_exits_2(tmp_path, monkeypatch, config, flags):
     out = tmp_path / "out"
     assert run_cli(*problem, *flags, "--mode", "hifi", "--out", str(out)) == 2
     assert not (out / "snapshots.bin").exists()
+
+
+@pytest.mark.parametrize("config,flags,horizon", [
+    (MINI, {"n": 9}, 0.009),
+    ({"scenario": "s3", "m": 4, "T": 1.1}, {"tau": 1e-3}, 0.44),
+])
+def test_flags_that_move_a_stated_T_must_restate_it(tmp_path, capsys, config, flags,
+                                                    horizon):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(config))
+    argv = [f"--{key}={value}" for key, value in flags.items()]
+    assert run_cli("--config", str(path), *argv, "--mode", "hifi",
+                   "--out", str(tmp_path / "rejected")) == 2
+    assert "horizon mismatch" in capsys.readouterr().err
+    assert run_cli("--config", str(path), *argv, f"--T={horizon}", "--mode", "hifi",
+                   "--out", str(tmp_path / "out")) == 0
+    problem = resolve_problem(RunConfig(config_path=str(path), big_t=horizon, **flags))
+    assert problem.T == pytest.approx(horizon, rel=1e-12)
 
 
 def test_missing_problem_exits_2():
@@ -206,7 +228,7 @@ def test_snapshot_reuse_dof_mismatch(tmp_path):
     assert not (tmp_path / "out2").exists()
 
 
-def test_snapshot_reuse_tau_mismatch(tmp_path):
+def test_snapshot_reuse_tau_mismatch(tmp_path, capsys):
     cfg = {
         "name": "mini", "dimension": 1, "alpha": ["1"], "c": "0", "f": "0",
         "u0": "x", "tau": 0.001, "T": 0.01, "m": 6,
@@ -216,10 +238,12 @@ def test_snapshot_reuse_tau_mismatch(tmp_path):
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert run_cli("--config", str(path), "--mode", "hifi", "--out", str(out)) == 0
-    # same column count and dofs, only the time step differs
+    # same column count and dofs, only the time step (and so the horizon) differs
+    capsys.readouterr()
     assert run_cli("--config", str(path), "--mode", "seam", "--tau", "0.002",
-                   "--out", str(tmp_path / "out2"),
+                   "--T", "0.02", "--out", str(tmp_path / "out2"),
                    "--snapshots", str(out / "snapshots.bin")) == 2
+    assert str(out / "snapshots.bin") in capsys.readouterr().err
     assert not (tmp_path / "out2").exists()
 
 
@@ -653,9 +677,7 @@ def test_overflowing_initial_data_exits_2(tmp_path):
 
 @pytest.mark.parametrize("key,value,mode", [
     pytest.param("c", "exp(1000*x)", "hifi", id="c-exp(1000*x)"),
-    # the diffusion-sign sample in fields.ProblemSpec still warns on it
-    pytest.param("alpha", ["exp(1000*x)"], "hifi", id="alpha-value1",
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    pytest.param("alpha", ["exp(1000*x)"], "hifi", id="alpha-value1"),
     pytest.param("f", "exp(1000*x)", "hifi", id="f-hifi"),
     pytest.param("f", "exp(1000*x)", "parallel-seam", id="f-parallel-seam-snapshots"),
     # finite at t = 0, infinite from the first step on
@@ -699,7 +721,8 @@ def test_overflowing_load_or_initial_vector_exits_2(tmp_path, u0, f, mode):
     assert not (out / "summary.json").exists()
 
 
-@pytest.mark.parametrize("key,value", [("f", "1e300*x"), ("c", "exp(1000*x)")])
+@pytest.mark.parametrize("key,value", [("f", "1e300*x"), ("c", "exp(1000*x)"),
+                                       ("alpha", ["exp(1000*x)"])])
 def test_overflowing_input_prints_one_error_line(tmp_path, key, value):
     # NumPy's overflow RuntimeWarning, naming a source line of the package,
     # was once printed before the error line
