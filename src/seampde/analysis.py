@@ -1,11 +1,12 @@
 """Spectral diagnostics for the rank-1 reduction.
 
 Covers the operator norm of the symmetrized evolution operator (via the
-generalized eigenproblem, never forming mass-matrix square roots), the
-rank-one reference spectrum and its perturbation distance to the true
-Gram spectrum, Hoffman-Wielandt eigenvalue-displacement checks, and the
-space-time relative L2 error between a high-fidelity run and its reduced
-replay. The time-step product tau*||A|| is reported, not enforced.
+generalized eigenproblem, never forming mass-matrix square roots; its mass
+solves start from products the power iteration holds and stop at its own
+1e-10), the rank-one reference spectrum and its perturbation distance to
+the true Gram spectrum, Hoffman-Wielandt eigenvalue-displacement checks,
+and the space-time relative L2 error between a high-fidelity run and its
+reduced replay. The time-step product tau*||A|| is reported, not enforced.
 
 The rank-one reference grows like |1 - tau*norm|^(2n) and overflows
 float64 for the coarser time steps, so reference and perturbation
@@ -25,7 +26,8 @@ from seampde.hifi import SnapshotMatrix, cg_solve, galerkin_start
 from seampde.pod import SPECTRUM_HEAD, GramSpectrum, block_spectrum
 from seampde.seam import SeamSolution
 
-# operator_norm's stopping rule: relative change of the estimate, step cap
+# operator_norm's stopping rule (relative change of the estimate, also the
+# relative residual of its mass solves) and step cap
 _POWER_RTOL = 1e-10
 _POWER_MAXITER = 10000
 
@@ -34,14 +36,17 @@ def operator_norm(mass: sparse.dia_matrix, stiffness: sparse.dia_matrix) -> floa
     """Largest generalized eigenvalue of (S, M) by power iteration.
 
     Equals the 2-norm of the symmetrized evolution operator. Each step
-    solves M w = S v by CG, started by ``galerkin_start`` (A = M) on the last
-    two M-normalized iterates (on v alone, giving (v.Sv) v, at first); their
-    M v come free with the normalization. The first v is a fixed random draw.
+    solves M w = S v by CG to the stopping rule's own relative 1e-10, started
+    by ``galerkin_start`` (A = M) on the last two M-normalized iterates (on v
+    alone, giving (v.Sv) v, at first); their M v come free with the
+    normalization, and M w is S v minus CG's final residual, so only the
+    first, random, iterate costs a mass product outside CG. An iterate is
+    renormalized every step, so that residual's error does not accumulate.
     """
     w = np.random.default_rng(0).standard_normal(mass.shape[0])
+    mw = mass @ w
     v = mv = estimate = None
     for _ in range(_POWER_MAXITER):
-        mw = mass @ w
         norm_w = np.sqrt(w @ mw)
         if norm_w == 0.0:
             return 0.0  # stiffness annihilates the iterate: S is zero on it
@@ -52,7 +57,9 @@ def operator_norm(mass: sparse.dia_matrix, stiffness: sparse.dia_matrix) -> floa
                 and abs(current - estimate) <= _POWER_RTOL * abs(current)):
             return current
         estimate = current
-        w = cg_solve(mass, sv, x0=galerkin_start(sv, v, mv, v_prev, mv_prev))
+        w, r = cg_solve(mass, sv, *galerkin_start(sv, v, mv, v_prev, mv_prev),
+                        _POWER_RTOL)
+        mw = np.subtract(sv, r, out=r)
     raise StagnationError(
         f"power iteration stagnated after {_POWER_MAXITER} iterations "
         f"(last estimate {estimate!r})"

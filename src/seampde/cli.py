@@ -124,7 +124,9 @@ def resolve_problem(config: RunConfig) -> ProblemSpec:
         if config.f is not None:
             raise ValueError("--f applies to scenarios; put f in the config file")
         with open(config.config_path) as fh:
-            spec = dict(json.load(fh))
+            spec = json.load(fh)
+        if not isinstance(spec, dict):
+            raise ValueError(f"{config.config_path}: not a JSON object")
     elif config.scenario:
         spec = {"scenario": config.scenario, "f": config.f}
     else:

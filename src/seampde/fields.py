@@ -414,7 +414,7 @@ def problem_from_config(config: dict) -> ProblemSpec:
     if "scenario" not in config:
         return _build(config)
     name = config["scenario"]
-    if name not in _PRESETS:
+    if not isinstance(name, str) or name not in _PRESETS:
         raise ValueError(f"unknown scenario {name!r}; "
                          f"choose from {', '.join(_PRESETS)}")
     keys, variants = _PRESETS[name]

@@ -5,8 +5,10 @@ unpreconditioned conjugate gradients to a 1e-12 relative residual. CG
 starts from the Galerkin (A-orthogonal) projection of U_n onto the span of
 the two previous solutions (Fischer's projection for successive right-hand
 sides): a nearly rank-one run gets rho*U_{n-1}, a run settling under a
-source gets about 2U_{n-1} - U_{n-2}. The run is fully deterministic:
-repeating it produces bit-identical snapshot matrices.
+source gets about 2U_{n-1} - U_{n-2}. The start's product A x0 is the same
+combination of the A U the loop keeps, so CG makes no product for its first
+residual. The run is fully deterministic: repeating it produces
+bit-identical snapshot matrices.
 """
 
 from __future__ import annotations
@@ -118,30 +120,37 @@ def discretize(problem: ProblemSpec) -> Discretization:
     )
 
 
-def cg_solve(matrix, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Conjugate gradients for an SPD system from the start vector x0, no
-    preconditioner.
+def cg_solve(matrix, rhs: np.ndarray, x0: np.ndarray, ax0: np.ndarray,
+             rtol: float):
+    """Conjugate gradients for an SPD system from the start vector x0, given
+    its product ax0 = A x0, no preconditioner. Return the solution and its
+    final recursive residual.
 
-    Converges when the 2-norm residual drops below ``CG_RTOL * ||rhs||``;
-    raises SolverFailure (carrying the final relative residual) after
-    ``_CG_MAXITER_PER_DOF`` times the system dimension iterations, at once
-    on a curvature p.Ap that is not positive (NaN included), and before the
-    first iteration when ``||rhs||`` (infinite also when its square
-    overflows) or ``x0`` is not finite.
+    The start residual is rhs - ax0, so no product is made for it. Both
+    vectors belong to the solver: it iterates in x0's storage and keeps the
+    residual in ax0's. Converges when the 2-norm residual drops below
+    ``rtol * ||rhs||``; raises SolverFailure (carrying the final relative
+    residual) after ``_CG_MAXITER_PER_DOF`` times the system dimension
+    iterations, at once on a curvature p.Ap that is not positive (NaN
+    included), and before the first iteration when ``||rhs||`` (infinite
+    also when its square overflows), ``x0`` or ``ax0`` is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         rhs_norm = np.linalg.norm(rhs)
-    for name, value in (("right-hand side norm", rhs_norm), ("start vector", x0)):
+    for name, value in (("right-hand side norm", rhs_norm), ("start vector", x0),
+                        ("start product", ax0)):
         if not np.isfinite(value).all():
             raise SolverFailure(f"conjugate gradients got a non-finite {name}",
                                 float("nan"))
+    x, r = x0, ax0
     if rhs_norm == 0.0:
-        return np.zeros_like(rhs)
-    x = x0.astype(float, copy=True)
-    r = rhs - matrix @ x
+        x.fill(0.0)
+        r.fill(0.0)
+        return x, r
+    np.subtract(rhs, r, out=r)
     res = np.linalg.norm(r)
-    if res <= CG_RTOL * rhs_norm:
-        return x
+    if res <= rtol * rhs_norm:
+        return x, r
     p = r.copy()
     rs = r @ r
     for _ in range(_CG_MAXITER_PER_DOF * matrix.shape[0]):
@@ -151,28 +160,31 @@ def cg_solve(matrix, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
             raise SolverFailure("conjugate gradients broke down", res / rhs_norm)
         step = rs / denom
         x += step * p
-        r -= step * ap
+        ap *= step
+        r -= ap
         rs_next = r @ r
         res = np.sqrt(rs_next)
-        if res <= CG_RTOL * rhs_norm:
-            return x
-        p = r + (rs_next / rs) * p
+        if res <= rtol * rhs_norm:
+            return x, r
+        p *= rs_next / rs
+        p += r
         rs = rs_next
     raise SolverFailure("conjugate gradients did not converge", res / rhs_norm)
 
 
 def galerkin_start(rhs: np.ndarray, u1: np.ndarray, au1: np.ndarray,
-                   u2: np.ndarray | None, au2: np.ndarray | None) -> np.ndarray:
-    """Galerkin projection of A^{-1} rhs onto span{u1, u2}, given A u1 and A u2.
+                   u2: np.ndarray | None, au2: np.ndarray | None):
+    """Galerkin projection x0 of A^{-1} rhs onto span{u1, u2}, given A u1 and
+    A u2; return x0 and A x0, the same combination of A u1 and A u2.
 
     The CG start of step_blocks (A = M + tau*S, last two snapshots) and of
     analysis.operator_norm (A = M, last two power iterates). u2 is
     A-orthogonalized against u1, so no product of two Gram entries is formed;
-    without u2, or parallel to u1, it is (u1.rhs / u1.A u1) u1 (zero for u1 = 0).
+    without u2, or parallel to u1, x0 is (u1.rhs / u1.A u1) u1 (zero for u1 = 0).
     """
     g11 = u1 @ au1
     if not g11 > 0.0:
-        return np.zeros_like(rhs)
+        return np.zeros_like(rhs), np.zeros_like(rhs)
     b1 = u1 @ rhs
     if u2 is not None:
         g12, g22 = u1 @ au2, u2 @ au2
@@ -180,8 +192,13 @@ def galerkin_start(rhs: np.ndarray, u1: np.ndarray, au1: np.ndarray,
         w2 = g22 - r * g12  # ||u2 - r u1||_A^2
         if w2 > _PARALLEL_RTOL * g22:
             cw = (u2 @ rhs - r * b1) / w2
-            return (b1 / g11 - cw * r) * u1 + cw * u2
-    return (b1 / g11) * u1
+            c1 = b1 / g11 - cw * r
+            start, a_start = c1 * u1, c1 * au1
+            start += cw * u2  # summed in place: a step's peak holds one vector less
+            a_start += cw * au2
+            return start, a_start
+    c1 = b1 / g11
+    return c1 * u1, c1 * au1
 
 
 def step_blocks(problem: ProblemSpec, disc: Discretization, columns: int):
@@ -191,8 +208,9 @@ def step_blocks(problem: ProblemSpec, disc: Discretization, columns: int):
 
     tau*F is formed once, and again each step only when the source term
     depends on t; all built-in scenarios are autonomous. Each solution's A U is
-    formed once, by the step that produced it, for the next two start
-    guesses.
+    a true product, formed once by the step that produced it, for the next
+    two start guesses and their products; one taken from CG's recursive
+    residual would carry its error from step to step.
     """
     n_steps = problem.num_steps
     mass = disc.mass
@@ -210,9 +228,9 @@ def step_blocks(problem: ProblemSpec, disc: Discretization, columns: int):
                 tau_f = problem.tau * assemble_load(disc.mesh, problem.f,
                                                     n * problem.tau)
             rhs = mass @ u + tau_f
-            start = galerkin_start(rhs, u, au, u_prev, au_prev)
+            start, a_start = galerkin_start(rhs, u, au, u_prev, au_prev)
             u_prev, au_prev = u, au
-            u = cg_solve(system, rhs, x0=start)
+            u, _ = cg_solve(system, rhs, start, a_start, CG_RTOL)
             au = system @ u
         block[:, n % columns] = u
         if n % columns == block.shape[1] - 1:

@@ -18,7 +18,7 @@ import scipy.sparse as sparse
 
 from seampde.assembly import assemble_mass, assemble_stiffness
 from seampde.fields import Call, Const, Neg, ProblemSpec, Var, parse_expression as expr
-from seampde.hifi import cg_solve
+from seampde.hifi import CG_RTOL, cg_solve
 from seampde.mesh import build_interval_mesh, kuhn_paths
 
 
@@ -29,7 +29,7 @@ def backward_euler_step(mass: sparse.csr_matrix, stiffness: sparse.csr_matrix,
         raise ValueError("tau must be positive")
     system = mass + tau * stiffness
     rhs = mass @ u_prev + tau * load
-    return cg_solve(system, rhs, x0=u_prev)
+    return cg_solve(system, rhs, u_prev.astype(float), system @ u_prev, CG_RTOL)[0]
 
 
 def stored_run_problem(num_dofs: int, num_columns: int, tau: float) -> ProblemSpec:

@@ -18,7 +18,7 @@ from seampde.analysis import (
 )
 from seampde.errors import DegenerateReferenceError
 from seampde.fields import ProblemSpec, parse_expression as expr, scenario
-from seampde.hifi import SnapshotMatrix, cg_solve, discretize, run_hifi
+from seampde.hifi import CG_RTOL, SnapshotMatrix, cg_solve, discretize, run_hifi
 from seampde.pod import eig_descending, gram
 from seampde.seam import SeamSolution, run_parallel_seam
 
@@ -93,7 +93,9 @@ class CountingMatrix:
 
 
 def one_vector_power_iteration(mass, stiffness, rtol=1e-10, maxiter=10000):
-    """Reference operator norm: each mass solve starts from (v.Sv) v."""
+    """Reference operator norm: each mass solve starts from (v.Sv) v, with
+    its product M x0 formed, and is held to CG_RTOL (1e-12); every M w is a
+    fresh product."""
     v = np.random.default_rng(0).standard_normal(mass.shape[0])
     v /= np.sqrt(v @ (mass @ v))
     estimate = None
@@ -103,16 +105,18 @@ def one_vector_power_iteration(mass, stiffness, rtol=1e-10, maxiter=10000):
         if estimate is not None and abs(current - estimate) <= rtol * abs(current):
             return current
         estimate = current
-        w = cg_solve(mass, sv, x0=v * current)
+        x0 = v * current
+        w, _ = cg_solve(mass, sv, x0, mass @ x0, CG_RTOL)
         v = w / np.sqrt(w @ (mass @ w))
     raise AssertionError("reference power iteration did not converge")
 
 
-@pytest.mark.parametrize("problem", [
-    replace(scenario("heat3d"), divisions=16),
-    scenario("s1"),
+@pytest.mark.parametrize("problem,max_mass_products", [
+    (replace(scenario("heat3d"), divisions=16), 2600),
+    (scenario("s1"), 4900),
 ], ids=["heat3d-m16", "s1"])
-def test_operator_norm_matches_one_vector_start_with_fewer_mass_products(problem):
+def test_operator_norm_matches_one_vector_start_with_fewer_mass_products(
+        problem, max_mass_products):
     disc = discretize(problem)
     ref_mass, ref_stiff = CountingMatrix(disc.mass), CountingMatrix(disc.stiffness)
     mass, stiff = CountingMatrix(disc.mass), CountingMatrix(disc.stiffness)
@@ -122,6 +126,23 @@ def test_operator_norm_matches_one_vector_start_with_fewer_mass_products(problem
     # one stiffness product per power step on both sides
     assert stiff.products == ref_stiff.products
     assert mass.products < ref_mass.products
+    # no mass product for a CG start or for M w, and solves held to 1e-10
+    # (4,463 and 8,634 while each step formed M w and M x0 and solved to 1e-12)
+    assert mass.products <= max_mass_products
+
+
+# Estimates while each mass solve was held to 1e-12 and every M w was a
+# fresh product; the solves now stop at the power iteration's own 1e-10
+@pytest.mark.parametrize("problem,expected", [
+    (scenario("heat1d"), 117523.22312582751),
+    (scenario("s1"), 26320.972975639706),
+    (scenario("s3"), 19793.08531893141),
+    (replace(scenario("heat3d"), divisions=16), 14943.048659950535),
+], ids=["heat1d", "s1", "s3", "heat3d-m16"])
+def test_operator_norm_holds_its_estimates_with_looser_mass_solves(problem, expected):
+    disc = discretize(problem)
+    assert operator_norm(disc.mass, disc.stiffness) == pytest.approx(
+        expected, rel=1e-11, abs=0)
 
 
 def test_time_step_check_arithmetic():

@@ -164,6 +164,19 @@ def test_flags_that_move_a_stated_T_must_restate_it(tmp_path, capsys, config, fl
     assert problem.T == pytest.approx(horizon, rel=1e-12)
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", '{"scenario": ["s1"]}'],
+                         ids=["top-level-list", "scenario-list"])
+def test_config_file_of_the_wrong_shape_exits_2_with_one_error_line(tmp_path, capsys,
+                                                                    text):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli("--config", str(path), "--mode", "hifi", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_missing_problem_exits_2():
     assert run_cli("--mode", "hifi") == 2
 

@@ -2,6 +2,7 @@ import os
 import struct
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from seampde.assembly import assemble_load
 from seampde.errors import EvaluationError, SolverFailure
 from seampde.fields import ProblemSpec, parse_expression as expr, scenario
 from seampde.hifi import (
+    CG_RTOL,
     cg_solve,
     discretize,
     galerkin_start,
@@ -50,10 +52,15 @@ def snapshots_of(problem):
 # --- conjugate gradients -------------------------------------------------
 
 
+def solve_from_zero(a, b):
+    """cg_solve's solution from the zero start, whose product is zero."""
+    return cg_solve(a, b, np.zeros_like(b), np.zeros_like(b), CG_RTOL)[0]
+
+
 def test_cg_identity():
     a = sparse.eye(5, format="csr")
     b = np.arange(5.0)
-    np.testing.assert_allclose(cg_solve(a, b, x0=np.zeros_like(b)), b)
+    np.testing.assert_allclose(solve_from_zero(a, b), b)
 
 
 def test_cg_matches_dense_solve():
@@ -61,14 +68,14 @@ def test_cg_matches_dense_solve():
     q = rng.standard_normal((12, 12))
     a = sparse.csr_matrix(q @ q.T + 12 * np.eye(12))
     b = rng.standard_normal(12)
-    x = cg_solve(a, b, x0=np.zeros_like(b))
+    x = solve_from_zero(a, b)
     np.testing.assert_allclose(x, np.linalg.solve(a.toarray(), b), rtol=1e-9)
 
 
 def test_cg_zero_rhs():
     a = sparse.eye(4, format="csr")
     b = np.zeros(4)
-    np.testing.assert_array_equal(cg_solve(a, b, x0=np.zeros_like(b)), 0.0)
+    np.testing.assert_array_equal(solve_from_zero(a, b), 0.0)
 
 
 def test_cg_failure_reports_residual(monkeypatch):
@@ -76,7 +83,7 @@ def test_cg_failure_reports_residual(monkeypatch):
     a = sparse.eye(3, format="csr")
     b = np.ones(3)
     with pytest.raises(SolverFailure) as err:
-        cg_solve(a, b, x0=np.zeros_like(b))
+        solve_from_zero(a, b)
     assert err.value.residual > 0
 
 
@@ -94,13 +101,13 @@ class CountingMatrix:
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where", ["rhs", "x0"])
+@pytest.mark.parametrize("where", ["rhs", "x0", "ax0"])
 def test_cg_rejects_non_finite_input_before_iterating(bad, where):
     a = CountingMatrix(sparse.eye(50, format="csr") * 2.0)
-    rhs, x0 = np.ones(50), np.zeros(50)
-    {"rhs": rhs, "x0": x0}[where][7] = bad
+    rhs, x0, ax0 = np.ones(50), np.zeros(50), np.zeros(50)
+    {"rhs": rhs, "x0": x0, "ax0": ax0}[where][7] = bad
     with pytest.raises(SolverFailure, match="non-finite"):
-        cg_solve(a, rhs, x0=x0)
+        cg_solve(a, rhs, x0, ax0, CG_RTOL)
     assert a.matvecs == 0
 
 
@@ -109,7 +116,7 @@ def test_cg_rejects_a_rhs_whose_norm_overflows():
     # accept the start vector as converged
     a = CountingMatrix(sparse.eye(5, format="csr"))
     with pytest.raises(SolverFailure, match="non-finite right-hand side norm"):
-        cg_solve(a, np.full(5, 1e300), x0=np.zeros(5))
+        solve_from_zero(a, np.full(5, 1e300))
     assert a.matvecs == 0
 
 
@@ -128,8 +135,8 @@ def test_cg_breaks_down_at_once_on_nan_curvature():
     a = CountingMatrix(sparse.diags(diagonal, format="csr"))
     b = np.ones(50)
     with pytest.raises(SolverFailure, match="broke down"):
-        cg_solve(a, b, x0=np.zeros_like(b))
-    assert a.matvecs <= 2  # the residual and one search direction
+        solve_from_zero(a, b)
+    assert a.matvecs == 1  # one search direction; the start residual takes none
 
 
 # --- single steps ---------------------------------------------------------
@@ -225,14 +232,16 @@ def test_step_blocks_are_fresh_slices_of_the_whole_run(f, columns):
 
 
 def start_residuals(monkeypatch, problem):
-    """||b - A x0|| / ||b|| of every CG solve in one run_hifi call."""
+    """||b - A x0|| / ||b|| of every CG solve in one run_hifi call, each of
+    whose given start products ax0 is checked against A x0."""
     residuals = []
     solve = hifi.cg_solve
 
-    def recording(matrix, rhs, **kwargs):
-        x0 = kwargs["x0"]
-        residuals.append(np.linalg.norm(rhs - matrix @ x0) / np.linalg.norm(rhs))
-        return solve(matrix, rhs, **kwargs)
+    def recording(matrix, rhs, x0, ax0, rtol):
+        product = matrix @ x0
+        assert np.linalg.norm(ax0 - product) <= 1e-12 * np.linalg.norm(product)
+        residuals.append(np.linalg.norm(rhs - product) / np.linalg.norm(rhs))
+        return solve(matrix, rhs, x0, ax0, rtol)
 
     monkeypatch.setattr(hifi, "cg_solve", recording)
     snapshots_of(problem)
@@ -255,6 +264,40 @@ def test_start_guess_exact_for_rank_one_run(monkeypatch):
     assert residuals.max() <= 1e-12
 
 
+@pytest.mark.parametrize("problem", [
+    scenario("heat1d"),
+    replace(scenario("heat3d"), divisions=6),
+    small_problem(m=12, steps=40, f="x*t"),
+], ids=["heat1d", "heat3d-m6", "time-dependent"])
+def test_step_blocks_makes_no_product_for_the_cg_start(monkeypatch, problem):
+    # per step: M u for the right-hand side, the CG iterations and A u for
+    # the next two starts; the start's product is their combination of A u
+    disc = discretize(problem)
+    whole = snapshots_of(problem).data
+    mass = CountingMatrix(disc.mass)
+    system = CountingMatrix(disc.system_matrix(problem.tau))
+    counted = SimpleNamespace(mesh=disc.mesh, mass=mass, load=disc.load,
+                              initial=disc.initial, system_matrix=lambda tau: system)
+    in_cg = []
+    solve = hifi.cg_solve
+
+    def counting(matrix, rhs, x0, ax0, rtol):
+        before = system.matvecs
+        result = solve(matrix, rhs, x0, ax0, rtol)
+        in_cg.append(system.matvecs - before)
+        return result
+
+    monkeypatch.setattr(hifi, "cg_solve", counting)
+    blocks = list(step_blocks(problem, counted, 50))
+    np.testing.assert_array_equal(np.hstack(blocks), whole)
+    steps = problem.num_steps
+    assert len(in_cg) == steps and mass.matvecs == steps
+    assert system.matvecs == sum(in_cg) + steps + 1  # A u0 and one A u a step
+    if problem.name == "heat1d":
+        # exactly rank one: every start is the solution, so CG makes no product
+        assert sum(in_cg) == 0
+
+
 def spd_system(size=50, seed=5):
     rng = np.random.default_rng(seed)
     q = rng.standard_normal((size, size))
@@ -266,7 +309,7 @@ def test_galerkin_start_solves_the_two_by_two_system():
     rhs, u1, u2 = rng.standard_normal((3, len(a)))
     basis = np.column_stack([u1, u2])
     coeffs = np.linalg.solve(basis.T @ a @ basis, basis.T @ rhs)
-    start = galerkin_start(rhs, u1, a @ u1, u2, a @ u2)
+    start, _ = galerkin_start(rhs, u1, a @ u1, u2, a @ u2)
     np.testing.assert_allclose(start, basis @ coeffs, rtol=1e-12, atol=1e-14)
 
 
@@ -275,7 +318,7 @@ def test_galerkin_start_parallel_pair_falls_back_to_u1():
     rhs, u1 = rng.standard_normal((2, len(a)))
     u2 = -3.0 * u1
     alone = ((u1 @ rhs) / (u1 @ a @ u1)) * u1
-    start = galerkin_start(rhs, u1, a @ u1, u2, a @ u2)
+    start, _ = galerkin_start(rhs, u1, a @ u1, u2, a @ u2)
     np.testing.assert_allclose(start, alone, rtol=1e-13, atol=1e-15)
 
 
@@ -284,8 +327,19 @@ def test_galerkin_start_without_u2_is_the_one_vector_start():
     a, rng = spd_system()
     rhs, u1 = rng.standard_normal((2, len(a)))
     au1 = a @ u1
-    start = galerkin_start(rhs, u1, au1, None, None)
+    start, _ = galerkin_start(rhs, u1, au1, None, None)
     assert np.array_equal(start, ((u1 @ rhs) / (u1 @ au1)) * u1)
+
+
+@pytest.mark.parametrize("pair", ["independent", "parallel", "u1-alone", "u1-zero"])
+def test_galerkin_start_returns_the_product_of_its_start(pair):
+    a, rng = spd_system()
+    rhs, u1, u2 = rng.standard_normal((3, len(a)))
+    u1 = np.zeros_like(u1) if pair == "u1-zero" else u1
+    u2 = {"independent": u2, "parallel": -3.0 * u1}.get(pair)
+    au2 = None if u2 is None else a @ u2
+    start, a_start = galerkin_start(rhs, u1, a @ u1, u2, au2)
+    np.testing.assert_allclose(a_start, a @ start, rtol=1e-12, atol=1e-12)
 
 
 def test_determinism_bit_identical():
