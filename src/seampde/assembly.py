@@ -132,7 +132,8 @@ def assemble_stiffness(mesh: Mesh, alpha_diag, c) -> sparse.dia_matrix:
     """Stiffness of (alpha grad u, grad v) + (c u, v) with diagonal alpha.
 
     Coefficients are evaluated once per element at the centroid, where
-    they must all be finite; the gradient term is otherwise exact for
+    they must all be finite and alpha not negative (alpha = 0 leaves a
+    reaction-only problem); the gradient term is otherwise exact for
     linear elements.
     """
     d = mesh.dimension
@@ -144,6 +145,10 @@ def assemble_stiffness(mesh: Mesh, alpha_diag, c) -> sparse.dia_matrix:
     coeffs = _at_centroids(
         mesh, paths, [*alpha_diag, c],
         "diffusion or reaction coefficient is not finite at every centroid")
+    for a, field in enumerate(alpha_diag):
+        if any(per_type[a].min() < 0 for per_type in coeffs):
+            raise EvaluationError(f"diffusion coefficient {field.source} is negative "
+                                  "at a centroid")
     mass_base = volumes / ((d + 1) * (d + 2))
 
     def local(p, i, j):

@@ -5,13 +5,17 @@ constant pi, the operators + - * / ^ (all left-associative, ^ binding
 tightest, then unary minus, then * /, then + -), and the functions
 sin, cos, exp. Parsed expressions evaluate vectorized over numpy
 arrays, so assembly can feed whole batches of element centroids.
+
+A problem's alpha, c and u0 may use only its own axes, the first d of
+x, y, z, and its f also t; a stray variable is a ValueError, not read
+as 0. That alpha is not negative is checked by the assembly, at the
+centroids where it is evaluated.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,18 +83,16 @@ def _evaluate(node, env):
 
 
 class ScalarField:
-    """Immutable parsed expression and the text it was parsed from,
-    callable on scalars or numpy arrays."""
+    """Immutable parsed expression, the text it was parsed from and the
+    frozenset of variables it uses, callable on scalars or numpy arrays."""
 
-    def __init__(self, root, source):
+    def __init__(self, root, source, variables):
         self.root = root
         self.source = source
+        self.variables = frozenset(variables)
 
     def __call__(self, x=0.0, y=0.0, z=0.0, t=0.0):
         return _evaluate(self.root, {"x": x, "y": y, "z": z, "t": t})
-
-    def depends_on(self, name):
-        return _mentions(self.root, name)
 
     def __eq__(self, other):
         return isinstance(other, ScalarField) and self.root == other.root
@@ -100,18 +102,6 @@ class ScalarField:
 
     def __repr__(self):
         return f"ScalarField({self.source!r})"
-
-
-def _mentions(node, name):
-    if isinstance(node, Var):
-        return node.name == name
-    if isinstance(node, Neg):
-        return _mentions(node.arg, name)
-    if isinstance(node, Call):
-        return _mentions(node.arg, name)
-    if isinstance(node, BinOp):
-        return _mentions(node.left, name) or _mentions(node.right, name)
-    return False
 
 
 # --- parser ------------------------------------------------------------
@@ -124,6 +114,7 @@ class _Parser:
         self.text = text
         self.tokens = self._tokenize(text)
         self.pos = 0
+        self.variables = set()
 
     @staticmethod
     def _tokenize(text):
@@ -228,6 +219,7 @@ class _Parser:
                 self.take(")")
                 return Call(value, arg)
             if value in VARIABLES:
+                self.variables.add(value)
                 return Var(value)
             raise ExpressionError(f"unknown identifier {value!r}", offset)
         if kind == "(":
@@ -242,7 +234,8 @@ def parse_expression(text: str) -> ScalarField:
     """Parse an arithmetic expression into an immutable ScalarField."""
     if not text or not text.strip():
         raise ExpressionError("empty expression", 0)
-    return ScalarField(_Parser(text).parse(), source=text)
+    parser = _Parser(text)
+    return ScalarField(parser.parse(), source=text, variables=parser.variables)
 
 
 # --- problem definition -------------------------------------------------
@@ -303,21 +296,16 @@ class ProblemSpec:
         if not (0 < self.tau < math.inf and 0 < self.T < math.inf):
             raise ValueError(f"tau = {self.tau!r} and T = {self.T!r} must be "
                              "finite and positive")
-        self._warn_if_alpha_negative()
-
-    def _warn_if_alpha_negative(self):
-        sample = np.linspace(0.0, 1.0, 9)
-        grids = np.meshgrid(*([sample] * self.dimension))
-        for a in self.alpha_diag:
-            # only the sign is read; an overflow is the assembly's to reject
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                negative = np.any(a(*grids) < 0)
-            if negative:
-                warnings.warn(
-                    f"diffusion coefficient {a.source} is negative "
-                    "somewhere on the sample grid",
-                    stacklevel=3,
-                )
+        axes = VARIABLES[:self.dimension]
+        for key, fields, allowed in (("alpha", self.alpha_diag, axes),
+                                     ("c", [self.c], axes), ("u0", [self.u0], axes),
+                                     ("f", [self.f], (*axes, "t"))):
+            for field in fields:
+                stray = sorted(field.variables - set(allowed))
+                if stray:
+                    raise ValueError(f"{key} = {field.source!r} uses {', '.join(stray)}; "
+                                     f"a {self.dimension}-D problem's {key} may use "
+                                     f"only {', '.join(allowed)}")
 
 
 _S2 = {"dimension": 2, "alpha": ["x^2", "y^2"], "c": "pi^2*(1-2*x^2*y^2)",
@@ -370,7 +358,7 @@ def _build(config) -> ProblemSpec:
     tau and the counts imply."""
     alpha = _typed("alpha", config["alpha"], list)
     spec = ProblemSpec(
-        name=config.get("name", "custom"),
+        name=_typed("name", config.get("name", "custom"), str),
         dimension=config["dimension"],
         alpha_diag=tuple(parse_expression(_typed("alpha", a, str)) for a in alpha),
         c=parse_expression(_typed("c", config["c"], str)),

@@ -215,7 +215,7 @@ def step_blocks(problem: ProblemSpec, disc: Discretization, columns: int):
     n_steps = problem.num_steps
     mass = disc.mass
     system = disc.system_matrix(problem.tau)
-    time_dependent = problem.f.depends_on("t")
+    time_dependent = "t" in problem.f.variables
     tau_f = problem.tau * disc.load
     u = disc.initial.copy()
     au = system @ u

@@ -102,6 +102,16 @@ def test_stiffness_wrong_alpha_count():
         assemble_stiffness(build_interval_mesh(4), [ONE, ONE], ZERO)
 
 
+def test_stiffness_rejects_negative_alpha_but_not_zero():
+    # 4y-1 < 0 only at the centroids of the first row of cells (y < 1/4)
+    with pytest.raises(EvaluationError, match="coefficient 4\\*y-1 is negative"):
+        assemble_stiffness(build_square_mesh(4), [ONE, expr("4*y-1")], ZERO)
+    with pytest.raises(EvaluationError, match="coefficient x-1 is negative"):
+        assemble_stiffness(build_interval_mesh(4), [expr("x-1")], ZERO)
+    S = assemble_stiffness(build_interval_mesh(4), [ZERO], ONE)
+    assert np.linalg.eigvalsh(S.toarray()).min() > 0
+
+
 def test_refinement_keeps_invariants():
     for m in (3, 6):
         mesh = build_square_mesh(m)

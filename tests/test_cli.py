@@ -129,6 +129,15 @@ MINI = {
     pytest.param(MINI, ["--n", "9"], id="config-T-vs-flag-n"),
     pytest.param({"scenario": "s3", "m": 4, "T": 1.1}, ["--tau", "1e-3"],
                  id="scenario-config-T-vs-flag-tau"),
+    # a variable the problem lacks was once read as 0, and alpha < 0 only warned
+    pytest.param({**MINI, "f": "100*z"}, [], id="config-f-z-in-1d"),
+    pytest.param({**MINI, "u0": "sin(pi*x)*(1+y)"}, [], id="config-u0-y-in-1d"),
+    pytest.param({**MINI, "alpha": ["1+t"]}, [], id="config-alpha-t"),
+    pytest.param({**MINI, "c": "t"}, [], id="config-c-t"),
+    pytest.param({**MINI, "u0": "sin(pi*x)+t"}, [], id="config-u0-t"),
+    pytest.param({**MINI, "alpha": ["-1"]}, [], id="config-alpha-negative"),
+    pytest.param({**MINI, "alpha": ["x-0.5"], "m": 16}, [],
+                 id="config-alpha-negative-in-part"),
 ])
 def test_bad_override_exits_2(tmp_path, monkeypatch, config, flags):
     def no_hifi(*args, **kwargs):
@@ -143,7 +152,7 @@ def test_bad_override_exits_2(tmp_path, monkeypatch, config, flags):
         problem = ["--config", str(path)]
     out = tmp_path / "out"
     assert run_cli(*problem, *flags, "--mode", "hifi", "--out", str(out)) == 2
-    assert not (out / "snapshots.bin").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config,flags,horizon", [
@@ -734,13 +743,25 @@ def test_overflowing_load_or_initial_vector_exits_2(tmp_path, u0, f, mode):
     assert not (out / "summary.json").exists()
 
 
-@pytest.mark.parametrize("key,value", [("f", "1e300*x"), ("c", "exp(1000*x)"),
-                                       ("alpha", ["exp(1000*x)"])])
-def test_overflowing_input_prints_one_error_line(tmp_path, key, value):
+@pytest.mark.parametrize("overrides,named", [
+    pytest.param({"f": "1e300*x"}, "load vector", id="f-1e300*x"),
+    pytest.param({"c": "exp(1000*x)"}, "reaction coefficient", id="c-exp(1000*x)"),
+    pytest.param({"alpha": ["exp(1000*x)"]}, "diffusion", id="alpha-value2"),
+    pytest.param({"f": "100*z"}, "f = '100*z' uses z", id="f-z-in-1d"),
+    pytest.param({"u0": "sin(pi*x)*(1+y)"}, "uses y", id="u0-y-in-1d"),
+    pytest.param({"alpha": ["1+t"]}, "alpha = '1+t' uses t", id="alpha-t"),
+    pytest.param({"c": "t"}, "c = 't' uses t", id="c-t"),
+    pytest.param({"u0": "sin(pi*x)+t"}, "uses t", id="u0-t"),
+    pytest.param({"alpha": ["-1"]}, "coefficient -1 is negative", id="alpha-negative"),
+    pytest.param({"alpha": ["x-0.5"], "m": 16}, "coefficient x-0.5 is negative",
+                 id="alpha-negative-in-part"),
+])
+def test_overflowing_input_prints_one_error_line(tmp_path, overrides, named):
     # NumPy's overflow RuntimeWarning, naming a source line of the package,
-    # was once printed before the error line
+    # was once printed before the error line, as was the UserWarning that a
+    # negative alpha once raised
     path = tmp_path / "p.json"
-    path.write_text(json.dumps({**MINI, key: value}))
+    path.write_text(json.dumps({**MINI, **overrides}))
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "seampde.cli", "--config", str(path), "--mode", "hifi",
@@ -748,7 +769,7 @@ def test_overflowing_input_prints_one_error_line(tmp_path, key, value):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 2
     [line] = proc.stderr.splitlines()
-    assert line.startswith("error: ")
+    assert line.startswith("error: ") and named in line
 
 
 def test_wide_seam_run_reports_the_column_gram_lambda0(tmp_path):

@@ -12,7 +12,6 @@ from seampde.fields import (
     Call,
     Const,
     Neg,
-    ProblemSpec,
     Var,
     parse_expression,
     problem_from_config,
@@ -143,8 +142,9 @@ def test_repr_shows_the_parsed_text():
 
 
 def test_depends_on():
-    assert parse_expression("sin(t)*x").depends_on("t")
-    assert not parse_expression("x*y").depends_on("t")
+    assert parse_expression("sin(t)*x").variables == {"t", "x"}
+    assert parse_expression("x*y^-x").variables == {"x", "y"}
+    assert parse_expression("exp(pi)").variables == frozenset()
 
 
 # --- scenarios -----------------------------------------------------------
@@ -188,17 +188,6 @@ def test_heat3d_parameters():
     assert s.dimension == 3
     assert s.divisions == 32
     assert s.u0(x=0.25, y=0.25, z=0.25) == pytest.approx(1.0)
-
-
-def test_negative_alpha_warns_not_raises():
-    with pytest.warns(UserWarning, match="coefficient x-1 is negative"):
-        ProblemSpec(
-            name="odd", dimension=1,
-            alpha_diag=(parse_expression("x-1"),),
-            c=parse_expression("0"), f=parse_expression("0"),
-            u0=parse_expression("0"), tau=0.1,
-            divisions=4, segment_steps=9, segment_count=1,
-        )
 
 
 def test_horizon_mismatch_rejected():
@@ -262,6 +251,7 @@ def test_config_explicit_without_T_derives_it():
 @pytest.mark.parametrize("key,value", [
     ("c", 1), ("f", 0), ("u0", None), ("alpha", "2"), ("alpha", [2]),
     ("tau", True), ("tau", "1e-3"), ("T", "0.09"), ("T", False),
+    ("name", {"a": 1}), ("name", None),
 ])
 def test_config_value_of_the_wrong_type_names_its_key(key, value):
     cfg = {
