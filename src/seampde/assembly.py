@@ -18,7 +18,8 @@ two vertices are interior. An operator keeps only the diagonals that hold
 a non-zero entry: the mass matrix fills all 2^(d+1) - 1 (m >= 3), while a
 stiffness without reaction is the (2d+1)-point stencil for any diagonal
 alpha, because two basis gradients of a Kuhn simplex that share no axis
-contribute an exact zero.
+contribute an exact zero. M + tau*S is scipy's sum of the two, on the
+union of their diagonals.
 """
 
 from __future__ import annotations
@@ -48,10 +49,11 @@ def _reference_simplices(mesh: Mesh):
     return paths, volumes, grads
 
 
-def _at_centroids(mesh: Mesh, paths: np.ndarray, fields, message: str, **kwargs):
-    """Each field at the centroids of each simplex type's m^d cells, as
-    (m,)*d arrays indexed (z, y, x), [type][field]; EvaluationError with
-    ``message`` unless all are finite."""
+def _at_centroids(mesh: Mesh, paths: np.ndarray, fields: dict, **kwargs):
+    """Each field of ``{label: field}`` at the centroids of each simplex
+    type's m^d cells, as (m,)*d arrays indexed (z, y, x), [type][field];
+    EvaluationError naming the label and the field's source unless all of
+    its values are finite."""
     d, m = mesh.dimension, mesh.divisions
     values = []
     for shift in paths.mean(axis=1):
@@ -59,9 +61,12 @@ def _at_centroids(mesh: Mesh, paths: np.ndarray, fields, message: str, **kwargs)
                   for a in range(d)]
         with np.errstate(over="ignore", invalid="ignore"):
             values.append([np.broadcast_to(field(*coords, **kwargs), (m,) * d)
-                           for field in fields])
-    if not all(np.isfinite(v).all() for per_type in values for v in per_type):
-        raise EvaluationError(message)
+                           for field in fields.values()])
+    for k, (label, field) in enumerate(fields.items()):
+        if not all(np.isfinite(per_type[k]).all() for per_type in values):
+            where = "".join(f" at {key} = {value!r}" for key, value in kwargs.items())
+            raise EvaluationError(f"{label} = {field.source!r} is not finite at "
+                                  f"every centroid{where}")
     return values
 
 
@@ -142,9 +147,9 @@ def assemble_stiffness(mesh: Mesh, alpha_diag, c) -> sparse.dia_matrix:
             f"need {d} diagonal diffusion entries, got {len(alpha_diag)}"
         )
     paths, volumes, grads = _reference_simplices(mesh)
-    coeffs = _at_centroids(
-        mesh, paths, [*alpha_diag, c],
-        "diffusion or reaction coefficient is not finite at every centroid")
+    labels = [f"diffusion coefficient alpha[{a}]" for a in range(d)]
+    coeffs = _at_centroids(mesh, paths, {**dict(zip(labels, alpha_diag)),
+                                         "reaction coefficient c": c})
     for a, field in enumerate(alpha_diag):
         if any(per_type[a].min() < 0 for per_type in coeffs):
             raise EvaluationError(f"diffusion coefficient {field.source} is negative "
@@ -168,8 +173,7 @@ def assemble_load(mesh: Mesh, f, t: float) -> np.ndarray:
     """
     paths, volumes, _ = _reference_simplices(mesh)
     d, m = mesh.dimension, mesh.divisions
-    f_vals = _at_centroids(mesh, paths, [f], "source term is not finite at "
-                           f"every centroid at t = {t!r}", t=t)
+    f_vals = _at_centroids(mesh, paths, {"source term f": f}, t=t)
     values = np.zeros(mesh.num_interior)
     grid = values.reshape((m - 1,) * d)
     for path, volume, [f_p] in zip(paths, volumes, f_vals):
@@ -180,7 +184,8 @@ def assemble_load(mesh: Mesh, f, t: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         norm_sq = values @ values
     if not np.isfinite(norm_sq):
-        raise EvaluationError(f"load vector's squared 2-norm overflows at t = {t!r}")
+        raise EvaluationError(f"load vector of f = {f.source!r}: its squared 2-norm "
+                              f"overflows at t = {t!r}")
     values.setflags(write=False)
     return values
 
@@ -193,6 +198,6 @@ def interpolate_initial(mesh: Mesh, u0) -> np.ndarray:
         values = np.asarray(np.broadcast_to(u, mesh.num_interior), dtype=float).copy()
         norm_sq = values @ values
     if not np.isfinite(norm_sq):
-        raise EvaluationError("initial data is not finite at every interior node, "
-                              "or its squared 2-norm overflows")
+        raise EvaluationError(f"initial data u0 = {u0.source!r} is not finite at every "
+                              "interior node, or its squared 2-norm overflows")
     return values

@@ -403,7 +403,7 @@ def main(argv=None) -> int:
     try:
         summary = execute(config)
     except (ValueError, ExpressionError, EvaluationError, DegenerateSnapshotError,
-            OSError, json.JSONDecodeError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverFailure, StagnationError) as exc:

@@ -67,11 +67,7 @@ class SeamSolution:
                 for model, alpha in zip(self.models, self.alphas))
 
     def to_matrix(self) -> np.ndarray:
-        cols = self.segment_steps + 1
-        data = np.empty((self.num_dofs, self.num_columns), order="F")
-        for k, model in enumerate(self.models):
-            data[:, k * cols:(k + 1) * cols] = np.outer(model.basis, self.alphas[k])
-        return data
+        return np.hstack(list(self.blocks()))
 
 
 def seam_offline(segment_data: np.ndarray, mass: sparse.dia_matrix,

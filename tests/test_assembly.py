@@ -254,21 +254,17 @@ def test_system_matrix_equals_sparse_sum(name):
     assert (a != b).nnz == 0
 
 
-def test_discretization_rejects_a_stiffness_diagonal_the_mass_lacks():
+def test_system_matrix_takes_a_stiffness_diagonal_the_mass_lacks():
     disc = discretize(replace(scenario("heat3d"), divisions=4))
-    assert len(disc.stiffness.offsets) < len(disc.mass.offsets)  # a subset is fine
-    message = "every stiffness diagonal must be a mass diagonal"
-    n = disc.mass.shape[0]
-    stray = sparse.dia_matrix((np.ones((1, n)), [2]), shape=(n, n))  # M: 0, 1, 3, 4, ...
-    with pytest.raises(ValueError, match=message):
-        replace(disc, stiffness=stray)
-    keep = disc.mass.offsets != 0  # a mass without the main diagonal
-    cut = sparse.dia_matrix((disc.mass.data[keep], disc.mass.offsets[keep]),
-                            shape=disc.mass.shape)
-    with pytest.raises(ValueError, match=message):
-        replace(disc, mass=cut)
-    with pytest.raises(ValueError, match=message):
-        replace(disc, mass=assemble_mass(build_cube_mesh(5)))  # another shape
+    n, tau = disc.mass.shape[0], 0.1
+    assert 2 not in disc.mass.offsets  # M: 0, 1, 3, 4, ...
+    stray = sparse.dia_matrix((np.ones((1, n)), [2]), shape=(n, n))
+    a = replace(disc, stiffness=stray).system_matrix(tau)
+    assert isinstance(a, sparse.dia_matrix)
+    assert (a != disc.mass.tocsr() + tau * stray.tocsr()).nnz == 0
+    other = replace(disc, mass=assemble_mass(build_cube_mesh(5)))  # another shape
+    with pytest.raises(ValueError, match="inconsistent shapes"):
+        other.system_matrix(tau)
 
 
 def kuhn_offsets(d, m):

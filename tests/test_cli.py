@@ -744,9 +744,12 @@ def test_overflowing_load_or_initial_vector_exits_2(tmp_path, u0, f, mode):
 
 
 @pytest.mark.parametrize("overrides,named", [
-    pytest.param({"f": "1e300*x"}, "load vector", id="f-1e300*x"),
-    pytest.param({"c": "exp(1000*x)"}, "reaction coefficient", id="c-exp(1000*x)"),
-    pytest.param({"alpha": ["exp(1000*x)"]}, "diffusion", id="alpha-value2"),
+    pytest.param({"f": "1e300*x"}, "load vector of f = '1e300*x'", id="f-1e300*x"),
+    pytest.param({"c": "exp(1000*x)"}, "reaction coefficient c = 'exp(1000*x)'",
+                 id="c-exp(1000*x)"),
+    pytest.param({"alpha": ["exp(1000*x)"]},
+                 "diffusion coefficient alpha[0] = 'exp(1000*x)'", id="alpha-value2"),
+    pytest.param({"u0": "1e200*x"}, "initial data u0 = '1e200*x'", id="u0-1e200*x"),
     pytest.param({"f": "100*z"}, "f = '100*z' uses z", id="f-z-in-1d"),
     pytest.param({"u0": "sin(pi*x)*(1+y)"}, "uses y", id="u0-y-in-1d"),
     pytest.param({"alpha": ["1+t"]}, "alpha = '1+t' uses t", id="alpha-t"),
