@@ -12,7 +12,8 @@ nor warned about.
 
 The rank-one reference grows like |1 - tau*norm|^(2n) and overflows
 float64 for the coarser time steps, so reference and perturbation
-quantities are carried in extended precision (numpy longdouble).
+quantities are carried in extended precision (numpy longdouble); the
+report.json payload holds them so, for the command line's JSON writer.
 """
 
 from __future__ import annotations
@@ -94,14 +95,6 @@ class PerturbationRecord:
     tail_sum_sq: float       # sum_{k>=1} lam_k^2 alone
     bound_proxy: float       # n^4 tau^2
     ratio: np.longdouble
-
-    def to_json_dict(self) -> dict:
-        return {
-            "quantity": _json_number(self.quantity),
-            "tail_sum_sq": self.tail_sum_sq,
-            "bound_proxy": self.bound_proxy,
-            "ratio": _json_number(self.ratio),
-        }
 
 
 def perturbation_quantity(spectrum: GramSpectrum, lambda0_ref,
@@ -212,7 +205,8 @@ def build_spectral_report(blocks, tau: float, mass: sparse.dia_matrix,
     """Eigenanalyze each segment block in turn, dropping it before the next
     one is made; compare the first to the reference. Return the spectra and
     the report.json payload: each segment's eigenvalue head and the
-    rank-one-reference diagnostics."""
+    rank-one-reference diagnostics, the extended-precision ones as
+    np.longdouble."""
     spectra, u0 = [], None
     for block in blocks:
         u0 = block[:, 0].copy() if u0 is None else u0
@@ -233,16 +227,8 @@ def build_spectral_report(blocks, tau: float, mass: sparse.dia_matrix,
         "norm_a": norm_a,
         "tau_norm_a": tau * norm_a,
         "time_step_assumption_satisfied": tau * norm_a < 1.0,
-        "lambda0_reference": _json_number(lambda0_ref),
-        "perturbation": record.to_json_dict(),
+        "lambda0_reference": lambda0_ref,
+        "perturbation": vars(record),
         "segment_steps": segment_steps,
         "tau": tau,
     }
-
-
-def _json_number(value):
-    """Finite numbers as floats; extended-precision overflow as a string."""
-    as_float = float(value)
-    if np.isfinite(as_float):
-        return as_float
-    return repr(np.longdouble(value))

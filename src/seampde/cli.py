@@ -1,4 +1,5 @@
-"""Command-line driver: scenarios, pipeline orchestration, CSV/JSON artifacts.
+"""Command-line driver: scenarios, pipeline orchestration, and the one CSV
+writer (_write_csv) and one JSON writer (_write_json) of every artifact.
 
 Modes
 -----
@@ -28,13 +29,15 @@ snapshot-header checks run before any compute.
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
+import math
 import platform
 import sys
 import time
 from contextlib import closing
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -142,39 +145,21 @@ def resolve_problem(config: RunConfig) -> ProblemSpec:
     return problem_from_config({**spec, **flags}) if flags else problem
 
 
-def _write_error_csv(path, tau: float, error_sq: np.ndarray,
-                     reference_sq: np.ndarray) -> None:
+def _write_csv(path, header, rows) -> None:
+    """The header, then each row: str() of each field (a float's shortest
+    round-trip repr) joined by commas, CRLF ended, as csv.writer writes them."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "abs_error", "rel_error"])
-        for j, (err_sq, ref_sq) in enumerate(zip(error_sq, reference_sq)):
-            abs_err = float(np.sqrt(err_sq))
-            ref_norm = float(np.sqrt(ref_sq))
-            if ref_norm > 0:
-                rel = abs_err / ref_norm
-            else:
-                rel = 0.0 if abs_err == 0 else float("inf")
-            writer.writerow([repr(j * tau), repr(abs_err), repr(rel)])
+        fh.writelines(",".join(map(str, row)) + "\r\n"
+                      for row in itertools.chain([header], rows))
 
 
-def _write_segments_csv(path, rows) -> None:
-    """Per-segment CSV of (lambda0, system_coeff, mass_coeff, alpha0) rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["segment", "lambda0", "system_coeff", "mass_coeff", "alpha0"])
-        for segment, row in enumerate(rows):
-            writer.writerow([segment, *map(repr, row)])
-
-
-def _write_spectra_csv(path, spectra) -> None:
-    """Rows (segment, eigen_index, eigenvalue), the top SPECTRUM_HEAD of
-    each spectrum; segments are numbered by their position."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["segment", "index", "eigenvalue"])
-        for segment, spectrum in enumerate(spectra):
-            for index, value in enumerate(spectrum.eigenvalues[:SPECTRUM_HEAD]):
-                writer.writerow([segment, index, repr(float(value))])
+def _error_rows(tau: float, error_sq, reference_sq):
+    """error.csv rows (t, abs_error, rel_error) from the squared norms; a
+    zero reference gives rel_error 0 for a zero error, else inf."""
+    for j, (err_sq, ref_sq) in enumerate(zip(error_sq, reference_sq)):
+        abs_err, ref_norm = math.sqrt(err_sq), math.sqrt(ref_sq)
+        rel = abs_err / ref_norm if ref_norm > 0 else 0.0 if abs_err == 0 else math.inf
+        yield j * tau, abs_err, rel
 
 
 class _Slices:
@@ -200,21 +185,27 @@ class _Slices:
         self.start = stop
 
     def write(self, outdir, disc: Discretization) -> None:
-        """One file per slice time. Each row is what csv.writer writes for
-        plain floats (shortest round-trip repr, CRLF line end); the
-        coordinate text is formatted once per run."""
-        points = [",".join(map(repr, p)) for p in disc.mesh.interior_nodes().tolist()]
+        """One file per slice time; the coordinate text, each row's first
+        field, is formatted once per run."""
+        points = [",".join(map(str, p)) for p in disc.mesh.interior_nodes().tolist()]
         for t, rows in zip(self.indices, self.values):
-            with open(outdir / f"slices_t{t}.csv", "w", newline="") as fh:
-                csv.writer(fh).writerow(self.header)
-                fh.writelines(f"{p},{','.join(map(repr, v))}\r\n"
-                              for p, v in zip(points, rows.tolist()))
+            _write_csv(outdir / f"slices_t{t}.csv", self.header,
+                       ((p, *v) for p, v in zip(points, rows.tolist())))
+
+
+def _json_default(value):
+    """An np.longdouble as a float, or as its decimal text where it overflows
+    a float; any other type json cannot serialize raises TypeError."""
+    if isinstance(value, np.longdouble):
+        as_float = float(value)
+        return as_float if math.isfinite(as_float) else str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _write_json(path, payload: dict) -> None:
     """Write ``payload`` as indented JSON. It is serialized before the file
     is opened, so a NaN or infinity raises ValueError and leaves no file."""
-    text = json.dumps(payload, indent=2, allow_nan=False)
+    text = json.dumps(payload, indent=2, allow_nan=False, default=_json_default)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -266,8 +257,8 @@ def _reduce_blocks(blocks, problem: ProblemSpec, disc: Discretization,
                 norms.append(block_error_norms(block[:, cols], chunk, disc.mass))
                 slices.take(block[:, cols], chunk)
             spectra.append(model.spectrum)
-            rows.append((float(model.spectrum.eigenvalues[0]), model.system_coeff,
-                         model.mass_coeff, model.alpha0))
+            rows.append((len(rows), float(model.spectrum.eigenvalues[0]),
+                         model.system_coeff, model.mass_coeff, model.alpha0))
             del block, model, chunk
     norms = [np.concatenate(columns) for columns in zip(*norms)]
     return spectra, rows, norms, slices
@@ -276,8 +267,6 @@ def _reduce_blocks(blocks, problem: ProblemSpec, disc: Discretization,
 def execute(config: RunConfig) -> dict | None:
     """Run one mode end to end; artifact files land in the output directory.
     Return the summary.json payload (None for hw-selftest, which writes none)."""
-    from pathlib import Path
-
     if config.snapshots_path and config.mode in ("bench", "hw-selftest"):
         raise ValueError(f"--snapshots does not apply to --mode {config.mode}")
     if config.mode == "bench" and config.repeats < 1:
@@ -333,10 +322,14 @@ def _pass(problem: ProblemSpec, disc: Discretization, config: RunConfig,
             spectra, rows, norms, slices = _reduce_blocks(
                 blocks, problem, disc, segment_steps, outdir / "seam.bin", summary)
             summary["error_l2"] = space_time_error(*norms, problem.tau)
-            _write_segments_csv(outdir / "segments.csv", rows)
-            _write_error_csv(outdir / "error.csv", problem.tau, *norms)
+            _write_csv(outdir / "segments.csv", ("segment", "lambda0", "system_coeff",
+                                                 "mass_coeff", "alpha0"), rows)
+            _write_csv(outdir / "error.csv", ("t", "abs_error", "rel_error"),
+                       _error_rows(problem.tau, *norms))
             slices.write(outdir, disc)
-    _write_spectra_csv(outdir / "eigenvalues.csv", spectra)
+    _write_csv(outdir / "eigenvalues.csv", ("segment", "index", "eigenvalue"),
+               ((k, i, float(value)) for k, s in enumerate(spectra)
+                for i, value in enumerate(s.eigenvalues[:SPECTRUM_HEAD])))
     summary["lambda0_first"] = float(spectra[0].eigenvalues[0])
     summary["lambda0_last"] = float(spectra[-1].eigenvalues[0])
 
@@ -370,8 +363,6 @@ def _run_bench(problem, disc, config, summary, outdir) -> None:
 
 def _run_hw_selftest(config: RunConfig) -> None:
     """Displacement-inequality suite on 100 random symmetric pairs."""
-    from pathlib import Path
-
     rng = np.random.default_rng(2024)
     worst = {"frobenius_margin": np.inf, "lower_margin": np.inf,
              "upper_margin": np.inf}

@@ -2,16 +2,21 @@
 
 None of these runs in the command-line pipeline: a single backward-Euler
 step with its own system matrix (and the 1-D heat operators it is checked
-on), the rank-one projection residual of the POD optimality identity, and
-a printer that turns an expression tree back into text the parser accepts,
-and the reduced recurrence on NumPy scalars that seam_online must match
-bit for bit. The Kuhn grid's vertex, cell and interior-numbering arrays,
-built from mesh.kuhn_paths, feed per-cell element geometry, an assembly by
-COO triplets and a centroid-rule load vector, all cell by cell, which
-check the structured assembly.
+on), the rank-one projection residual of the POD optimality identity, a
+printer that turns an expression tree back into text the parser accepts,
+the reduced recurrence on NumPy scalars that seam_online must match bit
+for bit, and eigenvalues from the characteristic polynomial. The Kuhn
+grid's vertex, cell and interior-numbering arrays, built from
+mesh.kuhn_paths, feed per-cell element geometry, an assembly by COO
+triplets and a centroid-rule load vector, all cell by cell, which check
+the structured assembly.
 It also builds the 1-D problem that matches a stored snapshot file of any
-shape, since both snapshot readers check a file against a problem.
+shape, since both snapshot readers check a file against a problem, and
+renders a CSV artifact as csv.writer writes its parsed fields.
 """
+
+import csv
+import io
 
 import numpy as np
 import scipy.sparse as sparse
@@ -148,6 +153,40 @@ def centroid_load(mesh, f, t: float) -> np.ndarray:
         keep = nodes[:, i] >= 0
         np.add.at(values, nodes[keep, i], contrib[keep] / (mesh.dimension + 1))
     return values
+
+
+def charpoly_eigenvalues(x):
+    """Faddeev-LeVerrier characteristic polynomial + root finding."""
+    n = x.shape[0]
+    coeffs = [1.0]
+    m = np.zeros_like(x)
+    c = 1.0
+    for k in range(1, n + 1):
+        m = x @ m + c * np.eye(n)
+        c = -np.trace(x @ m) / k
+        coeffs.append(c)
+    return np.sort(np.roots(coeffs).real)[::-1]
+
+
+def csv_writer_rendering(path) -> bytes:
+    """The CSV file at ``path`` parsed by csv.reader, each field turned into
+    an int (or, failing that, a float; the header stays text), and written
+    again by csv.writer."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(rows[0])
+    for row in rows[1:]:
+        writer.writerow([_number(field) for field in row])
+    return buffer.getvalue().encode()
+
+
+def _number(field: str):
+    try:
+        return int(field)
+    except ValueError:
+        return float(field)
 
 
 def projection_residual(segment_data: np.ndarray, beta: np.ndarray) -> float:

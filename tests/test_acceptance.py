@@ -76,7 +76,12 @@ from seampde.hifi import discretize, run_hifi
 from seampde.pod import eig_descending, gram, jacobi_eigh, pod_basis
 from seampde.seam import run_parallel_seam, seam_online
 
-from oracles import backward_euler_step, heat_operators, projection_residual
+from oracles import (
+    backward_euler_step,
+    charpoly_eigenvalues,
+    heat_operators,
+    projection_residual,
+)
 
 
 def report(criterion, ok, detail):
@@ -445,18 +450,6 @@ def _scale_free_tails(name, config):
     return tails
 
 
-def _charpoly_eigenvalues(x):
-    n = x.shape[0]
-    coeffs = [1.0]
-    m = np.zeros_like(x)
-    c = 1.0
-    for k in range(1, n + 1):
-        m = x @ m + c * np.eye(n)
-        c = -np.trace(x @ m) / k
-        coeffs.append(c)
-    return np.sort(np.roots(coeffs).real)[::-1]
-
-
 def test_criterion_8_oracle_equivalence():
     failures = []
     rng = np.random.default_rng(88)
@@ -470,7 +463,7 @@ def test_criterion_8_oracle_equivalence():
         dense = np.linalg.eigvalsh(x)[::-1]
         worst_dense = max(worst_dense, float(np.abs(values - dense).max()))
         if size <= 5 and i % 5 == 0:
-            cp = _charpoly_eigenvalues(x)
+            cp = charpoly_eigenvalues(x)
             worst_charpoly = max(worst_charpoly,
                                  float(np.abs(values - cp).max()))
     if worst_dense > 1e-8:

@@ -16,6 +16,7 @@ from seampde.analysis import (
     reference_principal_eigenvalue,
     relative_l2_error,
 )
+from seampde.cli import _write_json
 from seampde.errors import DegenerateReferenceError
 from seampde.fields import ProblemSpec, parse_expression as expr, scenario
 from seampde.hifi import CG_RTOL, SnapshotMatrix, cg_solve, discretize, run_hifi
@@ -311,7 +312,7 @@ def test_relative_error_segmented_shape_mismatch(segmented_run):
         relative_l2_error(fewer_columns, solution, mass, snapshots.tau)
 
 
-def test_spectral_report_roundtrip():
+def test_spectral_report_roundtrip(tmp_path):
     mass, stiffness = heat_operators(8)
     rng = np.random.default_rng(2)
     data = rng.standard_normal((7, 12)) * np.exp(-0.3 * np.arange(12))
@@ -323,7 +324,8 @@ def test_spectral_report_roundtrip():
     perturbation = payload["perturbation"]
     assert perturbation["quantity"] >= perturbation["tail_sum_sq"] * (1 - 1e-12)
 
-    loaded = json.loads(json.dumps(payload, allow_nan=False))
+    _write_json(tmp_path / "report.json", payload)  # the payload holds longdoubles
+    loaded = json.loads((tmp_path / "report.json").read_text())
     assert loaded["schema"] == 1
     assert [s["segment"] for s in loaded["segments"]] == [0, 1, 2]
     assert len(loaded["segments"][0]["eigenvalues"]) <= 5

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,11 @@ import numpy as np
 import pytest
 
 from seampde import cli, hifi, pod
-from seampde.analysis import column_error_norms
+from seampde.analysis import (
+    column_error_norms,
+    perturbation_quantity,
+    reference_principal_eigenvalue,
+)
 from seampde.cli import RunConfig, execute, main, resolve_problem
 from seampde.errors import DegenerateSnapshotError, EvaluationError, SolverFailure
 from seampde.hifi import (
@@ -20,8 +25,10 @@ from seampde.hifi import (
     run_hifi,
     save_snapshots,
 )
-from seampde.pod import eig_descending, gram
+from seampde.pod import block_spectrum, eig_descending, gram
 from seampde.seam import SeamSolution, run_parallel_seam, save_seam
+
+from oracles import csv_writer_rendering
 
 
 def run_cli(*argv):
@@ -426,6 +433,33 @@ def test_eigs_mode(tmp_path):
     assert len(report["segments"]) == 4
     assert "perturbation" in report
     assert (out / "eigenvalues.csv").exists()
+
+
+def test_heat1d_eigs_writes_overflowed_values_as_decimal_text(tmp_path):
+    out = tmp_path / "eigs"
+    execute(RunConfig(scenario="heat1d", mode="eigs", out=str(out)))
+    report = read_json(out / "report.json")
+    problem = resolve_problem(RunConfig(scenario="heat1d"))
+    assert problem.segment_count == 1
+    snapshots = load_snapshots(out / "snapshots.bin", problem).data
+    n, tau = problem.segment_steps, problem.tau
+    reference = reference_principal_eigenvalue(snapshots[:, 0], report["norm_a"],
+                                               tau, n)
+    record = perturbation_quantity(block_spectrum(snapshots), reference, n, tau)
+    perturbation = report["perturbation"]
+    for text, value in [(report["lambda0_reference"], reference),
+                        (perturbation["quantity"], record.quantity),
+                        (perturbation["ratio"], record.ratio)]:
+        assert isinstance(text, str) and re.fullmatch(r"\d\.\d+e\+\d+", text), text
+        assert abs(np.longdouble(text) / value - 1) <= 1e-15, (text, value)
+
+
+@pytest.mark.parametrize("value", [np.float32(1.0), object()])
+def test_json_writer_rejects_other_types_without_a_file(tmp_path, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._write_json(path, {"value": value})
+    assert not path.exists()
 
 
 def test_snapshot_column_count_mismatch_exits_2(tmp_path):
@@ -864,11 +898,12 @@ def whole_matrix_artifacts(problem, out):
     out.mkdir()
     save_snapshots(snapshots, out / "snapshots.bin")
     save_seam(solution, out / "seam.bin")
-    cli._write_segments_csv(out / "segments.csv", [
-        (float(model.spectrum.eigenvalues[0]), model.system_coeff,
-         model.mass_coeff, model.alpha0) for model in solution.models])
-    cli._write_error_csv(out / "error.csv", problem.tau,
-                         *column_error_norms(snapshots, solution, disc.mass))
+    cli._write_csv(out / "segments.csv", ("segment", "lambda0", "system_coeff",
+                                          "mass_coeff", "alpha0"), [
+        (k, float(model.spectrum.eigenvalues[0]), model.system_coeff,
+         model.mass_coeff, model.alpha0) for k, model in enumerate(solution.models)])
+    cli._write_csv(out / "error.csv", ("t", "abs_error", "rel_error"), cli._error_rows(
+        problem.tau, *column_error_norms(snapshots, solution, disc.mass)))
 
 
 @pytest.mark.parametrize("f", ["x", "x*(1+10*t)"])
@@ -891,6 +926,19 @@ def test_streamed_run_equals_the_whole_matrix_oracle(tmp_path, f):
     assert len(slices) == 3  # t = 0.25, 0.5 and 0.75 of T = 0.95
     for name in ["seam.bin", "error.csv", "segments.csv", *slices]:
         assert (stored / name).read_bytes() == (out / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("mode", ["parallel-seam", "hifi", "eigs"])
+def test_csv_artifacts_are_what_csv_writer_writes(tmp_path, mode):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(STREAMED))
+    out = tmp_path / "out"
+    assert run_cli("--config", str(path), "--mode", mode, "--out", str(out)) == 0
+    written = sorted(out.glob("*.csv"))
+    expected = {"parallel-seam": 6, "hifi": 3, "eigs": 1}[mode]  # 3 slice files
+    assert len(written) == expected, written
+    for csv_path in written:
+        assert csv_path.read_bytes() == csv_writer_rendering(csv_path), csv_path.name
 
 
 def test_streamed_parallel_seam_holds_one_segment_block(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from seampde import pod
-from seampde.cli import _write_spectra_csv
+from seampde.cli import _write_csv
 from seampde.errors import DegenerateSnapshotError, StagnationError
 from seampde.pod import (
     GramSpectrum,
@@ -13,7 +13,7 @@ from seampde.pod import (
     pod_basis,
 )
 
-from oracles import projection_residual
+from oracles import charpoly_eigenvalues, projection_residual
 
 
 def test_gram_identical_unit_columns():
@@ -45,26 +45,13 @@ def test_eig_descending_diagonal():
     np.testing.assert_allclose(spectrum.eigenvalues, [3.0, 2.0, 1.0])
 
 
-def _charpoly_eigenvalues(x):
-    """Faddeev-LeVerrier characteristic polynomial + root finding."""
-    n = x.shape[0]
-    coeffs = [1.0]
-    m = np.zeros_like(x)
-    c = 1.0
-    for k in range(1, n + 1):
-        m = x @ m + c * np.eye(n)
-        c = -np.trace(x @ m) / k
-        coeffs.append(c)
-    return np.sort(np.roots(coeffs).real)[::-1]
-
-
 def test_jacobi_against_charpoly_oracle_5x5():
     rng = np.random.default_rng(42)
     for _ in range(25):
         q = rng.standard_normal((5, 5))
         x = q + q.T
         vals, _ = jacobi_eigh(x)
-        np.testing.assert_allclose(vals, _charpoly_eigenvalues(x),
+        np.testing.assert_allclose(vals, charpoly_eigenvalues(x),
                                    rtol=1e-8, atol=1e-8)
 
 
@@ -270,7 +257,10 @@ def test_export_spectra_csv(tmp_path):
         GramSpectrum(np.array([2.0, 0.25, 0.1]), np.eye(3)[0]),
     ]
     path = tmp_path / "spectra.csv"
-    _write_spectra_csv(path, spectra)
+    # the rows cli._pass writes to eigenvalues.csv
+    _write_csv(path, ("segment", "index", "eigenvalue"),
+               ((k, i, float(value)) for k, s in enumerate(spectra)
+                for i, value in enumerate(s.eigenvalues[:pod.SPECTRUM_HEAD])))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "segment,index,eigenvalue"
     # the first spectrum is cut after five values; segments count from 0

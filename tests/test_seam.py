@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from seampde.cli import _write_segments_csv
+from seampde.cli import _write_csv
 from seampde.errors import DegenerateSnapshotError, SegmentationError
 from seampde.hifi import SnapshotMatrix, load_snapshots, save_snapshots
 from seampde.pod import GramSpectrum
@@ -201,9 +201,10 @@ def test_save_and_metadata_export(tmp_path):
     np.testing.assert_allclose(back.data, solution.to_matrix())
 
     meta_path = tmp_path / "segments.csv"
-    _write_segments_csv(meta_path, [
-        (float(model.spectrum.eigenvalues[0]), model.system_coeff,
-         model.mass_coeff, model.alpha0) for model in solution.models])
+    _write_csv(meta_path, ("segment", "lambda0", "system_coeff", "mass_coeff",
+                           "alpha0"), [
+        (k, float(model.spectrum.eigenvalues[0]), model.system_coeff,
+         model.mass_coeff, model.alpha0) for k, model in enumerate(solution.models)])
     lines = meta_path.read_text().strip().splitlines()
     assert lines[0] == "segment,lambda0,system_coeff,mass_coeff,alpha0"
     assert len(lines) == 1 + len(solution.models)
