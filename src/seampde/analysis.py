@@ -83,29 +83,21 @@ def reference_principal_eigenvalue(u0: np.ndarray, norm_a: float, tau: float,
         total = np.longdouble(n + 1)
     else:
         total = (r2 ** (n + 1) - 1.0) / (r2 - 1.0)
-    u0 = np.asarray(u0, dtype=float)
     return np.longdouble(u0 @ u0) * total
 
 
-@dataclass(frozen=True)
-class PerturbationRecord:
-    """Distance of a Gram spectrum from the rank-one reference spectrum."""
-
-    quantity: np.longdouble  # (lam0 - lam0_ref)^2 + sum_{k>=1} lam_k^2
-    tail_sum_sq: float       # sum_{k>=1} lam_k^2 alone
-    bound_proxy: float       # n^4 tau^2
-    ratio: np.longdouble
-
-
 def perturbation_quantity(spectrum: GramSpectrum, lambda0_ref,
-                          n: int, tau: float) -> PerturbationRecord:
-    """Squared principal-eigenvalue shift plus the squared trailing tail."""
-    values = np.asarray(spectrum.eigenvalues, dtype=float)
+                          n: int, tau: float) -> dict:
+    """report.json's ``perturbation``: ``quantity`` (np.longdouble) is the squared
+    principal-eigenvalue shift plus ``tail_sum_sq``, sum_{k>=1} lam_k^2, and
+    ``ratio`` (np.longdouble) is quantity over ``bound_proxy``, n^4 tau^2."""
+    values = spectrum.eigenvalues
     tail = float(np.sum(np.square(values[1:], dtype=float)))
     shift = np.longdouble(values[0]) - np.longdouble(lambda0_ref)
     quantity = shift * shift + np.longdouble(tail)
     proxy = float(n) ** 4 * tau**2
-    return PerturbationRecord(quantity, tail, proxy, quantity / np.longdouble(proxy))
+    return {"quantity": quantity, "tail_sum_sq": tail, "bound_proxy": proxy,
+            "ratio": quantity / np.longdouble(proxy)}
 
 
 @dataclass(frozen=True)
@@ -216,7 +208,6 @@ def build_spectral_report(blocks, tau: float, mass: sparse.dia_matrix,
     if norm_a <= 0:
         raise ValueError("operator norm must be positive")
     lambda0_ref = reference_principal_eigenvalue(u0, norm_a, tau, segment_steps)
-    record = perturbation_quantity(spectra[0], lambda0_ref, segment_steps, tau)
     return spectra, {
         "schema": 1,
         "segments": [
@@ -228,7 +219,8 @@ def build_spectral_report(blocks, tau: float, mass: sparse.dia_matrix,
         "tau_norm_a": tau * norm_a,
         "time_step_assumption_satisfied": tau * norm_a < 1.0,
         "lambda0_reference": lambda0_ref,
-        "perturbation": vars(record),
+        "perturbation": perturbation_quantity(spectra[0], lambda0_ref,
+                                              segment_steps, tau),
         "segment_steps": segment_steps,
         "tau": tau,
     }

@@ -16,9 +16,9 @@ problem that breaks a rule of fields.ProblemSpec, given by flag or by
 config key alike, a horizon T, from the config or from --T, other than
 the one the run steps to once the flags replace the config's keys, a
 snapshot file whose dofs, tau or column count differ
-from the problem's, a field expression that cannot be parsed or
-evaluated, or that uses a variable its key may not (alpha, c and u0
-only the problem's axes, f also t), a diffusion coefficient that is
+from the problem's, a field expression that cannot be parsed or that
+uses a variable its key may not (alpha, c and u0 only the problem's
+axes, f also t), a diffusion coefficient that is
 negative at an element centroid, initial data, a coefficient or a
 source term that is not finite, a load or initial vector whose squared
 2-norm overflows, a JSON artifact value that is not finite, all-zero

@@ -19,7 +19,7 @@ class ExpressionError(SeamError):
 
 
 class EvaluationError(SeamError):
-    """A field expression could not be evaluated (e.g. division by zero)."""
+    """A field, or a vector assembled from one, is not finite, or alpha is negative."""
 
 
 class SolverFailure(SeamError):

@@ -4,23 +4,25 @@ Fields are small arithmetic expressions over {x, y, z, t} with the
 constant pi, the operators + - * / ^ (all left-associative, ^ binding
 tightest, then unary minus, then * /, then + -), and the functions
 sin, cos, exp. Parsed expressions evaluate vectorized over numpy
-arrays, so assembly can feed whole batches of element centroids.
+arrays, so assembly can feed whole batches of element centroids. / and ^
+are NumPy's divide and power, so a division by zero gives an infinity or
+a NaN, not an error.
 
 A problem's alpha, c and u0 may use only its own axes, the first d of
 x, y, z, and its f also t; a stray variable is a ValueError, not read
-as 0. That alpha is not negative is checked by the assembly, at the
-centroids where it is evaluated.
+as 0. That every value is finite and alpha not negative is checked by
+the assembly, at the points where it evaluates them.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from seampde.errors import EvaluationError, ExpressionError
+from seampde.errors import ExpressionError
 
 VARIABLES = ("x", "y", "z", "t")
 FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
@@ -76,29 +78,22 @@ def _evaluate(node, env):
     if node.op == "*":
         return left * right
     if node.op == "/":
-        if np.any(right == 0):
-            raise EvaluationError("division by zero")
-        return left / right
+        return np.divide(left, right)
     return np.power(left, right)
 
 
+@dataclass(frozen=True)
 class ScalarField:
     """Immutable parsed expression, the text it was parsed from and the
-    frozenset of variables it uses, callable on scalars or numpy arrays."""
+    frozenset of variables it uses, callable on scalars or numpy arrays;
+    equal and hashed by its tree alone."""
 
-    def __init__(self, root, source, variables):
-        self.root = root
-        self.source = source
-        self.variables = frozenset(variables)
+    root: object
+    source: str = field(compare=False)
+    variables: frozenset = field(compare=False)
 
     def __call__(self, x=0.0, y=0.0, z=0.0, t=0.0):
         return _evaluate(self.root, {"x": x, "y": y, "z": z, "t": t})
-
-    def __eq__(self, other):
-        return isinstance(other, ScalarField) and self.root == other.root
-
-    def __hash__(self):
-        return hash(self.root)
 
     def __repr__(self):
         return f"ScalarField({self.source!r})"
@@ -235,7 +230,7 @@ def parse_expression(text: str) -> ScalarField:
     if not text or not text.strip():
         raise ExpressionError("empty expression", 0)
     parser = _Parser(text)
-    return ScalarField(parser.parse(), source=text, variables=parser.variables)
+    return ScalarField(parser.parse(), text, frozenset(parser.variables))
 
 
 # --- problem definition -------------------------------------------------

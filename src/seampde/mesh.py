@@ -25,11 +25,6 @@ class Mesh:
     dimension: int
     divisions: int
 
-    def __post_init__(self):
-        if self.divisions < 2:
-            raise ValueError("need at least 2 divisions per axis for an interior "
-                             f"node, got m={self.divisions}")
-
     @property
     def num_interior(self) -> int:
         return (self.divisions - 1) ** self.dimension

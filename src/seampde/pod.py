@@ -102,9 +102,6 @@ class GramSpectrum:
 
 def gram(segment: np.ndarray) -> np.ndarray:
     """Exact symmetric product X = segment^T segment."""
-    segment = np.asarray(segment, dtype=float)
-    if segment.ndim != 2 or segment.shape[1] == 0:
-        raise ValueError("segment must be a nonempty 2-d column block")
     return segment.T @ segment
 
 
@@ -152,8 +149,7 @@ def block_spectrum(segment: np.ndarray) -> GramSpectrum:
     non-zero eigenvalues), pads them with exact zeros to one per column,
     and takes the leading vector as X^T u0 (of norm sqrt(lam0)) from the
     leading u0 of X X^T, unit-normed, largest-magnitude entry positive."""
-    segment = np.asarray(segment, dtype=float)
-    if segment.ndim != 2 or segment.shape[1] <= segment.shape[0]:
+    if segment.shape[1] <= segment.shape[0]:
         return eig_descending(gram(segment))
     left = eig_descending(gram(segment.T))
     values = np.zeros(segment.shape[1])
@@ -166,7 +162,6 @@ def pod_basis(segment_data: np.ndarray, spectrum: GramSpectrum) -> np.ndarray:
     """Read-only rank-1 basis beta = (1/sqrt(lam0)) * segment @ b0 from the
     segment's Gram spectrum, which eig_descending has checked is not zero;
     unit 2-norm by construction."""
-    segment_data = np.asarray(segment_data, dtype=float)
     lam0 = float(spectrum.eigenvalues[0])
     beta = segment_data @ spectrum.leading_vector / np.sqrt(lam0)
     beta.setflags(write=False)

@@ -74,7 +74,6 @@ def seam_offline(segment_data: np.ndarray, mass: sparse.dia_matrix,
                  stiffness: sparse.dia_matrix, load: np.ndarray,
                  tau: float) -> SeamModel:
     """Extract the rank-1 basis of a snapshot block and reduce the operators."""
-    segment_data = np.asarray(segment_data, dtype=float)
     spectrum = block_spectrum(segment_data)
     beta = pod_basis(segment_data, spectrum)
     mass_coeff = float(beta @ (mass @ beta))

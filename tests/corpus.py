@@ -2,11 +2,13 @@
 
 Each case runs the command line into a fresh directory and reduces its
 artifacts to named lists of numbers: summary.json without its timings,
-report.json's scalars, the segments.csv and error.csv columns, the
-eigenvalues.csv heads, and the per-column 2-norms of snapshots.bin and
-seam.bin. ``tests/test_corpus.py`` reruns every case and compares it with
-``tests/corpus.json``; a change that is meant to move numbers regenerates
-that file and says in CHANGES.md which values moved and by how much:
+report.json's scalars, the segments.csv, error.csv and slices_t*.csv
+columns, the eigenvalues.csv heads, and the per-column 2-norms of
+snapshots.bin and seam.bin. A case of STORED reads the snapshots.bin of
+another case's run through --snapshots. ``tests/test_corpus.py`` reruns
+every case and compares it with ``tests/corpus.json``; a change that is
+meant to move numbers regenerates that file and says in CHANGES.md which
+values moved and by how much:
 
     PYTHONPATH=src python tests/corpus.py
 """
@@ -52,7 +54,11 @@ CASES = {
     "s2-fxy-eigs": (S2_XY, "eigs"),
     "heat3d-eigs": (HEAT3D, "eigs"),
     "hw-selftest": (None, "hw-selftest"),
+    "streamed-hifi": (STREAMED, "hifi"),
+    "streamed-eigs-stored": (STREAMED, "eigs"),
 }
+# case -> the case whose stored snapshots.bin it reads
+STORED = {"streamed-eigs-stored": "streamed-hifi"}
 
 
 def run_case(name: str, root: Path) -> dict:
@@ -65,6 +71,10 @@ def run_case(name: str, root: Path) -> dict:
         path = root / f"{name}.json"
         path.write_text(json.dumps(spec))
         argv += ["--config", str(path)]
+    if name in STORED:
+        if not (root / STORED[name]).exists():
+            run_case(STORED[name], root)
+        argv += ["--snapshots", str(root / STORED[name] / "snapshots.bin")]
     if main(argv) != 0:
         raise RuntimeError(f"corpus case {name} exited non-zero")
     values = {}
@@ -75,7 +85,8 @@ def run_case(name: str, root: Path) -> dict:
             for key, value in _flat(payload):
                 if not key.endswith("_seconds"):
                     values[f"{artifact}:{key}"] = [value]
-    for artifact in ("segments.csv", "error.csv"):
+    slices = sorted(p.name for p in out.glob("slices_t*.csv"))
+    for artifact in ("segments.csv", "error.csv", *slices):
         if (out / artifact).exists():
             with open(out / artifact, newline="") as fh:
                 rows = list(csv.reader(fh))

@@ -409,7 +409,7 @@ def test_criterion_7_perturbation_trend_and_tails():
             snapshots.data[:, 0], norm_a, tau, problem.segment_steps)
         record = perturbation_quantity(spectrum, lam_ref,
                                        problem.segment_steps, tau)
-        quantities.append(record.quantity)
+        quantities.append(record["quantity"])
     if not (quantities[0] > quantities[1] > quantities[2]):
         failures.append(f"P not strictly decreasing: {quantities}")
     logs = [float(np.log10(q)) for q in quantities]

@@ -202,15 +202,15 @@ def test_perturbation_zero_for_matching_reference():
     spectrum = eig_descending(gram(columns))
     lam_ref = reference_principal_eigenvalue(u0, 2.0, 0.1, 5)
     record = perturbation_quantity(spectrum, lam_ref, 5, 0.1)
-    assert float(record.quantity) == pytest.approx(0.0, abs=1e-12)
-    assert record.bound_proxy == pytest.approx(5**4 * 0.01)
+    assert float(record["quantity"]) == pytest.approx(0.0, abs=1e-12)
+    assert record["bound_proxy"] == pytest.approx(5**4 * 0.01)
 
 
 def test_perturbation_dominated_by_tail_lower_bound():
     spectrum = eig_descending(np.diag([4.0, 1.0, 0.25]))
     record = perturbation_quantity(spectrum, np.longdouble(4.0), 2, 0.1)
-    assert float(record.quantity) >= record.tail_sum_sq
-    assert record.tail_sum_sq == pytest.approx(1.0 + 0.0625)
+    assert float(record["quantity"]) >= record["tail_sum_sq"]
+    assert record["tail_sum_sq"] == pytest.approx(1.0 + 0.0625)
 
 
 def test_hoffman_wielandt_zero_perturbation():

@@ -97,11 +97,6 @@ def test_stiffness_variable_alpha_symmetric():
     assert abs(S - S.T).max() < 1e-14 * abs(S).max()
 
 
-def test_stiffness_wrong_alpha_count():
-    with pytest.raises(ValueError, match="diagonal diffusion"):
-        assemble_stiffness(build_interval_mesh(4), [ONE, ONE], ZERO)
-
-
 def test_stiffness_rejects_negative_alpha_but_not_zero():
     # 4y-1 < 0 only at the centroids of the first row of cells (y < 1/4)
     with pytest.raises(EvaluationError, match="coefficient 4\\*y-1 is negative"):

@@ -448,8 +448,8 @@ def test_heat1d_eigs_writes_overflowed_values_as_decimal_text(tmp_path):
     record = perturbation_quantity(block_spectrum(snapshots), reference, n, tau)
     perturbation = report["perturbation"]
     for text, value in [(report["lambda0_reference"], reference),
-                        (perturbation["quantity"], record.quantity),
-                        (perturbation["ratio"], record.ratio)]:
+                        (perturbation["quantity"], record["quantity"]),
+                        (perturbation["ratio"], record["ratio"])]:
         assert isinstance(text, str) and re.fullmatch(r"\d\.\d+e\+\d+", text), text
         assert abs(np.longdouble(text) / value - 1) <= 1e-15, (text, value)
 
@@ -792,11 +792,27 @@ def test_overflowing_load_or_initial_vector_exits_2(tmp_path, u0, f, mode):
     pytest.param({"alpha": ["-1"]}, "coefficient -1 is negative", id="alpha-negative"),
     pytest.param({"alpha": ["x-0.5"], "m": 16}, "coefficient x-0.5 is negative",
                  id="alpha-negative-in-part"),
+    # a division by zero is an infinity or a NaN that the finiteness check
+    # names, at a node, at a centroid or at a step's t
+    pytest.param({"u0": "0^(-1)"}, "initial data u0 = '0^(-1)' is not finite",
+                 id="u0-0^(-1)"),
+    pytest.param({"alpha": ["(x-0.25)^(-2)"]},
+                 "alpha[0] = '(x-0.25)^(-2)' is not finite at every centroid",
+                 id="alpha-pole"),
+    pytest.param({"u0": "1/(x-0.5)"}, "initial data u0 = '1/(x-0.5)' is not finite",
+                 id="u0-1/(x-0.5)"),
+    pytest.param({"c": "1/(x-0.25)"},
+                 "reaction coefficient c = '1/(x-0.25)' is not finite at every centroid",
+                 id="c-1/(x-0.25)"),
+    pytest.param({"f": "t/(t-0.002)"}, "source term f = 't/(t-0.002)' is not finite "
+                 "at every centroid at t = 0.002", id="f-pole-at-step-2"),
+    pytest.param({"f": "1/0"}, "source term f = '1/0' is not finite", id="f-1/0"),
 ])
 def test_overflowing_input_prints_one_error_line(tmp_path, overrides, named):
-    # NumPy's overflow RuntimeWarning, naming a source line of the package,
-    # was once printed before the error line, as was the UserWarning that a
-    # negative alpha once raised
+    # NumPy's overflow or divide RuntimeWarning, naming a source line of the
+    # package, was once printed before the error line, as was the UserWarning
+    # that a negative alpha once raised; a division by zero once printed only
+    # "error: division by zero"
     path = tmp_path / "p.json"
     path.write_text(json.dumps({**MINI, **overrides}))
     src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from seampde.assembly import interpolate_initial
 from seampde.cli import RunConfig, resolve_problem
 from seampde.errors import EvaluationError, ExpressionError
 from seampde import fields
@@ -17,6 +18,7 @@ from seampde.fields import (
     problem_from_config,
     scenario,
 )
+from seampde.mesh import build_interval_mesh
 
 from oracles import to_string
 
@@ -74,12 +76,20 @@ def test_empty_and_trailing():
 
 
 def test_division_by_zero_rejected_at_evaluation():
+    # / is NumPy's divide: a zero divisor gives an infinity, which the
+    # assembly's finiteness check rejects where it evaluates the field, and
+    # an absorbed one, 1/(1/0) = 0, is a finite value like 1/(0^(-1))
     f = parse_expression("1/x")
     assert f(x=2.0) == 0.5
-    with pytest.raises(EvaluationError):
-        f(x=0.0)
-    with pytest.raises(EvaluationError):
-        f(x=np.array([1.0, 0.0]))
+    with np.errstate(divide="ignore"):
+        assert f(x=0.0) == math.inf
+        np.testing.assert_array_equal(f(x=np.array([1.0, 0.0])), [1.0, math.inf])
+    mesh = build_interval_mesh(2)  # one interior node, at x = 0.5
+    with pytest.raises(EvaluationError, match="u0 = '1/\\(x-0.5\\)' is not finite"):
+        interpolate_initial(mesh, parse_expression("1/(x-0.5)"))
+    for text in ("1/(1/(x-0.5))", "1/((x-0.5)^(-1))"):
+        np.testing.assert_array_equal(
+            interpolate_initial(mesh, parse_expression(text)), [0.0])
 
 
 def _random_ast(rng, depth):

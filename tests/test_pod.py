@@ -27,11 +27,6 @@ def test_gram_orthonormal_columns():
     np.testing.assert_allclose(gram(q), np.eye(3), atol=1e-14)
 
 
-def test_gram_rejects_empty():
-    with pytest.raises(ValueError):
-        gram(np.empty((4, 0)))
-
-
 def test_gram_trace_matches_column_norms():
     rng = np.random.default_rng(5)
     seg = rng.standard_normal((40, 12))
