@@ -15,10 +15,11 @@ Exit codes: 0 success; 2 configuration error (bad options or files, a
 problem that breaks a rule of fields.ProblemSpec, given by flag or by
 config key alike, a horizon T, from the config or from --T, other than
 the one the run steps to once the flags replace the config's keys, a
-snapshot file whose dofs, tau or column count differ
-from the problem's, a field expression that cannot be parsed or that
-uses a variable its key may not (alpha, c and u0 only the problem's
-axes, f also t), a diffusion coefficient that is
+snapshot file whose dofs, tau or column count differ from the problem's
+or that holds a non-finite value, a MemoryError (a segment block too
+large to allocate; it leaves no snapshot file), a field expression that
+cannot be parsed or that uses a variable its key may not (alpha, c and
+u0 only the problem's axes, f also t), a diffusion coefficient that is
 negative at an element centroid, initial data, a coefficient or a
 source term that is not finite, a load or initial vector whose squared
 2-norm overflows, a JSON artifact value that is not finite, all-zero
@@ -394,7 +395,7 @@ def main(argv=None) -> int:
     try:
         summary = execute(config)
     except (ValueError, ExpressionError, EvaluationError, DegenerateSnapshotError,
-            OSError) as exc:
+            OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverFailure, StagnationError) as exc:

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,11 @@ from seampde.errors import ExpressionError
 VARIABLES = ("x", "y", "z", "t")
 FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 CONSTANTS = {"pi": math.pi}
+# binary operator -> (precedence, operation), all left-associative; unary
+# minus binds between * / and ^, so -3^2 is -(3^2) and 2*-3 is 2*(-3)
+_BINARY = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul),
+           "/": (2, np.divide), "^": (4, np.power)}
+_NEG_PRECEDENCE = 3
 
 
 # --- AST ---------------------------------------------------------------
@@ -69,17 +76,7 @@ def _evaluate(node, env):
         return -_evaluate(node.arg, env)
     if isinstance(node, Call):
         return FUNCTIONS[node.fn](_evaluate(node.arg, env))
-    left = _evaluate(node.left, env)
-    right = _evaluate(node.right, env)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        return np.divide(left, right)
-    return np.power(left, right)
+    return _BINARY[node.op][1](_evaluate(node.left, env), _evaluate(node.right, env))
 
 
 @dataclass(frozen=True)
@@ -102,52 +99,40 @@ class ScalarField:
 # --- parser ------------------------------------------------------------
 
 
+# a number (an exponent only where e is followed by a digit or sign), a name,
+# an operator or parenthesis, or any other non-space character
+_TOKEN = re.compile(r"\s*(?:(?P<num>[\d.]+(?:[eE][-+\d]\d*)?)|(?P<name>[^\W\d]\w*)"
+                    r"|(?P<op>[-+*/^()])|(?P<bad>\S))")
+
+
+def _tokenize(text):
+    """(kind, value, offset) tokens, an operator's kind being itself."""
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        lexeme, offset = match[kind], match.start(kind)
+        if kind == "bad":
+            raise ExpressionError(f"unexpected character {lexeme!r}", offset)
+        if kind == "num":
+            try:
+                lexeme = float(lexeme)
+            except ValueError:
+                raise ExpressionError(f"bad number {lexeme!r}", offset) from None
+        yield lexeme if kind == "op" else kind, lexeme, offset
+    yield "end", None, len(text)
+
+
 class _Parser:
-    """Recursive descent over a pre-tokenized stream."""
+    """Precedence climbing over the tokens of one text: ``root`` is its
+    tree and ``variables`` the set of variables it uses."""
 
     def __init__(self, text):
-        self.text = text
-        self.tokens = self._tokenize(text)
+        self.tokens = list(_tokenize(text))
         self.pos = 0
         self.variables = set()
-
-    @staticmethod
-    def _tokenize(text):
-        tokens = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch in "+-*/^()":
-                tokens.append((ch, ch, i))
-                i += 1
-            elif ch.isdigit() or ch == ".":
-                j = i
-                while j < n and (text[j].isdigit() or text[j] == "."):
-                    j += 1
-                if j < n and text[j] in "eE" and j + 1 < n and (
-                    text[j + 1].isdigit() or text[j + 1] in "+-"
-                ):
-                    j += 2
-                    while j < n and text[j].isdigit():
-                        j += 1
-                try:
-                    value = float(text[i:j])
-                except ValueError:
-                    raise ExpressionError(f"bad number {text[i:j]!r}", i) from None
-                tokens.append(("num", value, i))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tokens.append(("name", text[i:j], i))
-                i = j
-            else:
-                raise ExpressionError(f"unexpected character {ch!r}", i)
-        tokens.append(("end", None, n))
-        return tokens
+        self.root = self.expression(1)
+        kind, value, offset = self.peek()
+        if kind != "end":
+            raise ExpressionError(f"unexpected token {value!r}", offset)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -159,70 +144,48 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self):
-        node = self.sum()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExpressionError(f"unexpected token {tok[1]!r}", tok[2])
-        return node
+    def accept(self, kind):
+        """Take the next token if it is of ``kind``; whether it was."""
+        taken = self.peek()[0] == kind
+        self.pos += taken
+        return taken
 
-    def sum(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            node = BinOp(op, node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek()[0] == "-":
+    def expression(self, floor):
+        """An operand, then each binary operator of precedence at least
+        ``floor`` with its right operand; an exponent is an atom, or a minus
+        and an atom (x^-2)."""
+        node = Neg(self.expression(_NEG_PRECEDENCE)) if self.accept("-") else self.atom()
+        while (op := self.peek()[0]) in _BINARY and _BINARY[op][0] >= floor:
             self.take()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        while self.peek()[0] == "^":
-            self.take()
-            # exponent may carry its own unary minus: x^-2
-            if self.peek()[0] == "-":
-                self.take()
-                rhs = Neg(self.atom())
+            if op != "^":
+                right = self.expression(_BINARY[op][0] + 1)
             else:
-                rhs = self.atom()
-            node = BinOp("^", node, rhs)
+                right = Neg(self.atom()) if self.accept("-") else self.atom()
+            node = BinOp(op, node, right)
         return node
 
     def atom(self):
-        kind, value, offset = self.peek()
+        kind, value, offset = self.take()
         if kind == "num":
-            self.take()
             return Const(value)
-        if kind == "name":
-            self.take()
-            if value in CONSTANTS:
-                return Const(CONSTANTS[value])
-            if value in FUNCTIONS:
-                self.take("(")
-                arg = self.sum()
-                self.take(")")
-                return Call(value, arg)
-            if value in VARIABLES:
-                self.variables.add(value)
-                return Var(value)
-            raise ExpressionError(f"unknown identifier {value!r}", offset)
         if kind == "(":
-            self.take()
-            node = self.sum()
-            self.take(")")
-            return node
-        raise ExpressionError(f"unexpected token {value!r}", offset)
+            return self.group()
+        if kind != "name":
+            raise ExpressionError(f"unexpected token {value!r}", offset)
+        if value in CONSTANTS:
+            return Const(CONSTANTS[value])
+        if value in VARIABLES:
+            self.variables.add(value)
+            return Var(value)
+        if value not in FUNCTIONS:
+            raise ExpressionError(f"unknown identifier {value!r}", offset)
+        self.take("(")
+        return Call(value, self.group())
+
+    def group(self):  # the expression up to the closing parenthesis
+        node = self.expression(1)
+        self.take(")")
+        return node
 
 
 def parse_expression(text: str) -> ScalarField:
@@ -230,7 +193,7 @@ def parse_expression(text: str) -> ScalarField:
     if not text or not text.strip():
         raise ExpressionError("empty expression", 0)
     parser = _Parser(text)
-    return ScalarField(parser.parse(), text, frozenset(parser.variables))
+    return ScalarField(parser.root, text, frozenset(parser.variables))
 
 
 # --- problem definition -------------------------------------------------

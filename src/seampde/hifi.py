@@ -264,8 +264,8 @@ def load_snapshots(path, problem: ProblemSpec) -> SnapshotMatrix:
 def read_snapshot_blocks(path, problem: ProblemSpec, columns: int):
     """Check the header (file size, and the problem's dofs, N+1 and tau)
     now; return a generator of fresh (M, columns) blocks, the last one
-    possibly narrower, each dropped here before the next is read. A short
-    read raises ValueError; closing the generator closes the file."""
+    possibly narrower, each dropped before the next is read. A short read
+    or a non-finite value raises ValueError; closing it closes the file."""
     blocks = _snapshot_blocks(path, problem, columns)
     next(blocks)  # runs the header check
     return blocks
@@ -295,5 +295,8 @@ def _snapshot_blocks(path, problem, columns):
             block = np.empty((min(columns, cols - start), m), dtype="<f8")
             if fh.readinto(block) != block.nbytes:
                 raise ValueError(f"{path}: snapshot file ends inside a block")
+            if not np.isfinite(block).all():
+                raise ValueError(f"{path}: columns {start} to {start + len(block) - 1} "
+                                 "hold a non-finite value")
             yield block.T
             del block

@@ -108,31 +108,29 @@ def gram(segment: np.ndarray) -> np.ndarray:
 def eig_descending(x: np.ndarray) -> GramSpectrum:
     """Descending eigenvalues of a symmetric matrix, clamped at zero.
 
-    Non-finite entries and asymmetry beyond 1e-10 relative are rejected;
-    eigenvalues below -1e-12 * trace are treated as a numerical fault
-    rather than clamped. A matrix whose largest eigenvalue is at most
-    machine epsilon times its trace (the Gram matrix of an all-zero block)
-    raises DegenerateSnapshotError: it has no POD basis.
+    Non-finite entries (a finite block's Gram matrix may overflow) and
+    asymmetry beyond 1e-10 relative are rejected; eigenvalues below
+    -1e-12 * trace are treated as a numerical fault rather than clamped. A
+    matrix whose largest eigenvalue is at most machine epsilon times its
+    trace (the Gram matrix of an all-zero block) raises
+    DegenerateSnapshotError: it has no POD basis.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"matrix must be square, got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("matrix has non-finite entries")
-    scale = np.abs(x).max() if x.size else 0.0
+    scale = np.abs(x).max()
     if scale > 0 and np.abs(x - x.T).max() > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
     values, vectors = np.linalg.eigh(x)
     values, vectors = values[::-1], vectors[:, ::-1]
-    floor = -1e-12 * max(np.trace(x), 0.0)
-    if values.min(initial=0.0) < floor:
+    trace = float(np.trace(x))
+    floor = -1e-12 * max(trace, 0.0)
+    if values.min() < floor:
         raise ValueError(
             f"eigenvalue {values.min():.3e} below the clamp floor {floor:.3e}; "
             "input is not numerically positive semi-definite"
         )
     values = np.maximum(values, 0.0)
-    trace = float(np.trace(x))
-    if values[0] <= np.finfo(float).eps * trace or trace == 0.0:
+    if values[0] <= np.finfo(float).eps * trace:
         raise DegenerateSnapshotError(
             "snapshot block is numerically zero; no POD basis exists"
         )

@@ -276,8 +276,8 @@ def test_snapshot_reuse_tau_mismatch(tmp_path, capsys):
     assert not (tmp_path / "out2").exists()
 
 
-@pytest.mark.parametrize("mode", ["eigs", "parallel-seam"])
-def test_non_finite_snapshots_exit_2(tmp_path, monkeypatch, mode):
+@pytest.mark.parametrize("mode", ["eigs", "parallel-seam", "hifi", "seam"])
+def test_non_finite_snapshots_exit_2(tmp_path, monkeypatch, capsys, mode):
     cfg = {
         "name": "mini", "dimension": 1, "alpha": ["1"], "c": "0", "f": "0",
         "u0": "sin(pi*x)", "tau": 0.001, "T": 0.029, "m": 8,
@@ -299,12 +299,30 @@ def test_non_finite_snapshots_exit_2(tmp_path, monkeypatch, mode):
         return handles[-1]
 
     monkeypatch.setattr(hifi, "open", tracked_open, raising=False)
-    result = tmp_path / mode
+    result = tmp_path / f"{mode}-poisoned"
+    capsys.readouterr()
     assert run_cli("--config", str(path), "--mode", mode, "--out", str(result),
                    "--snapshots", str(poisoned)) == 2
+    columns = "0 to 29" if mode == "seam" else "10 to 19"  # the block with column 15
+    assert capsys.readouterr().err == (f"error: {poisoned}: columns {columns} hold "
+                                       "a non-finite value\n")
     assert not (result / "report.json").exists()
     assert not (result / "summary.json").exists()
+    assert not list(result.glob("slices_*.csv"))
     assert handles and all(handle.closed for handle in handles)
+
+
+def test_memory_error_exits_2_and_leaves_no_snapshot_file(tmp_path, monkeypatch, capsys):
+    # a block too large to allocate; raised here, never allocated for real
+    def unallocatable(problem, disc, columns):
+        raise MemoryError("Unable to allocate 730. GiB for an array")
+        yield
+
+    monkeypatch.setattr(cli, "step_blocks", unallocatable)
+    out = tmp_path / "out"
+    assert run_cli("--scenario", "heat1d", "--mode", "hifi", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 730. GiB for an array\n"
+    assert list(out.iterdir()) == []
 
 
 def test_parallel_seam_solves_each_segment_once(tmp_path, monkeypatch):

@@ -55,6 +55,61 @@ def test_precedence_and_associativity():
     assert parse_expression("2^-1")() == 0.5
 
 
+X, Y, Z = Var("x"), Var("y"), Var("z")
+
+
+def _c(value):
+    return Const(float(value))
+
+
+# text -> its tree, or the (message, offset) of its ExpressionError
+GRAMMAR_EDGES = {
+    # precedence: ^ left-associative and tightest, then unary minus
+    "2^3^2": BinOp("^", BinOp("^", _c(2), _c(3)), _c(2)),
+    "2^-3^2": BinOp("^", BinOp("^", _c(2), Neg(_c(3))), _c(2)),
+    "-x^2": Neg(BinOp("^", X, _c(2))),
+    "x*-y": BinOp("*", X, Neg(Y)),
+    "--x": Neg(Neg(X)),
+    "x^-y*z": BinOp("*", BinOp("^", X, Neg(Y)), Z),
+    "x^--2": ("unexpected token '-'", 3),
+    # numbers: an exponent only where e is followed by a digit or sign
+    "1e5": _c(1e5),
+    "1E+5": _c(1e5),
+    "1e": ("unexpected token 'e'", 1),
+    "1e+": ("bad number '1e+'", 0),
+    "1.2.3": ("bad number '1.2.3'", 0),
+    ".5": _c(0.5),
+    "5.": _c(5),
+    "\u0663*x": BinOp("*", _c(3), X),  # an Arabic-Indic three
+    # rejected text
+    "2x": ("unexpected token 'x'", 1),
+    "x y": ("unexpected token 'y'", 2),
+    "x**2": ("unexpected token '*'", 2),
+    "1_000": ("unexpected token '_000'", 1),
+    "0x10": ("unexpected token 'x10'", 1),
+    "#": ("unexpected character '#'", 0),
+    "sin x": ("expected (, got 'x'", 4),
+    "sin()": ("unexpected token ')'", 4),
+    "sin(x": ("expected ), got None", 5),
+    "x+": ("unexpected token None", 2),
+    "\uff58": ("unknown identifier '\uff58'", 0),  # a fullwidth x
+    "x\n+\t1": BinOp("+", X, _c(1)),
+}
+
+
+@pytest.mark.parametrize("text", GRAMMAR_EDGES)
+def test_grammar_edge_cases(text):
+    expected = GRAMMAR_EDGES[text]
+    if not isinstance(expected, tuple):
+        assert parse_expression(text).root == expected
+        return
+    message, offset = expected
+    with pytest.raises(ExpressionError) as err:
+        parse_expression(text)
+    assert str(err.value) == f"{message} (at offset {offset})"
+    assert err.value.position == offset
+
+
 def test_syntax_error_carries_offset():
     with pytest.raises(ExpressionError) as err:
         parse_expression("1+*2")

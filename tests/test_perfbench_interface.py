@@ -3,8 +3,9 @@
 The benchmark runs against the program in this tree, so renaming or
 deleting a function it traces, or changing what its replay probe reads,
 shows up here first. perfbench/ is only read, never imported as a package.
-Apart from those names, every definition in src/ must have a caller in
-src/: a helper that only tests reach belongs in tests/oracles.py.
+Apart from those names, every definition in src/, module-level constants
+included, must have a reader in src/: a helper that only tests reach
+belongs in tests/oracles.py.
 """
 
 import ast
@@ -61,15 +62,19 @@ def test_pickled_reduction_replays_exactly():
 
 
 def definitions(tree):
-    """(qualified name, node) of each module-level function or class and
-    each public method of a module-level class."""
+    """(qualified name, name, node) of each module-level function, class
+    and single-name assignment (a constant), and each public method of a
+    module-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node.name, node
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            yield node.targets[0].id, node.targets[0].id, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item
+                    yield f"{node.name}.{item.name}", item.name, item
 
 
 def test_every_src_definition_has_a_caller_in_src(monkeypatch):
@@ -85,11 +90,11 @@ def test_every_src_definition_has_a_caller_in_src(monkeypatch):
     exempt.add(("cli", "main"))
     unreached = []
     for module, tree in trees.items():
-        for qualname, node in definitions(tree):
+        for qualname, defined, node in definitions(tree):
             if (module, qualname) in exempt:
                 continue
             own_lines = range(node.lineno, node.end_lineno + 1)
-            if not any(name == node.name and not (where == module and line in own_lines)
+            if not any(name == defined and not (where == module and line in own_lines)
                        for where, line, name in loads):
                 unreached.append(f"{module}.{qualname}")
     assert unreached == []

@@ -91,11 +91,6 @@ def test_eig_rejects_non_finite(bad):
         eig_descending(x)
 
 
-def test_eig_rejects_non_square():
-    with pytest.raises(ValueError, match="square"):
-        eig_descending(np.ones((2, 3)))
-
-
 def test_eig_descending_matches_jacobi_on_s1_gram_blocks():
     from seampde.fields import scenario
     from seampde.hifi import discretize, run_hifi
