@@ -106,19 +106,29 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>[\d.]+(?:[eE][-+\d]\d*)?)|(?P<name>[^\W\d]\w
 
 
 def _tokenize(text):
-    """(kind, value, offset) tokens, an operator's kind being itself."""
+    """(kind, value, offset, shown) tokens, an operator's kind being itself
+    and ``shown`` how an error message names the token: its source text, or
+    the end of the expression."""
     for match in _TOKEN.finditer(text):
         kind = match.lastgroup
         lexeme, offset = match[kind], match.start(kind)
         if kind == "bad":
             raise ExpressionError(f"unexpected character {lexeme!r}", offset)
+        value = lexeme
         if kind == "num":
             try:
-                lexeme = float(lexeme)
+                value = float(lexeme)
             except ValueError:
                 raise ExpressionError(f"bad number {lexeme!r}", offset) from None
-        yield lexeme if kind == "op" else kind, lexeme, offset
-    yield "end", None, len(text)
+        yield lexeme if kind == "op" else kind, value, offset, repr(lexeme)
+    yield "end", None, len(text), "end of expression"
+
+
+def _unexpected(token):
+    """The error for a token that cannot stand where it does."""
+    kind, _, offset, shown = token
+    what = shown if kind == "end" else f"token {shown}"
+    return ExpressionError(f"unexpected {what}", offset)
 
 
 class _Parser:
@@ -130,9 +140,8 @@ class _Parser:
         self.pos = 0
         self.variables = set()
         self.root = self.expression(1)
-        kind, value, offset = self.peek()
-        if kind != "end":
-            raise ExpressionError(f"unexpected token {value!r}", offset)
+        if self.peek()[0] != "end":
+            raise _unexpected(self.peek())
 
     def peek(self):
         return self.tokens[self.pos]
@@ -140,7 +149,7 @@ class _Parser:
     def take(self, kind=None):
         tok = self.tokens[self.pos]
         if kind is not None and tok[0] != kind:
-            raise ExpressionError(f"expected {kind}, got {tok[1]!r}", tok[2])
+            raise ExpressionError(f"expected {kind}, got {tok[3]}", tok[2])
         self.pos += 1
         return tok
 
@@ -165,13 +174,14 @@ class _Parser:
         return node
 
     def atom(self):
-        kind, value, offset = self.take()
+        token = self.take()
+        kind, value, offset, _ = token
         if kind == "num":
             return Const(value)
         if kind == "(":
             return self.group()
         if kind != "name":
-            raise ExpressionError(f"unexpected token {value!r}", offset)
+            raise _unexpected(token)
         if value in CONSTANTS:
             return Const(CONSTANTS[value])
         if value in VARIABLES:

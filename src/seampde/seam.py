@@ -3,12 +3,15 @@
 Offline, each snapshot block contributes one basis vector beta and three
 scalars: beta' (M + tau S) beta, beta' M beta, and beta' F. Online, every
 backward-Euler step collapses to a single scalar division, so replaying a
-run costs O(1) work per step instead of a linear solve.
+run costs O(1) work per step instead of a linear solve. The replay is
+plain Python-float arithmetic: for the scalar load that seam_offline
+stores, its one NumPy call is the conversion of the result to an array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sparse
@@ -26,7 +29,9 @@ class SeamModel:
     spectrum: GramSpectrum
     system_coeff: float  # beta' (M + tau S) beta
     mass_coeff: float    # beta' M beta
-    load_coeff: float | np.ndarray  # beta' F, per step when the source varies
+    # beta' F: a Python float from seam_offline; an array holds one value
+    # per step, for a source that varies in time
+    load_coeff: float | np.ndarray
     alpha0: float
     tau: float
 
@@ -87,12 +92,18 @@ def seam_offline(segment_data: np.ndarray, mass: sparse.dia_matrix,
 def seam_online(model: SeamModel, steps: int) -> np.ndarray:
     """Run the scalar recurrence; returns alpha_0..alpha_steps."""
     a, m, tau = model.system_coeff, model.mass_coeff, model.tau
+    load = model.load_coeff
+    # Python floats: NumPy-scalar arithmetic costs several times more per
+    # operation, and the same operations in the same order give the same
+    # doubles. The forcing tau*g of a scalar load is one product for all steps.
+    if isinstance(load, np.ndarray):
+        forcing = [tau * g for g in np.broadcast_to(load, steps).tolist()]
+    else:
+        forcing = repeat(tau * load, steps)
     current = model.alpha0
     alphas = [current]
-    # Python floats: NumPy-scalar arithmetic costs several times more per
-    # operation, and the same operations in the same order give the same doubles.
-    for g in np.broadcast_to(model.load_coeff, steps).tolist():
-        current = (m * current + tau * g) / a
+    for f in forcing:
+        current = (m * current + f) / a
         alphas.append(current)
     return np.array(alphas, dtype=float)
 

@@ -5,7 +5,9 @@ artifacts to named lists of numbers: summary.json without its timings,
 report.json's scalars, the segments.csv, error.csv and slices_t*.csv
 columns, the eigenvalues.csv heads, and the per-column 2-norms of
 snapshots.bin and seam.bin. A case of STORED reads the snapshots.bin of
-another case's run through --snapshots. ``tests/test_corpus.py`` reruns
+another case's run through --snapshots. A bench case runs one repeat, and
+its bench.json, which holds only timings and machine strings beyond
+summary.json, is not recorded. ``tests/test_corpus.py`` reruns
 every case and compares it with ``tests/corpus.json``; a change that is
 meant to move numbers regenerates that file and says in CHANGES.md which
 values moved and by how much:
@@ -45,6 +47,7 @@ S2_XY = {"scenario": "s2", "f": "xy", **SMALL_2D}
 CASES = {
     "heat1d": ({"scenario": "heat1d", "n": 50, "segments": 2}, "parallel-seam"),
     "s1": ({"scenario": "s1", **SMALL_2D}, "parallel-seam"),
+    "s1-bench": ({"scenario": "s1", **SMALL_2D}, "bench"),
     "s2-f10": ({"scenario": "s2", "f": "10", **SMALL_2D}, "parallel-seam"),
     "s2-fxy": (S2_XY, "parallel-seam"),
     "s3": ({"scenario": "s3", "m": 8, "n": 5, "segments": 4}, "parallel-seam"),
@@ -67,6 +70,8 @@ def run_case(name: str, root: Path) -> dict:
     spec, mode = CASES[name]
     out = root / name
     argv = ["--mode", mode, "--out", str(out)]
+    if mode == "bench":
+        argv += ["--repeats", "1"]
     if spec is not None:
         path = root / f"{name}.json"
         path.write_text(json.dumps(spec))

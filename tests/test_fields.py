@@ -90,8 +90,9 @@ GRAMMAR_EDGES = {
     "#": ("unexpected character '#'", 0),
     "sin x": ("expected (, got 'x'", 4),
     "sin()": ("unexpected token ')'", 4),
-    "sin(x": ("expected ), got None", 5),
-    "x+": ("unexpected token None", 2),
+    "sin(x": ("expected ), got end of expression", 5),
+    "x+": ("unexpected end of expression", 2),
+    "1 2": ("unexpected token '2'", 2),
     "\uff58": ("unknown identifier '\uff58'", 0),  # a fullwidth x
     "x\n+\t1": BinOp("+", X, _c(1)),
 }

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -100,6 +103,35 @@ def test_online_bit_identical_to_numpy_scalar_loop_on_every_s1_segment():
     assert len(solution.models) == 101
     for model, alphas in zip(solution.models, solution.alphas):
         assert np.array_equal(alphas, seam_online_loop(model, problem.segment_steps))
+
+
+def test_scalar_load_replay_makes_no_numpy_call_but_the_result():
+    # seam_offline stores a Python float load, so every run's replay is
+    # Python-float arithmetic: no NumPy Python frame runs, and the one NumPy
+    # C function called is the conversion of the alphas to an array.
+    rng = np.random.default_rng(5)
+    _, seg = rank_one_segment(12, 101, 0.9)
+    mass = identity_operator(12)
+    model = seam_offline(seg, mass, mass, rng.standard_normal(12), tau=0.1)
+    numpy_dir = str(Path(np.__file__).parent) + "/"
+    frames, calls = [], []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            frames.append(frame.f_code.co_name)
+        elif event == "c_call":
+            owner = getattr(arg, "__self__", None)
+            module = getattr(arg, "__module__", None) or type(owner).__module__
+            if module.partition(".")[0] == "numpy":
+                calls.append(arg.__qualname__)
+
+    sys.setprofile(profile)
+    try:
+        alphas = seam_online(model, 100)
+    finally:
+        sys.setprofile(None)
+    assert frames == [] and calls == ["array"]
+    assert np.array_equal(alphas, seam_online_loop(model, 100))
 
 
 def test_model_rejects_nonpositive_coefficients():
