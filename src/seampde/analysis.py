@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from seampde.errors import DegenerateReferenceError, StagnationError
-from seampde.hifi import SnapshotMatrix, cg_solve, galerkin_start
+from seampde.hifi import SnapshotMatrix, cg_solve, galerkin_start, product
 from seampde.pod import SPECTRUM_HEAD, GramSpectrum, block_spectrum
 from seampde.seam import SeamSolution
 
@@ -46,14 +46,14 @@ def operator_norm(mass: sparse.dia_matrix, stiffness: sparse.dia_matrix) -> floa
     renormalized every step, so that residual's error does not accumulate.
     """
     w = np.random.default_rng(0).standard_normal(mass.shape[0])
-    mw = mass @ w
+    mw = product(mass, w)
     v = mv = estimate = None
     for _ in range(_POWER_MAXITER):
         norm_w = np.sqrt(w @ mw)
         if norm_w == 0.0:
             return 0.0  # stiffness annihilates the iterate: S is zero on it
         v_prev, mv_prev, v, mv = v, mv, w / norm_w, mw / norm_w
-        sv = stiffness @ v
+        sv = product(stiffness, v)
         current = float(v @ sv)
         if (estimate is not None
                 and abs(current - estimate) <= _POWER_RTOL * abs(current)):

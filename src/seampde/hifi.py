@@ -9,10 +9,16 @@ under a source gets about 2U_{n-1} - U_{n-2}. The start's product A x0 is
 the same combination of the A U the loop keeps, so CG makes no product for
 its first residual. The run is fully deterministic: repeating it produces
 bit-identical snapshot matrices.
+
+A small step costs mostly call overhead, not arithmetic, so every
+operator-times-vector product in the package goes through ``product``,
+which calls scipy's DIA kernel without the dispatch of ``@`` (same bits),
+and CG and the Galerkin start keep their scalars as Python floats.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -20,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.sparse._sparsetools import dia_matvec
 
 from seampde.assembly import (
     assemble_load,
@@ -106,26 +113,46 @@ def discretize(problem: ProblemSpec) -> Discretization:
     )
 
 
-def cg_solve(matrix, rhs: np.ndarray, x0: np.ndarray, ax0: np.ndarray,
-             rtol: float):
+def product(matrix: sparse.dia_matrix, x: np.ndarray) -> np.ndarray:
+    """matrix @ x for a DIA matrix and a vector, bit for bit: the zeroed
+    output and the kernel call that scipy's ``@`` ends in, without its
+    dispatch (the shape is read from ``_shape``, as ``shape`` is a Python
+    property). The kernel checks no bounds, so a vector of the wrong length
+    raises ValueError here, as it does in ``@``."""
+    rows, cols = matrix._shape
+    if x.shape != (cols,):
+        raise ValueError(f"dimension mismatch: a {rows} x {cols} matrix times "
+                         f"an array of shape {x.shape}")
+    y = np.zeros(rows)
+    dia_matvec(rows, cols, len(matrix.offsets), matrix.data.shape[1],
+               matrix.offsets, matrix.data, x, y)
+    return y
+
+
+def cg_solve(matrix: sparse.dia_matrix, rhs: np.ndarray, x0: np.ndarray,
+             ax0: np.ndarray, rtol: float):
     """Conjugate gradients for an SPD system from the start vector x0, given
     its product ax0 = A x0, no preconditioner. Return the solution and its
     final recursive residual.
 
     The start residual is rhs - ax0, so no product is made for it. Both
     vectors belong to the solver: it iterates in x0's storage and keeps the
-    residual in ax0's. Converges when the 2-norm residual drops below
-    ``rtol * ||rhs||``; raises SolverFailure (carrying the final relative
-    residual) after ``_CG_MAXITER_PER_DOF`` times the system dimension
-    iterations, at once on a curvature p.Ap that is not positive (NaN
-    included), and before the first iteration when ``||rhs||`` (infinite
-    also when its square overflows), ``x0`` or ``ax0`` is not finite.
+    residual in ax0's. The scalars are Python floats and each norm is the
+    square root of a dot product, as in np.linalg.norm, so the iterates are
+    those of NumPy-scalar arithmetic. Converges when the 2-norm residual
+    drops below ``rtol * ||rhs||``; raises SolverFailure (carrying the final
+    relative residual) after ``_CG_MAXITER_PER_DOF`` times the system
+    dimension iterations, at once on a curvature p.Ap that is not positive
+    (NaN included), and before the first iteration when ``||rhs||``
+    (infinite also when its square overflows), ``x0`` or ``ax0`` is not
+    finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs_norm = np.linalg.norm(rhs)
-    for name, value in (("right-hand side norm", rhs_norm), ("start vector", x0),
-                        ("start product", ax0)):
-        if not np.isfinite(value).all():
+        rhs_norm = math.sqrt(float(rhs @ rhs))
+    for name, finite in (("right-hand side norm", math.isfinite(rhs_norm)),
+                         ("start vector", np.isfinite(x0).all()),
+                         ("start product", np.isfinite(ax0).all())):
+        if not finite:
             raise SolverFailure(f"conjugate gradients got a non-finite {name}",
                                 float("nan"))
     x, r = x0, ax0
@@ -134,22 +161,22 @@ def cg_solve(matrix, rhs: np.ndarray, x0: np.ndarray, ax0: np.ndarray,
         r.fill(0.0)
         return x, r
     np.subtract(rhs, r, out=r)
-    res = np.linalg.norm(r)
+    rs = float(r @ r)
+    res = math.sqrt(rs)
     if res <= rtol * rhs_norm:
         return x, r
     p = r.copy()
-    rs = r @ r
-    for _ in range(_CG_MAXITER_PER_DOF * matrix.shape[0]):
-        ap = matrix @ p
-        denom = p @ ap
+    for _ in range(_CG_MAXITER_PER_DOF * len(rhs)):
+        ap = product(matrix, p)
+        denom = float(p @ ap)
         if not denom > 0.0:
             raise SolverFailure("conjugate gradients broke down", res / rhs_norm)
         step = rs / denom
         x += step * p
         ap *= step
         r -= ap
-        rs_next = r @ r
-        res = np.sqrt(rs_next)
+        rs_next = float(r @ r)
+        res = math.sqrt(rs_next)
         if res <= rtol * rhs_norm:
             return x, r
         p *= rs_next / rs
@@ -167,17 +194,18 @@ def galerkin_start(rhs: np.ndarray, u1: np.ndarray, au1: np.ndarray,
     analysis.operator_norm (A = M, last two power iterates). u2 is
     A-orthogonalized against u1, so no product of two Gram entries is formed;
     without u2, or parallel to u1, x0 is (u1.rhs / u1.A u1) u1 (zero for u1 = 0).
+    The five dot products are taken as Python floats, as in cg_solve.
     """
-    g11 = u1 @ au1
+    g11 = float(u1 @ au1)
     if not g11 > 0.0:
         return np.zeros_like(rhs), np.zeros_like(rhs)
-    b1 = u1 @ rhs
+    b1 = float(u1 @ rhs)
     if u2 is not None:
-        g12, g22 = u1 @ au2, u2 @ au2
+        g12, g22 = float(u1 @ au2), float(u2 @ au2)
         r = g12 / g11
         w2 = g22 - r * g12  # ||u2 - r u1||_A^2
         if w2 > _PARALLEL_RTOL * g22:
-            cw = (u2 @ rhs - r * b1) / w2
+            cw = (float(u2 @ rhs) - r * b1) / w2
             c1 = b1 / g11 - cw * r
             start, a_start = c1 * u1, c1 * au1
             start += cw * u2  # summed in place: a step's peak holds one vector less
@@ -204,7 +232,7 @@ def step_blocks(problem: ProblemSpec, disc: Discretization, columns: int):
     time_dependent = "t" in problem.f.variables
     tau_f = problem.tau * disc.load
     u = disc.initial.copy()
-    au = system @ u
+    au = product(system, u)
     u_prev = au_prev = None
     for n in range(n_steps + 1):
         if n % columns == 0:
@@ -213,11 +241,11 @@ def step_blocks(problem: ProblemSpec, disc: Discretization, columns: int):
             if time_dependent:
                 tau_f = problem.tau * assemble_load(disc.mesh, problem.f,
                                                     n * problem.tau)
-            rhs = mass @ u + tau_f
+            rhs = product(mass, u) + tau_f
             start, a_start = galerkin_start(rhs, u, au, u_prev, au_prev)
             u_prev, au_prev = u, au
             u, _ = cg_solve(system, rhs, start, a_start, CG_RTOL)
-            au = system @ u
+            au = product(system, u)
         block[:, n % columns] = u
         if n % columns == block.shape[1] - 1:
             yield block

@@ -16,7 +16,7 @@ from itertools import repeat
 import numpy as np
 import scipy.sparse as sparse
 
-from seampde.hifi import SnapshotMatrix, snapshot_writer
+from seampde.hifi import SnapshotMatrix, product, snapshot_writer
 from seampde.pod import GramSpectrum, block_spectrum, pod_basis
 
 
@@ -81,8 +81,8 @@ def seam_offline(segment_data: np.ndarray, mass: sparse.dia_matrix,
     """Extract the rank-1 basis of a snapshot block and reduce the operators."""
     spectrum = block_spectrum(segment_data)
     beta = pod_basis(segment_data, spectrum)
-    mass_coeff = float(beta @ (mass @ beta))
-    system_coeff = float(mass_coeff + tau * (beta @ (stiffness @ beta)))
+    mass_coeff = float(beta @ product(mass, beta))
+    system_coeff = float(mass_coeff + tau * (beta @ product(stiffness, beta)))
     load_coeff = float(beta @ load)
     alpha0 = float(beta @ segment_data[:, 0])
     return SeamModel(beta, spectrum, system_coeff, mass_coeff, load_coeff,

@@ -5,7 +5,9 @@ step with its own system matrix (and the 1-D heat operators it is checked
 on), the rank-one projection residual of the POD optimality identity, a
 printer that turns an expression tree back into text the parser accepts,
 the reduced recurrence on NumPy scalars that seam_online must match bit
-for bit, and eigenvalues from the characteristic polynomial. The Kuhn
+for bit, conjugate gradients on scipy's ``@``, np.linalg.norm and NumPy
+scalars that cg_solve must match bit for bit, and eigenvalues from the
+characteristic polynomial. The Kuhn
 grid's vertex, cell and interior-numbering arrays, built from
 mesh.kuhn_paths, feed per-cell element geometry, an assembly by COO
 triplets and a centroid-rule load vector, all cell by cell, which check
@@ -21,18 +23,20 @@ import io
 import numpy as np
 import scipy.sparse as sparse
 
+import seampde.hifi as hifi
 from seampde.assembly import assemble_mass, assemble_stiffness
+from seampde.errors import SolverFailure
 from seampde.fields import Call, Const, Neg, ProblemSpec, Var, parse_expression as expr
 from seampde.hifi import CG_RTOL, cg_solve
 from seampde.mesh import build_interval_mesh, kuhn_paths
 
 
-def backward_euler_step(mass: sparse.csr_matrix, stiffness: sparse.csr_matrix,
+def backward_euler_step(mass: sparse.dia_matrix, stiffness: sparse.dia_matrix,
                         load: np.ndarray, u_prev: np.ndarray, tau: float) -> np.ndarray:
     """One implicit Euler step: solve (M + tau*S) u = M u_prev + tau*F."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    system = mass + tau * stiffness
+    system = (mass + tau * stiffness).todia()
     rhs = mass @ u_prev + tau * load
     return cg_solve(system, rhs, u_prev.astype(float), system @ u_prev, CG_RTOL)[0]
 
@@ -62,6 +66,48 @@ def seam_online_loop(model, steps: int) -> np.ndarray:
         current = (m * current + tau * g[k]) / a
         alphas[k + 1] = current
     return alphas
+
+
+def cg_solve_matmul(matrix, rhs: np.ndarray, x0: np.ndarray, ax0: np.ndarray,
+                    rtol: float):
+    """cg_solve with scipy's ``@`` for each product, np.linalg.norm for each
+    norm and NumPy-scalar arithmetic; returns the solution, its final
+    recursive residual and the number of products made."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs_norm = np.linalg.norm(rhs)
+    for name, value in (("right-hand side norm", rhs_norm), ("start vector", x0),
+                        ("start product", ax0)):
+        if not np.isfinite(value).all():
+            raise SolverFailure(f"conjugate gradients got a non-finite {name}",
+                                float("nan"))
+    x, r = x0, ax0
+    if rhs_norm == 0.0:
+        x.fill(0.0)
+        r.fill(0.0)
+        return x, r, 0
+    np.subtract(rhs, r, out=r)
+    res = np.linalg.norm(r)
+    if res <= rtol * rhs_norm:
+        return x, r, 0
+    p = r.copy()
+    rs = r @ r
+    for products in range(1, hifi._CG_MAXITER_PER_DOF * matrix.shape[0] + 1):
+        ap = matrix @ p
+        denom = p @ ap
+        if not denom > 0.0:
+            raise SolverFailure("conjugate gradients broke down", res / rhs_norm)
+        step = rs / denom
+        x += step * p
+        ap *= step
+        r -= ap
+        rs_next = r @ r
+        res = np.sqrt(rs_next)
+        if res <= rtol * rhs_norm:
+            return x, r, products
+        p *= rs_next / rs
+        p += r
+        rs = rs_next
+    raise SolverFailure("conjugate gradients did not converge", res / rhs_norm)
 
 
 def heat_operators(m):

@@ -1,13 +1,17 @@
 import os
 import struct
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sparse
 
+import seampde.analysis as analysis
 import seampde.hifi as hifi
 from seampde.assembly import assemble_load
 from seampde.errors import EvaluationError, SolverFailure
@@ -18,6 +22,7 @@ from seampde.hifi import (
     discretize,
     galerkin_start,
     load_snapshots,
+    product,
     read_snapshot_blocks,
     run_hifi,
     save_snapshots,
@@ -28,6 +33,7 @@ from seampde.hifi import (
 from oracles import (
     backward_euler_step,
     centroid_load,
+    cg_solve_matmul,
     heat_operators,
     stored_run_problem,
 )
@@ -49,6 +55,56 @@ def snapshots_of(problem):
     return run_hifi(problem, discretize(problem))
 
 
+# --- operator products ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["heat1d", "s1", "s2", "s3", "heat3d"])
+def test_product_equals_scipy_matmul_bit_for_bit(name):
+    # heat3d is the m=32 preset: its M and A have 15 diagonals, its S 7
+    problem = scenario(name)
+    disc = discretize(problem)
+    rng = np.random.default_rng(11)
+    for matrix in (disc.mass, disc.stiffness, disc.system_matrix(problem.tau)):
+        for x in rng.standard_normal((3, problem.num_dofs)):
+            y = product(matrix, x)
+            assert y.dtype == np.float64 and np.array_equal(y, matrix @ x)
+
+
+@pytest.mark.parametrize("shape", [(9,), (11,), (10, 1), ()],
+                         ids=["short", "long", "column", "scalar"])
+def test_product_rejects_a_vector_of_the_wrong_length(monkeypatch, shape):
+    # the kernel checks no bounds: a wrong length must not reach it
+    calls = []
+    monkeypatch.setattr(hifi, "dia_matvec", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        product(sparse.eye(10, format="dia"), np.ones(shape))
+    assert calls == []
+
+
+def test_a_step_runs_no_scipy_dispatch_and_no_numpy_linalg():
+    # each product is one kernel call and each norm a dot product: across 20
+    # s1 steps no Python frame of scipy (its @ dispatch, isscalarlike,
+    # _matmul_vector, ...) or of numpy.linalg runs
+    problem = scenario("s1")
+    blocks = step_blocks(problem, discretize(problem), 1)
+    next(blocks)  # column 0: the system matrix and A u0 are formed here
+    watched = (str(Path(scipy.__file__).parent) + "/",
+               str(Path(np.linalg.__file__).parent) + "/")
+    frames = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(watched):
+            frames.append(f"{frame.f_code.co_filename}:{frame.f_code.co_name}")
+
+    sys.setprofile(profile)
+    try:
+        columns = [next(blocks) for _ in range(20)]
+    finally:
+        sys.setprofile(None)
+    assert frames == []
+    assert all(np.isfinite(column).all() for column in columns)
+
+
 # --- conjugate gradients -------------------------------------------------
 
 
@@ -58,7 +114,7 @@ def solve_from_zero(a, b):
 
 
 def test_cg_identity():
-    a = sparse.eye(5, format="csr")
+    a = sparse.eye(5, format="dia")
     b = np.arange(5.0)
     np.testing.assert_allclose(solve_from_zero(a, b), b)
 
@@ -66,58 +122,45 @@ def test_cg_identity():
 def test_cg_matches_dense_solve():
     rng = np.random.default_rng(3)
     q = rng.standard_normal((12, 12))
-    a = sparse.csr_matrix(q @ q.T + 12 * np.eye(12))
+    a = sparse.dia_matrix(q @ q.T + 12 * np.eye(12))
     b = rng.standard_normal(12)
     x = solve_from_zero(a, b)
     np.testing.assert_allclose(x, np.linalg.solve(a.toarray(), b), rtol=1e-9)
 
 
 def test_cg_zero_rhs():
-    a = sparse.eye(4, format="csr")
+    a = sparse.eye(4, format="dia")
     b = np.zeros(4)
     np.testing.assert_array_equal(solve_from_zero(a, b), 0.0)
 
 
 def test_cg_failure_reports_residual(monkeypatch):
     monkeypatch.setattr(hifi, "_CG_MAXITER_PER_DOF", 0)
-    a = sparse.eye(3, format="csr")
+    a = sparse.eye(3, format="dia")
     b = np.ones(3)
     with pytest.raises(SolverFailure) as err:
         solve_from_zero(a, b)
     assert err.value.residual > 0
 
 
-class CountingMatrix:
-    """Wraps a matrix and counts its products with vectors."""
-
-    def __init__(self, matrix):
-        self.matrix_ = matrix
-        self.shape = matrix.shape
-        self.matvecs = 0
-
-    def __matmul__(self, x):
-        self.matvecs += 1
-        return self.matrix_ @ x
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["rhs", "x0", "ax0"])
-def test_cg_rejects_non_finite_input_before_iterating(bad, where):
-    a = CountingMatrix(sparse.eye(50, format="csr") * 2.0)
+def test_cg_rejects_non_finite_input_before_iterating(products, bad, where):
+    a = sparse.eye(50, format="dia") * 2.0
     rhs, x0, ax0 = np.ones(50), np.zeros(50), np.zeros(50)
     {"rhs": rhs, "x0": x0, "ax0": ax0}[where][7] = bad
     with pytest.raises(SolverFailure, match="non-finite"):
         cg_solve(a, rhs, x0, ax0, CG_RTOL)
-    assert a.matvecs == 0
+    assert products[a] == 0
 
 
-def test_cg_rejects_a_rhs_whose_norm_overflows():
+def test_cg_rejects_a_rhs_whose_norm_overflows(products):
     # every entry is finite, but ||rhs|| is not: inf <= CG_RTOL * inf would
     # accept the start vector as converged
-    a = CountingMatrix(sparse.eye(5, format="csr"))
+    a = sparse.eye(5, format="dia")
     with pytest.raises(SolverFailure, match="non-finite right-hand side norm"):
         solve_from_zero(a, np.full(5, 1e300))
-    assert a.matvecs == 0
+    assert products[a] == 0
 
 
 def test_step_blocks_rejects_the_load_at_the_step_where_it_overflows():
@@ -129,14 +172,14 @@ def test_step_blocks_rejects_the_load_at_the_step_where_it_overflows():
         next(blocks)
 
 
-def test_cg_breaks_down_at_once_on_nan_curvature():
+def test_cg_breaks_down_at_once_on_nan_curvature(products):
     diagonal = np.full(50, 2.0)
     diagonal[7] = np.nan
-    a = CountingMatrix(sparse.diags(diagonal, format="csr"))
+    a = sparse.diags(diagonal, format="dia")
     b = np.ones(50)
     with pytest.raises(SolverFailure, match="broke down"):
         solve_from_zero(a, b)
-    assert a.matvecs == 1  # one search direction; the start residual takes none
+    assert products[a] == 1  # one search direction; the start residual takes none
 
 
 # --- single steps ---------------------------------------------------------
@@ -269,33 +312,74 @@ def test_start_guess_exact_for_rank_one_run(monkeypatch):
     replace(scenario("heat3d"), divisions=6),
     small_problem(m=12, steps=40, f="x*t"),
 ], ids=["heat1d", "heat3d-m6", "time-dependent"])
-def test_step_blocks_makes_no_product_for_the_cg_start(monkeypatch, problem):
+def test_step_blocks_makes_no_product_for_the_cg_start(monkeypatch, products,
+                                                       problem):
     # per step: M u for the right-hand side, the CG iterations and A u for
     # the next two starts; the start's product is their combination of A u
     disc = discretize(problem)
     whole = snapshots_of(problem).data
-    mass = CountingMatrix(disc.mass)
-    system = CountingMatrix(disc.system_matrix(problem.tau))
-    counted = SimpleNamespace(mesh=disc.mesh, mass=mass, load=disc.load,
+    system = disc.system_matrix(problem.tau)
+    counted = SimpleNamespace(mesh=disc.mesh, mass=disc.mass, load=disc.load,
                               initial=disc.initial, system_matrix=lambda tau: system)
     in_cg = []
     solve = hifi.cg_solve
 
     def counting(matrix, rhs, x0, ax0, rtol):
-        before = system.matvecs
+        before = products[system]
         result = solve(matrix, rhs, x0, ax0, rtol)
-        in_cg.append(system.matvecs - before)
+        in_cg.append(products[system] - before)
         return result
 
     monkeypatch.setattr(hifi, "cg_solve", counting)
     blocks = list(step_blocks(problem, counted, 50))
     np.testing.assert_array_equal(np.hstack(blocks), whole)
     steps = problem.num_steps
-    assert len(in_cg) == steps and mass.matvecs == steps
-    assert system.matvecs == sum(in_cg) + steps + 1  # A u0 and one A u a step
+    assert len(in_cg) == steps and products[disc.mass] == steps
+    assert products[system] == sum(in_cg) + steps + 1  # A u0 and one A u a step
     if problem.name == "heat1d":
         # exactly rank one: every start is the solution, so CG makes no product
         assert sum(in_cg) == 0
+
+
+def check_against_matmul_oracle(monkeypatch, products, module):
+    """Replace module.cg_solve by a wrapper that first solves each system
+    with the oracle on copies of the start, then asserts the same solution
+    and residual bits after the same number of products; return the list
+    of per-solve product counts."""
+    solve = hifi.cg_solve
+    counts = []
+
+    def checked(matrix, rhs, x0, ax0, rtol):
+        x_ref, r_ref, made = cg_solve_matmul(matrix, rhs, x0.copy(), ax0.copy(), rtol)
+        before = products[matrix]
+        x, r = solve(matrix, rhs, x0, ax0, rtol)
+        assert products[matrix] - before == made
+        assert np.array_equal(x, x_ref) and np.array_equal(r, r_ref)
+        counts.append(made)
+        return x, r
+
+    monkeypatch.setattr(module, "cg_solve", checked)
+    return counts
+
+
+@pytest.mark.parametrize("problem", [
+    scenario("s1"),
+    scenario("s3"),
+    replace(scenario("heat3d"), divisions=8),
+], ids=["s1", "s3", "heat3d-m8"])
+def test_cg_bit_identical_to_the_matmul_oracle_on_every_step(
+        monkeypatch, products, problem):
+    counts = check_against_matmul_oracle(monkeypatch, products, hifi)
+    snapshots_of(problem)
+    assert len(counts) == problem.num_steps and sum(counts) > problem.num_steps
+
+
+def test_cg_bit_identical_to_the_matmul_oracle_on_operator_norm_mass_solves(
+        monkeypatch, products):
+    counts = check_against_matmul_oracle(monkeypatch, products, analysis)
+    disc = discretize(scenario("s1"))
+    analysis.operator_norm(disc.mass, disc.stiffness)
+    assert len(counts) > 100 and sum(counts) > len(counts)
 
 
 def spd_system(size=50, seed=5):

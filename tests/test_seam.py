@@ -21,7 +21,7 @@ from oracles import seam_online_loop, stored_run_problem
 
 
 def identity_operator(n):
-    return sparse.eye(n, format="csr")
+    return sparse.eye(n, format="dia")
 
 
 UNIT = (np.array([1.0]), GramSpectrum(np.array([1.0]), np.array([1.0])))
