@@ -278,7 +278,7 @@ def execute(config: RunConfig) -> dict | None:
 
     problem = resolve_problem(config)
     disc = discretize(problem)
-    dofs = disc.mesh.num_interior
+    dofs = problem.num_dofs
     summary = {"schema": SUMMARY_SCHEMA, "scenario": problem.name,
                "mode": config.mode, "dofs": dofs, "reduced_dofs": 1,
                "reduction": f"{dofs}:1", "hifi_seconds": None,

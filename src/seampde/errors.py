@@ -11,10 +11,8 @@ class ExpressionError(SeamError):
     `position` is the character offset into the source text.
     """
 
-    def __init__(self, message, position=None):
-        if position is not None:
-            message = f"{message} (at offset {position})"
-        super().__init__(message)
+    def __init__(self, message, position):
+        super().__init__(f"{message} (at offset {position})")
         self.position = position
 
 

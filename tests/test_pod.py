@@ -83,6 +83,25 @@ def test_jacobi_raises_when_sweeps_run_out(monkeypatch):
         jacobi_eigh(x)
 
 
+def test_jacobi_sweep_edge_cases(monkeypatch):
+    def is_permutation(vecs):
+        return np.array_equal(vecs[:, np.argmax(vecs, axis=0).argsort()], np.eye(3))
+
+    diagonal = np.diag([1.0, 3.0, 2.0])
+    vals, vecs = jacobi_eigh(diagonal)
+    assert np.array_equal(vals, [3.0, 2.0, 1.0]) and is_permutation(vecs)
+    vals, vecs = jacobi_eigh(np.array([[-2.5]]))
+    assert np.array_equal(vals, [-2.5]) and np.array_equal(vecs, [[1.0]])
+    # a diagonal matrix's one sweep rotates nothing, so a cap of 1 is enough
+    monkeypatch.setattr(pod, "_MAX_SWEEPS", 1)
+    vals, vecs = jacobi_eigh(diagonal)
+    assert np.array_equal(vals, [3.0, 2.0, 1.0]) and is_permutation(vecs)
+    # a zero matrix makes no sweep at all
+    monkeypatch.setattr(pod, "_MAX_SWEEPS", 0)
+    vals, vecs = jacobi_eigh(np.zeros((3, 3)))
+    assert np.array_equal(vals, np.zeros(3)) and is_permutation(vecs)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_eig_rejects_non_finite(bad):
     x = np.eye(3)
