@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from seampde.errors import DegenerateReferenceError, StagnationError
-from seampde.hifi import SnapshotMatrix, cg_solve, galerkin_start, product
+from seampde.assembly import DiaOperator
+from seampde.hifi import SnapshotMatrix, block_product, cg_solve, galerkin_start, product
 from seampde.pod import SPECTRUM_HEAD, GramSpectrum, block_spectrum
 from seampde.seam import SeamSolution
 
@@ -34,7 +34,7 @@ _POWER_RTOL = 1e-10
 _POWER_MAXITER = 10000
 
 
-def operator_norm(mass: sparse.dia_matrix, stiffness: sparse.dia_matrix) -> float:
+def operator_norm(mass: DiaOperator, stiffness: DiaOperator) -> float:
     """Largest generalized eigenvalue of (S, M) by power iteration.
 
     Equals the 2-norm of the symmetrized evolution operator. Each step
@@ -138,7 +138,7 @@ def hoffman_wielandt_check(a: np.ndarray, e: np.ndarray) -> HoffmanWielandtRecor
 
 
 def column_error_norms(reference: SnapshotMatrix, reduced: SeamSolution,
-                       mass: sparse.dia_matrix):
+                       mass: DiaOperator):
     """Squared M-norms of the error and of the reference, one per column.
 
     The reduced solution is expanded one segment block at a time, so the
@@ -153,17 +153,18 @@ def column_error_norms(reference: SnapshotMatrix, reduced: SeamSolution,
 
 
 def block_error_norms(columns: np.ndarray, reduced: np.ndarray,
-                      mass: sparse.dia_matrix):
+                      mass: DiaOperator):
     """``(error_sq, reference_sq)`` of column_error_norms for one block.
-    The C-ordered copy the sparse product needs becomes the difference."""
+    The C-ordered copy that block_product reads in place becomes the
+    difference; einsum's inputs stay C-ordered, which fixes its bits."""
     work = np.array(columns, dtype=float, order="C")  # always a copy
-    reference_sq = np.einsum("ij,ij->j", work, mass @ work)
+    reference_sq = np.einsum("ij,ij->j", work, block_product(mass, work))
     np.subtract(work, reduced, out=work)
-    return np.einsum("ij,ij->j", work, mass @ work), reference_sq
+    return np.einsum("ij,ij->j", work, block_product(mass, work)), reference_sq
 
 
 def relative_l2_error(reference: SnapshotMatrix, reduced: SeamSolution,
-                      mass: sparse.dia_matrix, tau: float) -> float:
+                      mass: DiaOperator, tau: float) -> float:
     """Space-time relative L2 error of a reduced run against its reference.
 
     The spatial integral is exact on the FE space through the mass
@@ -183,8 +184,8 @@ def space_time_error(error_sq: np.ndarray, reference_sq: np.ndarray,
     return float(np.sqrt(num / den))
 
 
-def build_spectral_report(blocks, tau: float, mass: sparse.dia_matrix,
-                          stiffness: sparse.dia_matrix,
+def build_spectral_report(blocks, tau: float, mass: DiaOperator,
+                          stiffness: DiaOperator,
                           segment_steps: int) -> tuple[list, dict]:
     """Eigenanalyze each segment block in turn, dropping it before the next
     one is made; compare the first to the reference. Return the spectra and

@@ -12,25 +12,39 @@ cell. One batched det/inv of those d! small matrices gives every volume
 and basis gradient, and coefficients are evaluated at each type's m^d
 centroids. Local entry (i, j) of a type couples every interior node to
 the one a fixed step away, so it lands on one diagonal of the lexicographic
-interior-node matrix: the operators are ``scipy.sparse.dia_matrix`` with
+interior-node matrix: the operators are ``DiaOperator`` values with
 ascending offsets, and each entry is a slice-add of the box of cells whose
 two vertices are interior. An operator keeps only the diagonals that hold
 a non-zero entry: the mass matrix fills all 2^(d+1) - 1 (m >= 3), while a
 stiffness without reaction is the (2d+1)-point stencil for any diagonal
 alpha, because two basis gradients of a Kuhn simplex that share no axis
-contribute an exact zero. M + tau*S is scipy's sum of the two, on the
-union of their diagonals.
+contribute an exact zero. M + tau*S (hifi.Discretization.system_matrix)
+lives on the union of their diagonals.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from seampde.errors import EvaluationError
 from seampde.mesh import Mesh, kuhn_paths
+
+
+@dataclass(frozen=True, eq=False)
+class DiaOperator:
+    """Square n x n matrix by diagonals, in the layout of scipy's DIA kernels:
+    row k of the (len(offsets), n) ``data`` is the diagonal at ``offsets[k]``
+    (ascending), stored by column, so entry (j - offsets[k], j) is data[k, j]."""
+
+    offsets: np.ndarray
+    data: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.data.shape[1], self.data.shape[1]
 
 
 def _reference_simplices(mesh: Mesh):
@@ -80,13 +94,13 @@ def _box(m: int, *corners):
             tuple(slice(lo + s, hi + s) for lo, hi, s in bounds))
 
 
-def _sum_into_diagonals(mesh: Mesh, paths: np.ndarray, local) -> sparse.dia_matrix:
+def _sum_into_diagonals(mesh: Mesh, paths: np.ndarray, local) -> DiaOperator:
     """Sum per-cell (d+1)x(d+1) blocks into the interior-node diagonals.
 
     ``local(p, i, j)`` returns local entry (i, j) of the simplices of type
     p, one value per cell as an (m,)*d array. Entry (i, j) joins node
     c + P_i to node c + P_j, the diagonal at offset
-    sum_a (P_j - P_i)_a (m-1)^a; scipy stores a diagonal by column, so it
+    sum_a (P_j - P_i)_a (m-1)^a; a diagonal is stored by column, so it
     is added at the column node's grid position. Every operator is built
     here, so each is checked once for value symmetry to 1e-14 relative,
     diagonal against mirrored diagonal; diagonals that hold only zeros are
@@ -116,10 +130,10 @@ def _sum_into_diagonals(mesh: Mesh, paths: np.ndarray, local) -> sparse.dia_matr
     keep = data.any(axis=1)
     if not keep.all():
         data, offsets = data[keep], offsets[keep]
-    return sparse.dia_matrix((data, offsets), shape=(n, n))
+    return DiaOperator(offsets, data)
 
 
-def assemble_mass(mesh: Mesh) -> sparse.dia_matrix:
+def assemble_mass(mesh: Mesh) -> DiaOperator:
     """Exact mass matrix of the linear nodal basis on interior nodes.
 
     On a d-simplex T the basis-product integral is
@@ -133,7 +147,7 @@ def assemble_mass(mesh: Mesh) -> sparse.dia_matrix:
         lambda p, i, j: np.broadcast_to(base[p] * (2 if i == j else 1), (m,) * d))
 
 
-def assemble_stiffness(mesh: Mesh, alpha_diag, c) -> sparse.dia_matrix:
+def assemble_stiffness(mesh: Mesh, alpha_diag, c) -> DiaOperator:
     """Stiffness of (alpha grad u, grad v) + (c u, v) with diagonal alpha.
 
     Coefficients are evaluated once per element at the centroid, where

@@ -1,19 +1,21 @@
 """Backward-Euler high-fidelity time stepping and snapshot storage.
 
-Each step solves A U_n = M U_{n-1} + tau*F_n, A = M + tau*S (scipy's DIA
-sum), with unpreconditioned conjugate gradients to a 1e-12 relative
-residual. CG starts from the Galerkin (A-orthogonal) projection of U_n onto
-the span of the two previous solutions (Fischer's projection for successive
+Each step solves A U_n = M U_{n-1} + tau*F_n, A = M + tau*S, with
+unpreconditioned conjugate gradients to a 1e-12 relative residual. CG
+starts from the Galerkin (A-orthogonal) projection of U_n onto the span
+of the two previous solutions (Fischer's projection for successive
 right-hand sides): a nearly rank-one run gets rho*U_{n-1}, a run settling
 under a source gets about 2U_{n-1} - U_{n-2}. The start's product A x0 is
 the same combination of the A U the loop keeps, so CG makes no product for
 its first residual. The run is fully deterministic: repeating it produces
 bit-identical snapshot matrices.
 
-A small step costs mostly call overhead, not arithmetic, so every
-operator-times-vector product in the package goes through ``product``,
-which calls scipy's DIA kernel without the dispatch of ``@`` (same bits),
-and CG and the Galerkin start keep their scalars as Python floats.
+Every operator product in the package is ``product`` (one vector) or
+``block_product`` (a block of columns), each one call of scipy's compiled
+DIA kernels. The kernels are loaded from their extension file by path, so
+neither ``scipy`` nor ``scipy.sparse`` is imported. A small step costs
+mostly call overhead, not arithmetic, so CG and the Galerkin start keep
+their scalars as Python floats.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.sparse._sparsetools import dia_matvec
 
 from seampde.assembly import (
+    DiaOperator,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
@@ -47,6 +50,28 @@ _PARALLEL_RTOL = 1e-14
 
 _MAGIC = b"SEAMSNP1"
 _HEADER = struct.Struct("<qqd")
+
+
+def _load_kernels(directory: str):
+    """scipy's ``dia_matvec`` and ``dia_matvecs`` (None where that scipy has
+    none) from the extension file ``_sparsetools`` in ``directory``, under
+    the module name scipy.sparse gives it, so that an import of scipy.sparse
+    reuses it. ImportError naming the file if it or dia_matvec is missing."""
+    path = os.path.join(directory, "_sparsetools" + EXTENSION_SUFFIXES[0])
+    name = "scipy.sparse._sparsetools"
+    loader = ExtensionFileLoader(name, path)
+    try:
+        module = module_from_spec(spec_from_loader(name, loader))
+        loader.exec_module(module)
+        return module.dia_matvec, getattr(module, "dia_matvecs", None)
+    except (ImportError, AttributeError) as error:
+        raise ImportError(f"cannot load scipy's DIA kernel dia_matvec from {path}: "
+                          f"{error}") from None
+
+
+# find_spec locates the installed scipy without importing it
+_dia_matvec, _dia_matvecs = _load_kernels(
+    os.path.join(find_spec("scipy").submodule_search_locations[0], "sparse"))
 
 
 @dataclass(frozen=True)
@@ -82,17 +107,25 @@ class SnapshotMatrix:
 
 @dataclass(frozen=True)
 class Discretization:
-    """Mesh and assembled operators for one problem; mass and stiffness are
-    DIA matrices, and the system matrix M + tau*S is scipy's DIA sum."""
+    """Mesh and assembled operators for one problem."""
 
     mesh: Mesh
-    mass: sparse.dia_matrix
-    stiffness: sparse.dia_matrix
+    mass: DiaOperator
+    stiffness: DiaOperator
     load: np.ndarray
     initial: np.ndarray
 
-    def system_matrix(self, tau: float) -> sparse.dia_matrix:
-        return (self.mass + tau * self.stiffness).todia()
+    def system_matrix(self, tau: float) -> DiaOperator:
+        """M + tau*S on the union of their offsets: M's diagonals, then
+        tau*S's added to the rows at S's offsets."""
+        mass, stiffness = self.mass, self.stiffness
+        if mass.shape != stiffness.shape:
+            raise ValueError(f"inconsistent shapes {mass.shape} and {stiffness.shape}")
+        offsets = np.union1d(mass.offsets, stiffness.offsets)
+        data = np.zeros((len(offsets), mass.data.shape[1]))
+        data[np.searchsorted(offsets, mass.offsets)] = mass.data
+        data[np.searchsorted(offsets, stiffness.offsets)] += tau * stiffness.data
+        return DiaOperator(offsets, data)
 
 
 _BUILDERS = {1: build_interval_mesh, 2: build_square_mesh, 3: build_cube_mesh}
@@ -113,23 +146,36 @@ def discretize(problem: ProblemSpec) -> Discretization:
     )
 
 
-def product(matrix: sparse.dia_matrix, x: np.ndarray) -> np.ndarray:
-    """matrix @ x for a DIA matrix and a vector, bit for bit: the zeroed
-    output and the kernel call that scipy's ``@`` ends in, without its
-    dispatch (the shape is read from ``_shape``, as ``shape`` is a Python
-    property). The kernel checks no bounds, so a vector of the wrong length
-    raises ValueError here, as it does in ``@``."""
-    rows, cols = matrix._shape
-    if x.shape != (cols,):
-        raise ValueError(f"dimension mismatch: a {rows} x {cols} matrix times "
+def product(matrix: DiaOperator, x: np.ndarray) -> np.ndarray:
+    """matrix @ x for a vector: the zeroed output and one dia_matvec call.
+    The kernel checks no bounds, so a vector of the wrong length raises
+    ValueError here."""
+    n = matrix.data.shape[1]
+    if x.shape != (n,):
+        raise ValueError(f"dimension mismatch: a {n} x {n} matrix times "
                          f"an array of shape {x.shape}")
-    y = np.zeros(rows)
-    dia_matvec(rows, cols, len(matrix.offsets), matrix.data.shape[1],
-               matrix.offsets, matrix.data, x, y)
+    y = np.zeros(n)
+    _dia_matvec(n, n, len(matrix.offsets), n, matrix.offsets, matrix.data, x, y)
     return y
 
 
-def cg_solve(matrix: sparse.dia_matrix, rhs: np.ndarray, x0: np.ndarray,
+def block_product(matrix: DiaOperator, block: np.ndarray) -> np.ndarray:
+    """matrix @ block for an (n, k) block, as a C-ordered array: one
+    dia_matvecs call, or one product per column where the installed scipy
+    has no dia_matvecs (the same bits). A C-ordered block is read in place."""
+    n = matrix.data.shape[1]
+    if block.ndim != 2 or len(block) != n:
+        raise ValueError(f"dimension mismatch: a {n} x {n} matrix times "
+                         f"an array of shape {block.shape}")
+    if _dia_matvecs is None:
+        return np.stack([product(matrix, column) for column in block.T], axis=1)
+    y = np.zeros(block.shape)
+    _dia_matvecs(n, n, len(matrix.offsets), n, matrix.offsets, matrix.data,
+                 block.shape[1], block, y)
+    return y
+
+
+def cg_solve(matrix: DiaOperator, rhs: np.ndarray, x0: np.ndarray,
              ax0: np.ndarray, rtol: float):
     """Conjugate gradients for an SPD system from the start vector x0, given
     its product ax0 = A x0, no preconditioner. Return the solution and its

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
-import scipy.sparse as sparse
 
+from seampde.assembly import DiaOperator
 from seampde.hifi import SnapshotMatrix, product, snapshot_writer
 from seampde.pod import GramSpectrum, block_spectrum, pod_basis
 
@@ -75,8 +75,8 @@ class SeamSolution:
         return np.hstack(list(self.blocks()))
 
 
-def seam_offline(segment_data: np.ndarray, mass: sparse.dia_matrix,
-                 stiffness: sparse.dia_matrix, load: np.ndarray,
+def seam_offline(segment_data: np.ndarray, mass: DiaOperator,
+                 stiffness: DiaOperator, load: np.ndarray,
                  tau: float) -> SeamModel:
     """Extract the rank-1 basis of a snapshot block and reduce the operators."""
     spectrum = block_spectrum(segment_data)
@@ -108,8 +108,8 @@ def seam_online(model: SeamModel, steps: int) -> np.ndarray:
     return np.array(alphas, dtype=float)
 
 
-def run_parallel_seam(snapshots: SnapshotMatrix, mass: sparse.dia_matrix,
-                      stiffness: sparse.dia_matrix, load,
+def run_parallel_seam(snapshots: SnapshotMatrix, mass: DiaOperator,
+                      stiffness: DiaOperator, load,
                       segment_steps: int) -> SeamSolution:
     """Reduce every segment of a snapshot matrix independently, then replay.
 

@@ -14,7 +14,9 @@ triplets and a centroid-rule load vector, all cell by cell, which check
 the structured assembly.
 It also builds the 1-D problem that matches a stored snapshot file of any
 shape, since both snapshot readers check a file against a problem, and
-renders a CSV artifact as csv.writer writes its parsed fields.
+renders a CSV artifact as csv.writer writes its parsed fields, and
+converts an operator to the scipy DIA matrix of the same offsets and data
+and back, where a test hands one to scipy or takes one from it.
 """
 
 import csv
@@ -24,21 +26,37 @@ import numpy as np
 import scipy.sparse as sparse
 
 import seampde.hifi as hifi
-from seampde.assembly import assemble_mass, assemble_stiffness
+from seampde.assembly import DiaOperator, assemble_mass, assemble_stiffness
 from seampde.errors import SolverFailure
 from seampde.fields import Call, Const, Neg, ProblemSpec, Var, parse_expression as expr
 from seampde.hifi import CG_RTOL, cg_solve
 from seampde.mesh import build_interval_mesh, kuhn_paths
 
 
-def backward_euler_step(mass: sparse.dia_matrix, stiffness: sparse.dia_matrix,
+def to_scipy(operator: DiaOperator) -> sparse.dia_matrix:
+    """The scipy DIA matrix of the operator's offsets and data (shared)."""
+    return sparse.dia_matrix((operator.data, operator.offsets), shape=operator.shape)
+
+
+def from_scipy(matrix) -> DiaOperator:
+    """The operator of a square scipy matrix's DIA form, each diagonal
+    padded with zeros to the full n columns."""
+    dia = sparse.dia_matrix(matrix)
+    data = np.zeros((len(dia.offsets), dia.shape[1]))
+    data[:, :dia.data.shape[1]] = dia.data
+    return DiaOperator(dia.offsets, data)
+
+
+def backward_euler_step(mass: DiaOperator, stiffness: DiaOperator,
                         load: np.ndarray, u_prev: np.ndarray, tau: float) -> np.ndarray:
     """One implicit Euler step: solve (M + tau*S) u = M u_prev + tau*F."""
     if tau <= 0:
         raise ValueError("tau must be positive")
+    mass, stiffness = to_scipy(mass), to_scipy(stiffness)
     system = (mass + tau * stiffness).todia()
     rhs = mass @ u_prev + tau * load
-    return cg_solve(system, rhs, u_prev.astype(float), system @ u_prev, CG_RTOL)[0]
+    return cg_solve(from_scipy(system), rhs, u_prev.astype(float), system @ u_prev,
+                    CG_RTOL)[0]
 
 
 def stored_run_problem(num_dofs: int, num_columns: int, tau: float) -> ProblemSpec:

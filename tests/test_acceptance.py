@@ -81,6 +81,7 @@ from oracles import (
     charpoly_eigenvalues,
     heat_operators,
     projection_residual,
+    to_scipy,
 )
 
 
@@ -149,7 +150,7 @@ def case_record(name, f="0", divisions=None):
         hifi_seconds=hifi_seconds,
         online_seconds=online_seconds,
         error_l2=error,
-        projection_error=m_projection_error(snapshots.data, disc.mass,
+        projection_error=m_projection_error(snapshots.data, to_scipy(disc.mass),
                                             problem.segment_steps),
         lam0=np.array(lam0),
         lam1_first=lam1_first,
@@ -190,8 +191,8 @@ def direct_snapshots(problem, disc):
     vector with the program: every backward-Euler step is a sparse LU
     solve instead of CG. The source must not depend on t.
     """
-    lu = splu((disc.mass + problem.tau * disc.stiffness).tocsc())
-    mass = disc.mass
+    mass = to_scipy(disc.mass)
+    lu = splu((mass + problem.tau * to_scipy(disc.stiffness)).tocsc())
     source = problem.tau * disc.load
     u = disc.initial.copy()
     yield u

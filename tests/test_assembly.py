@@ -7,6 +7,7 @@ import scipy.sparse as sparse
 
 import seampde.assembly as assembly
 from seampde.assembly import (
+    DiaOperator,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
@@ -17,7 +18,7 @@ from seampde.fields import parse_expression as expr, scenario
 from seampde.hifi import Discretization, discretize
 from seampde.mesh import build_cube_mesh, build_interval_mesh, build_square_mesh, kuhn_paths
 
-from oracles import centroid_load, coo_operators
+from oracles import centroid_load, coo_operators, from_scipy, to_scipy
 
 ONE = expr("1")
 ZERO = expr("0")
@@ -30,7 +31,7 @@ def load_of(mesh, f, t=0.0):
 
 def test_mass_1d_closed_form():
     mesh = build_interval_mesh(4)
-    M = assemble_mass(mesh).toarray()
+    M = to_scipy(assemble_mass(mesh)).toarray()
     h = 0.25
     np.testing.assert_allclose(np.diag(M), 2 * h / 3)
     np.testing.assert_allclose(np.diag(M, 1), h / 6)
@@ -41,49 +42,49 @@ def test_mass_1d_closed_form():
 @pytest.mark.parametrize("mesh", [build_interval_mesh(5), build_square_mesh(3),
                                   build_cube_mesh(2)])
 def test_mass_partition_of_unity_bound(mesh):
-    M = assemble_mass(mesh)
+    M = to_scipy(assemble_mass(mesh))
     total = M.sum()
     assert 0 < total < 1.0  # boundary basis mass is missing from interior rows
 
 
 def test_mass_exactly_symmetric():
-    M = assemble_mass(build_square_mesh(4))
+    M = to_scipy(assemble_mass(build_square_mesh(4)))
     assert (M != M.T).nnz == 0
 
 
 def test_mass_row_sums_positive_and_1d_diagonally_dominant():
-    M1 = assemble_mass(build_interval_mesh(7)).toarray()
+    M1 = to_scipy(assemble_mass(build_interval_mesh(7))).toarray()
     assert np.all(M1.sum(axis=1) > 0)
     off = np.abs(M1).sum(axis=1) - np.abs(np.diag(M1))
     assert np.all(np.diag(M1) >= off)
-    M2 = assemble_mass(build_square_mesh(5)).toarray()
+    M2 = to_scipy(assemble_mass(build_square_mesh(5))).toarray()
     assert np.all(M2.sum(axis=1) > 0)
 
 
 def test_stiffness_1d_closed_form():
     mesh = build_interval_mesh(4)
-    S = assemble_stiffness(mesh, [ONE], ZERO).toarray()
+    S = to_scipy(assemble_stiffness(mesh, [ONE], ZERO)).toarray()
     np.testing.assert_allclose(np.diag(S), 8.0)
     np.testing.assert_allclose(np.diag(S, 1), -4.0)
 
 
 def test_stiffness_reaction_only_equals_mass():
     mesh = build_square_mesh(4)
-    S = assemble_stiffness(mesh, [ZERO, ZERO], ONE).toarray()
-    M = assemble_mass(mesh).toarray()
+    S = to_scipy(assemble_stiffness(mesh, [ZERO, ZERO], ONE)).toarray()
+    M = to_scipy(assemble_mass(mesh)).toarray()
     np.testing.assert_allclose(S, M, atol=1e-15)
 
 
 def test_stiffness_symmetric_positive_semidefinite():
     mesh = build_square_mesh(4)
-    S = assemble_stiffness(mesh, [ONE, ONE], ZERO).toarray()
+    S = to_scipy(assemble_stiffness(mesh, [ONE, ONE], ZERO)).toarray()
     np.testing.assert_allclose(S, S.T, atol=0)
     assert np.linalg.eigvalsh(S).min() >= -1e-12
 
 
 def test_stiffness_positive_on_random_vectors():
     mesh = build_square_mesh(4)
-    S = assemble_stiffness(mesh, [ONE, ONE], ZERO)
+    S = to_scipy(assemble_stiffness(mesh, [ONE, ONE], ZERO))
     rng = np.random.default_rng(7)
     for _ in range(100):
         x = rng.standard_normal(S.shape[0])
@@ -92,8 +93,8 @@ def test_stiffness_positive_on_random_vectors():
 
 def test_stiffness_variable_alpha_symmetric():
     mesh = build_square_mesh(6)
-    S = assemble_stiffness(mesh, [expr("x^2"), expr("y^2")],
-                     expr("pi^2*(1-2*x^2*y^2)")).tocsr()
+    S = to_scipy(assemble_stiffness(mesh, [expr("x^2"), expr("y^2")],
+                                    expr("pi^2*(1-2*x^2*y^2)"))).tocsr()
     assert abs(S - S.T).max() < 1e-14 * abs(S).max()
 
 
@@ -104,13 +105,13 @@ def test_stiffness_rejects_negative_alpha_but_not_zero():
     with pytest.raises(EvaluationError, match="coefficient x-1 is negative"):
         assemble_stiffness(build_interval_mesh(4), [expr("x-1")], ZERO)
     S = assemble_stiffness(build_interval_mesh(4), [ZERO], ONE)
-    assert np.linalg.eigvalsh(S.toarray()).min() > 0
+    assert np.linalg.eigvalsh(to_scipy(S).toarray()).min() > 0
 
 
 def test_refinement_keeps_invariants():
     for m in (3, 6):
         mesh = build_square_mesh(m)
-        S = assemble_stiffness(mesh, [ONE, ONE], ONE).toarray()
+        S = to_scipy(assemble_stiffness(mesh, [ONE, ONE], ONE)).toarray()
         np.testing.assert_allclose(S, S.T, atol=0)
         assert np.linalg.eigvalsh(S).min() > 0  # c=1 makes it definite
 
@@ -212,8 +213,8 @@ def test_shared_pattern_matches_coo_scatter(mesh, operator):
                      else ([ONE] * mesh.dimension, ONE))
     mass, stiffness = coo_operators(mesh, alpha_diag, c)
     oracle = mass if operator == "mass" else stiffness
-    got = (assemble_mass(mesh) if operator == "mass"
-           else assemble_stiffness(mesh, alpha_diag, c))
+    got = to_scipy(assemble_mass(mesh) if operator == "mass"
+                   else assemble_stiffness(mesh, alpha_diag, c))
     assert got.format == "dia"
     scale = np.abs(oracle.data).max()
     assert np.abs(got.toarray() - oracle.toarray()).max() <= 1e-14 * scale
@@ -240,13 +241,22 @@ def test_stiffness_stores_only_its_nonzero_diagonals():
                 np.testing.assert_array_equal(stiffness.offsets, offsets)
 
 
-@pytest.mark.parametrize("name", ["heat1d", "s1", "s3", "heat3d"])
+@pytest.mark.parametrize("name", ["heat1d", "s1", "s2", "s3", "heat3d", "stray"])
 def test_system_matrix_equals_sparse_sum(name):
-    problem = scenario(name)
-    disc = discretize(replace(problem, divisions=min(problem.divisions, 8)))
+    # scipy's M + tau*S in offsets and data, bit for bit: the sum on the
+    # union of the offsets, with or without a diagonal M lacks
+    problem = scenario("heat3d" if name == "stray" else name)
+    if name == "stray":  # S is ones on offset 2, which heat3d's M lacks
+        disc = discretize(replace(problem, divisions=4))
+        ones = DiaOperator(np.array([2]), np.ones((1, disc.mass.shape[0])))
+        disc = replace(disc, stiffness=ones)
+    else:
+        disc = discretize(problem)
     a = disc.system_matrix(problem.tau)
-    b = disc.mass + problem.tau * disc.stiffness
-    assert (a != b).nnz == 0
+    b = to_scipy(disc.mass) + problem.tau * to_scipy(disc.stiffness)
+    assert (to_scipy(a) != b).nnz == 0
+    assert np.array_equal(a.offsets, b.offsets)
+    assert a.data.shape == b.data.shape and a.data.tobytes() == b.data.tobytes()
 
 
 def test_system_matrix_takes_a_stiffness_diagonal_the_mass_lacks():
@@ -254,9 +264,9 @@ def test_system_matrix_takes_a_stiffness_diagonal_the_mass_lacks():
     n, tau = disc.mass.shape[0], 0.1
     assert 2 not in disc.mass.offsets  # M: 0, 1, 3, 4, ...
     stray = sparse.dia_matrix((np.ones((1, n)), [2]), shape=(n, n))
-    a = replace(disc, stiffness=stray).system_matrix(tau)
-    assert isinstance(a, sparse.dia_matrix)
-    assert (a != disc.mass.tocsr() + tau * stray.tocsr()).nnz == 0
+    a = replace(disc, stiffness=from_scipy(stray)).system_matrix(tau)
+    assert isinstance(a, DiaOperator)
+    assert (to_scipy(a) != to_scipy(disc.mass).tocsr() + tau * stray.tocsr()).nnz == 0
     other = replace(disc, mass=assemble_mass(build_cube_mesh(5)))  # another shape
     with pytest.raises(ValueError, match="inconsistent shapes"):
         other.system_matrix(tau)
@@ -309,7 +319,7 @@ def test_products_equal_full_diagonal_and_coo_products_bit_for_bit(d, m):
     for v in (rng.standard_normal(mesh.num_interior),
               np.asfortranarray(rng.standard_normal((mesh.num_interior, 3)))):
         for got, want in ((stiffness, full), (system, full_system)):
-            product = got @ v
+            product = to_scipy(got) @ v
             assert np.array_equal(product, want @ v)
             assert np.array_equal(product, coo_triplets(want) @ v)
 
@@ -320,7 +330,8 @@ def test_dia_products_equal_csr_products_bit_for_bit():
     rng = np.random.default_rng(3)
     vector = rng.standard_normal(disc.mass.shape[0])
     block = np.asfortranarray(rng.standard_normal((disc.mass.shape[0], 5)))
-    for operator in (disc.mass, disc.stiffness, disc.system_matrix(problem.tau)):
+    for operator in map(to_scipy, (disc.mass, disc.stiffness,
+                                   disc.system_matrix(problem.tau))):
         csr = operator.tocsr()
         assert np.array_equal(operator @ vector, csr @ vector)
         assert np.array_equal(operator @ block, csr @ block)

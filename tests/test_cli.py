@@ -28,7 +28,7 @@ from seampde.hifi import (
 from seampde.pod import block_spectrum, eig_descending, gram
 from seampde.seam import SeamSolution, run_parallel_seam, save_seam
 
-from oracles import csv_writer_rendering
+from oracles import csv_writer_rendering, to_scipy
 
 
 def run_cli(*argv):
@@ -387,7 +387,7 @@ def test_error_csv_matches_per_column_oracle(tmp_path):
     assert run_cli("--config", str(path), "--mode", "parallel-seam",
                    "--out", str(out)) == 0
     problem = config_problem(path)
-    mass = discretize(problem).mass
+    mass = to_scipy(discretize(problem).mass)
     ref = load_snapshots(out / "snapshots.bin", problem).data
     red = load_snapshots(out / "seam.bin", problem).data
     abs_err = np.empty(ref.shape[1])
@@ -841,6 +841,23 @@ def test_overflowing_input_prints_one_error_line(tmp_path, overrides, named):
     assert proc.returncode == 2
     [line] = proc.stderr.splitlines()
     assert line.startswith("error: ") and named in line
+
+
+def test_runs_import_neither_scipy_nor_scipy_sparse(tmp_path):
+    # the DIA kernels are loaded from their extension file: importing
+    # scipy.sparse cost most of a small run's set-up time and about 21 MB
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    runs = [["--scenario", "s1", "--m", "8", "--mode", "parallel-seam"],
+            ["--scenario", "heat1d", "--mode", "eigs"]]
+    code = ("import sys\n"
+            "from seampde.cli import main\n"
+            f"for k, args in enumerate({runs!r}):\n"
+            f"    assert main(args + ['--out', {str(tmp_path)!r} + f'/{{k}}']) == 0\n"
+            "print(sorted({'scipy', 'scipy.sparse'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_wide_seam_run_reports_the_column_gram_lambda0(tmp_path):

@@ -1,8 +1,10 @@
 import os
+import re
 import struct
 import sys
 import tracemalloc
 from dataclasses import replace
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,10 +16,12 @@ import scipy.sparse as sparse
 import seampde.analysis as analysis
 import seampde.hifi as hifi
 from seampde.assembly import assemble_load
+from seampde.cli import _CHUNK_BYTES
 from seampde.errors import EvaluationError, SolverFailure
 from seampde.fields import ProblemSpec, parse_expression as expr, scenario
 from seampde.hifi import (
     CG_RTOL,
+    block_product,
     cg_solve,
     discretize,
     galerkin_start,
@@ -34,8 +38,10 @@ from oracles import (
     backward_euler_step,
     centroid_load,
     cg_solve_matmul,
+    from_scipy,
     heat_operators,
     stored_run_problem,
+    to_scipy,
 )
 
 
@@ -67,7 +73,7 @@ def test_product_equals_scipy_matmul_bit_for_bit(name):
     for matrix in (disc.mass, disc.stiffness, disc.system_matrix(problem.tau)):
         for x in rng.standard_normal((3, problem.num_dofs)):
             y = product(matrix, x)
-            assert y.dtype == np.float64 and np.array_equal(y, matrix @ x)
+            assert y.dtype == np.float64 and np.array_equal(y, to_scipy(matrix) @ x)
 
 
 @pytest.mark.parametrize("shape", [(9,), (11,), (10, 1), ()],
@@ -75,10 +81,45 @@ def test_product_equals_scipy_matmul_bit_for_bit(name):
 def test_product_rejects_a_vector_of_the_wrong_length(monkeypatch, shape):
     # the kernel checks no bounds: a wrong length must not reach it
     calls = []
-    monkeypatch.setattr(hifi, "dia_matvec", lambda *args: calls.append(args))
+    monkeypatch.setattr(hifi, "_dia_matvec", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        product(sparse.eye(10, format="dia"), np.ones(shape))
+        product(from_scipy(sparse.eye(10, format="dia")), np.ones(shape))
     assert calls == []
+
+
+@pytest.mark.parametrize("kernel", ["dia_matvecs", "per-column"])
+@pytest.mark.parametrize("name", ["heat1d", "s1", "s2", "s3", "heat3d"])
+def test_block_product_equals_scipy_matmul_bit_for_bit(monkeypatch, name, kernel):
+    # at widths 1 and 4 and the width the scoring's chunks have; a scipy
+    # without dia_matvecs takes one dia_matvec call per column
+    if kernel == "per-column":
+        monkeypatch.setattr(hifi, "_dia_matvecs", None)
+    problem = scenario(name)
+    disc = discretize(problem)
+    scoring = min(problem.segment_steps + 1,
+                  max(1, _CHUNK_BYTES // (8 * problem.num_dofs)))
+    rng = np.random.default_rng(12)
+    for matrix in (disc.mass, disc.stiffness, disc.system_matrix(problem.tau)):
+        for width in (1, 4, scoring):
+            block = rng.standard_normal((problem.num_dofs, width))
+            y = block_product(matrix, block)
+            assert y.dtype == np.float64 and y.flags.c_contiguous
+            assert np.array_equal(y, to_scipy(matrix) @ block)
+
+
+@pytest.mark.parametrize("shape", [(9, 2), (11, 2), (10,)], ids=["short", "long", "vector"])
+def test_block_product_rejects_a_block_of_the_wrong_height(monkeypatch, shape):
+    calls = []
+    monkeypatch.setattr(hifi, "_dia_matvecs", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        block_product(from_scipy(sparse.eye(10, format="dia")), np.ones(shape))
+    assert calls == []
+
+
+def test_kernel_loader_names_the_missing_extension_file(tmp_path):
+    path = os.path.join(tmp_path, "_sparsetools" + EXTENSION_SUFFIXES[0])
+    with pytest.raises(ImportError, match=re.escape(path)):
+        hifi._load_kernels(str(tmp_path))
 
 
 def test_a_step_runs_no_scipy_dispatch_and_no_numpy_linalg():
@@ -114,7 +155,7 @@ def solve_from_zero(a, b):
 
 
 def test_cg_identity():
-    a = sparse.eye(5, format="dia")
+    a = from_scipy(sparse.eye(5, format="dia"))
     b = np.arange(5.0)
     np.testing.assert_allclose(solve_from_zero(a, b), b)
 
@@ -124,19 +165,19 @@ def test_cg_matches_dense_solve():
     q = rng.standard_normal((12, 12))
     a = sparse.dia_matrix(q @ q.T + 12 * np.eye(12))
     b = rng.standard_normal(12)
-    x = solve_from_zero(a, b)
+    x = solve_from_zero(from_scipy(a), b)
     np.testing.assert_allclose(x, np.linalg.solve(a.toarray(), b), rtol=1e-9)
 
 
 def test_cg_zero_rhs():
-    a = sparse.eye(4, format="dia")
+    a = from_scipy(sparse.eye(4, format="dia"))
     b = np.zeros(4)
     np.testing.assert_array_equal(solve_from_zero(a, b), 0.0)
 
 
 def test_cg_failure_reports_residual(monkeypatch):
     monkeypatch.setattr(hifi, "_CG_MAXITER_PER_DOF", 0)
-    a = sparse.eye(3, format="dia")
+    a = from_scipy(sparse.eye(3, format="dia"))
     b = np.ones(3)
     with pytest.raises(SolverFailure) as err:
         solve_from_zero(a, b)
@@ -146,7 +187,7 @@ def test_cg_failure_reports_residual(monkeypatch):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["rhs", "x0", "ax0"])
 def test_cg_rejects_non_finite_input_before_iterating(products, bad, where):
-    a = sparse.eye(50, format="dia") * 2.0
+    a = from_scipy(sparse.eye(50, format="dia") * 2.0)
     rhs, x0, ax0 = np.ones(50), np.zeros(50), np.zeros(50)
     {"rhs": rhs, "x0": x0, "ax0": ax0}[where][7] = bad
     with pytest.raises(SolverFailure, match="non-finite"):
@@ -157,7 +198,7 @@ def test_cg_rejects_non_finite_input_before_iterating(products, bad, where):
 def test_cg_rejects_a_rhs_whose_norm_overflows(products):
     # every entry is finite, but ||rhs|| is not: inf <= CG_RTOL * inf would
     # accept the start vector as converged
-    a = sparse.eye(5, format="dia")
+    a = from_scipy(sparse.eye(5, format="dia"))
     with pytest.raises(SolverFailure, match="non-finite right-hand side norm"):
         solve_from_zero(a, np.full(5, 1e300))
     assert products[a] == 0
@@ -175,7 +216,7 @@ def test_step_blocks_rejects_the_load_at_the_step_where_it_overflows():
 def test_cg_breaks_down_at_once_on_nan_curvature(products):
     diagonal = np.full(50, 2.0)
     diagonal[7] = np.nan
-    a = sparse.diags(diagonal, format="dia")
+    a = from_scipy(sparse.diags(diagonal, format="dia"))
     b = np.ones(50)
     with pytest.raises(SolverFailure, match="broke down"):
         solve_from_zero(a, b)
@@ -188,8 +229,8 @@ def test_cg_breaks_down_at_once_on_nan_curvature(products):
 def test_single_node_geometric_recurrence():
     # one interior node: M = 2h/3 = 1/3, S = 2/h = 4
     mass, stiff = heat_operators(2)
-    np.testing.assert_allclose(mass.toarray(), [[1 / 3]])
-    np.testing.assert_allclose(stiff.toarray(), [[4.0]])
+    np.testing.assert_allclose(to_scipy(mass).toarray(), [[1 / 3]])
+    np.testing.assert_allclose(to_scipy(stiff).toarray(), [[4.0]])
     tau = 1e-3
     rho = (1 / 3) / (1 / 3 + 4 * tau)
     u = np.array([1.0])
@@ -227,7 +268,7 @@ def test_energy_decay_without_source():
     problem = small_problem(m=16, steps=50)
     disc = discretize(problem)
     snaps = run_hifi(problem, disc)
-    m = disc.mass
+    m = to_scipy(disc.mass)
     energies = [u @ (m @ u) for u in snaps.data.T]
     diffs = np.diff(energies)
     assert np.all(diffs <= 1e-15)
@@ -237,7 +278,7 @@ def test_energy_decay_heat1d_every_step():
     problem = scenario("heat1d")
     disc = discretize(problem)
     snaps = run_hifi(problem, disc)
-    m = disc.mass
+    m = to_scipy(disc.mass)
     energies = np.array([u @ (m @ u) for u in snaps.data.T])
     assert np.all(np.diff(energies) <= 0.0)
 
@@ -250,8 +291,8 @@ def test_residuals_at_random_steps():
         problem = small_problem(m=12, steps=40, f=f)
         disc = discretize(problem)
         snaps = run_hifi(problem, disc)
-        system = disc.system_matrix(problem.tau)
-        mass = disc.mass
+        system = to_scipy(disc.system_matrix(problem.tau))
+        mass = to_scipy(disc.mass)
         for n in rng.integers(1, snaps.num_columns, size=10):
             load = assemble_load(disc.mesh, problem.f, n * problem.tau)
             rhs = mass @ snaps.data[:, n - 1] + problem.tau * load
@@ -281,7 +322,7 @@ def start_residuals(monkeypatch, problem):
     solve = hifi.cg_solve
 
     def recording(matrix, rhs, x0, ax0, rtol):
-        product = matrix @ x0
+        product = to_scipy(matrix) @ x0
         assert np.linalg.norm(ax0 - product) <= 1e-12 * np.linalg.norm(product)
         residuals.append(np.linalg.norm(rhs - product) / np.linalg.norm(rhs))
         return solve(matrix, rhs, x0, ax0, rtol)
@@ -350,7 +391,8 @@ def check_against_matmul_oracle(monkeypatch, products, module):
     counts = []
 
     def checked(matrix, rhs, x0, ax0, rtol):
-        x_ref, r_ref, made = cg_solve_matmul(matrix, rhs, x0.copy(), ax0.copy(), rtol)
+        x_ref, r_ref, made = cg_solve_matmul(to_scipy(matrix), rhs, x0.copy(), ax0.copy(),
+                                             rtol)
         before = products[matrix]
         x, r = solve(matrix, rhs, x0, ax0, rtol)
         assert products[matrix] - before == made

@@ -17,13 +17,15 @@ import pytest
 from seampde.fields import problem_from_config
 from seampde.hifi import discretize, step_blocks
 
+from oracles import to_scipy
+
 
 def _run(config):
     """The problem's mesh nodes (M, d), mass matrix and all N+1 columns."""
     problem = problem_from_config(config)
     disc = discretize(problem)
     columns = np.hstack(list(step_blocks(problem, disc, problem.segment_steps + 1)))
-    return problem, disc.mesh.interior_nodes(), disc.mass, columns
+    return problem, disc.mesh.interior_nodes(), to_scipy(disc.mass), columns
 
 
 @pytest.mark.parametrize("g_text,g", [

@@ -17,11 +17,11 @@ from seampde.seam import (
     seam_online,
 )
 
-from oracles import seam_online_loop, stored_run_problem
+from oracles import from_scipy, seam_online_loop, stored_run_problem
 
 
 def identity_operator(n):
-    return sparse.eye(n, format="dia")
+    return from_scipy(sparse.eye(n, format="dia"))
 
 
 UNIT = (np.array([1.0]), GramSpectrum(np.array([1.0]), np.array([1.0])))
