@@ -137,26 +137,12 @@ def hoffman_wielandt_check(a: np.ndarray, e: np.ndarray) -> HoffmanWielandtRecor
     )
 
 
-def column_error_norms(reference: SnapshotMatrix, reduced: SeamSolution,
-                       mass: DiaOperator):
-    """Squared M-norms of the error and of the reference, one per column.
-
-    The reduced solution is expanded one segment block at a time, so the
-    dense reduced matrix is never formed. Returns ``(error_sq, reference_sq)``.
-    """
-    shape = (reduced.num_dofs, reduced.num_columns)
-    if reference.data.shape != shape:
-        raise ValueError(f"shape mismatch: {reference.data.shape} vs {shape}")
-    norms = [block_error_norms(columns, block, mass) for columns, block
-             in zip(reference.segments(reduced.segment_steps), reduced.blocks())]
-    return tuple(np.concatenate(parts) for parts in zip(*norms))
-
-
 def block_error_norms(columns: np.ndarray, reduced: np.ndarray,
                       mass: DiaOperator):
-    """``(error_sq, reference_sq)`` of column_error_norms for one block.
-    The C-ordered copy that block_product reads in place becomes the
-    difference; einsum's inputs stay C-ordered, which fixes its bits."""
+    """Squared M-norms ``(error_sq, reference_sq)`` of a block of reference
+    columns and its reduced replay, one per column. The C-ordered copy that
+    block_product reads in place becomes the difference; einsum's inputs
+    stay C-ordered, which fixes its bits."""
     work = np.array(columns, dtype=float, order="C")  # always a copy
     reference_sq = np.einsum("ij,ij->j", work, block_product(mass, work))
     np.subtract(work, reduced, out=work)
@@ -169,14 +155,21 @@ def relative_l2_error(reference: SnapshotMatrix, reduced: SeamSolution,
 
     The spatial integral is exact on the FE space through the mass
     matrix; the time integral is a rectangle sum with weight tau over
-    every column of the grid.
+    every column of the grid. Each segment is scored against its own
+    block beta alpha_k', so the dense reduced matrix is never formed.
     """
-    return space_time_error(*column_error_norms(reference, reduced, mass), tau)
+    shape = (len(reduced.models[0].basis), reduced.alphas.size)
+    if reference.data.shape != shape:
+        raise ValueError(f"shape mismatch: {reference.data.shape} vs {shape}")
+    blocks = np.hsplit(reference.data, len(reduced.models))
+    norms = [block_error_norms(columns, np.outer(model.basis, alpha), mass)
+             for columns, model, alpha in zip(blocks, reduced.models, reduced.alphas)]
+    return space_time_error(*(np.concatenate(parts) for parts in zip(*norms)), tau)
 
 
 def space_time_error(error_sq: np.ndarray, reference_sq: np.ndarray,
                      tau: float) -> float:
-    """Relative L2 error from the per-column norms of column_error_norms."""
+    """Relative L2 error from the per-column norms of block_error_norms."""
     num = tau * error_sq.sum()
     den = tau * reference_sq.sum()
     if den == 0.0:

@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--snapshots", dest="snapshots_path",
                         help="reuse a stored snapshot file instead of running hifi")
     parser.add_argument("--large", action="store_true",
-                        help="allow the full-size 3D preset (m=32)")
+                        help="heat3d only: the full-size preset (m=32)")
     parser.add_argument("--repeats", type=int, default=RunConfig.repeats,
                         help="bench repetitions")
     return parser
@@ -137,6 +137,8 @@ def resolve_problem(config: RunConfig) -> ProblemSpec:
         spec = {"scenario": config.scenario, "f": config.f}
     else:
         raise ValueError("a scenario name or a config file is required")
+    if config.large and spec.get("scenario") != "heat3d":
+        raise ValueError("--large applies to the heat3d scenario only")
     if spec.get("scenario") == "heat3d" and spec.get("m") is None and not config.large:
         spec["m"] = 16  # desk-scale default; the full m=32 preset sits behind --large
     problem = problem_from_config(spec)

@@ -40,9 +40,5 @@ class DegenerateSnapshotError(SeamError):
     """Snapshot data is (numerically) all zero; no POD basis exists."""
 
 
-class SegmentationError(SeamError):
-    """Snapshot column count is incompatible with the requested segmentation."""
-
-
 class DegenerateReferenceError(SeamError):
     """Relative error is undefined because the reference solution is zero."""

@@ -37,7 +37,7 @@ from seampde.assembly import (
     assemble_stiffness,
     interpolate_initial,
 )
-from seampde.errors import SegmentationError, SolverFailure
+from seampde.errors import SolverFailure
 from seampde.fields import ProblemSpec
 from seampde.mesh import Mesh, build_cube_mesh, build_interval_mesh, build_square_mesh
 
@@ -76,33 +76,18 @@ _dia_matvec, _dia_matvecs = _load_kernels(
 
 @dataclass(frozen=True)
 class SnapshotMatrix:
-    """Dense M x (N+1) matrix whose columns are solution vectors."""
+    """Dense M x (N+1) float64 matrix whose columns are solution vectors;
+    ``data`` is made read-only."""
 
     data: np.ndarray
     tau: float
 
     def __post_init__(self):
-        object.__setattr__(self, "data", np.asfortranarray(self.data, dtype=float))
         self.data.setflags(write=False)
-
-    @property
-    def num_dofs(self) -> int:
-        return self.data.shape[0]
 
     @property
     def num_columns(self) -> int:
         return self.data.shape[1]
-
-    def segments(self, segment_steps: int):
-        """Views of the consecutive blocks of segment_steps+1 columns.
-
-        Raises SegmentationError at once unless the columns split exactly.
-        """
-        cols = segment_steps + 1
-        if cols < 1 or self.num_columns % cols != 0:
-            raise SegmentationError(f"{self.num_columns} snapshot columns do not "
-                                    f"split into segments of {cols}")
-        return (self.data[:, k:k + cols] for k in range(0, self.num_columns, cols))
 
 
 @dataclass(frozen=True)
@@ -324,8 +309,7 @@ def snapshot_writer(path, num_dofs: int, num_columns: int, tau: float):
 
 def save_snapshots(snapshots: SnapshotMatrix, path) -> None:
     """Write the snapshot matrix in the binary format of snapshot_writer."""
-    with snapshot_writer(path, snapshots.num_dofs, snapshots.num_columns,
-                         snapshots.tau) as append:
+    with snapshot_writer(path, *snapshots.data.shape, snapshots.tau) as append:
         append(snapshots.data)
 
 

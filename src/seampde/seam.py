@@ -16,7 +16,7 @@ from itertools import repeat
 import numpy as np
 
 from seampde.assembly import DiaOperator
-from seampde.hifi import SnapshotMatrix, product, snapshot_writer
+from seampde.hifi import SnapshotMatrix, product, save_snapshots
 from seampde.pod import GramSpectrum, block_spectrum, pod_basis
 
 
@@ -54,25 +54,10 @@ class SeamSolution:
     def __post_init__(self):
         self.alphas.setflags(write=False)
 
-    @property
-    def segment_steps(self) -> int:
-        return self.alphas.shape[1] - 1
-
-    @property
-    def num_dofs(self) -> int:
-        return len(self.models[0].basis)
-
-    @property
-    def num_columns(self) -> int:
-        return self.alphas.size
-
-    def blocks(self):
-        """Each segment's Fortran-ordered dofs x (n+1) block beta alpha_k'."""
-        return (np.outer(alpha, model.basis).T
-                for model, alpha in zip(self.models, self.alphas))
-
     def to_matrix(self) -> np.ndarray:
-        return np.hstack(list(self.blocks()))
+        """The dofs x (segments*(n+1)) matrix of each segment's beta alpha_k'."""
+        return np.hstack([np.outer(model.basis, alpha)
+                          for model, alpha in zip(self.models, self.alphas)])
 
 
 def seam_offline(segment_data: np.ndarray, mass: DiaOperator,
@@ -113,20 +98,21 @@ def run_parallel_seam(snapshots: SnapshotMatrix, mass: DiaOperator,
                       segment_steps: int) -> SeamSolution:
     """Reduce every segment of a snapshot matrix independently, then replay.
 
-    The column count must be an exact multiple of segment_steps+1. Nothing
-    is timed: the command line reduces and replays each streamed block with
-    seam_offline and seam_online, and times those calls itself.
+    Raises ValueError unless the column count is an exact multiple of
+    segment_steps+1. Nothing is timed: the command line reduces and replays
+    each streamed block with seam_offline and seam_online, and times those
+    calls itself.
     """
-    tau = snapshots.tau
-    models = tuple(seam_offline(block, mass, stiffness, load, tau)
-                   for block in snapshots.segments(segment_steps))
+    data, tau, cols = snapshots.data, snapshots.tau, segment_steps + 1
+    if cols < 1 or snapshots.num_columns % cols != 0:
+        raise ValueError(f"{snapshots.num_columns} snapshot columns do not "
+                         f"split into segments of {cols}")
+    models = tuple(seam_offline(data[:, k:k + cols], mass, stiffness, load, tau)
+                   for k in range(0, snapshots.num_columns, cols))
     alphas = np.vstack([seam_online(model, segment_steps) for model in models])
     return SeamSolution(models, alphas, tau)
 
 
 def save_seam(solution: SeamSolution, path) -> None:
-    """Reconstructed columns in the snapshot binary format, one segment at a time."""
-    with snapshot_writer(path, solution.num_dofs, solution.num_columns,
-                         solution.tau) as append:
-        for block in solution.blocks():
-            append(block)
+    """The reconstructed matrix, written by save_snapshots."""
+    save_snapshots(SnapshotMatrix(solution.to_matrix(), solution.tau), path)

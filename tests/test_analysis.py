@@ -9,10 +9,10 @@ import scipy.sparse as sparse
 import seampde.hifi as hifi
 from seampde.analysis import (
     HoffmanWielandtRecord,
+    block_error_norms,
     build_spectral_report,
     hoffman_wielandt_check,
     operator_norm,
-    column_error_norms,
     perturbation_quantity,
     reference_principal_eigenvalue,
     relative_l2_error,
@@ -143,12 +143,12 @@ def test_time_step_check_arithmetic():
     mass = diag_op([1.0, 1.0, 1.0])
     for tau, stiffness, product, satisfied in ((1e-4, [1e3, 3e3, 5e3], 0.5, True),
                                                (1e-3, [5e2, 2e3, 1e3], 2.0, False)):
-        _, payload = build_spectral_report(snaps.segments(3), tau, mass,
+        _, payload = build_spectral_report(np.hsplit(snaps.data, 2), tau, mass,
                                            diag_op(stiffness), segment_steps=3)
         assert payload["tau_norm_a"] == pytest.approx(product)
         assert payload["time_step_assumption_satisfied"] is satisfied
     with pytest.raises(ValueError, match="operator norm must be positive"):
-        build_spectral_report(snaps.segments(3), 1e-4, mass, diag_op([0.0] * 3),
+        build_spectral_report(np.hsplit(snaps.data, 2), 1e-4, mass, diag_op([0.0] * 3),
                               segment_steps=3)
 
 
@@ -275,7 +275,8 @@ def test_column_error_norms_match_loop_oracle(segmented_run):
     assert len(solution.models) == 4
     abs_err, ref_norm = loop_column_errors(snapshots.data, solution.to_matrix(),
                                            mass)
-    error_sq, reference_sq = column_error_norms(snapshots, solution, mass)
+    error_sq, reference_sq = block_error_norms(snapshots.data, solution.to_matrix(),
+                                               mass)
     np.testing.assert_allclose(np.sqrt(error_sq), abs_err, rtol=1e-12, atol=0)
     np.testing.assert_allclose(np.sqrt(reference_sq), ref_norm, rtol=1e-12, atol=0)
 
@@ -302,7 +303,7 @@ def test_spectral_report_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
     data = rng.standard_normal((7, 12)) * np.exp(-0.3 * np.arange(12))
     snaps = SnapshotMatrix(data, 0.01)
-    spectra, payload = build_spectral_report(snaps.segments(3), snaps.tau, mass,
+    spectra, payload = build_spectral_report(np.hsplit(snaps.data, 3), snaps.tau, mass,
                                              stiffness, segment_steps=3)
     assert len(spectra) == 3
     assert payload["norm_a"] > 0
@@ -315,17 +316,6 @@ def test_spectral_report_roundtrip(tmp_path):
     assert [s["segment"] for s in loaded["segments"]] == [0, 1, 2]
     assert len(loaded["segments"][0]["eigenvalues"]) <= 5
     assert loaded["tau_norm_a"] == pytest.approx(0.01 * payload["norm_a"])
-
-
-@pytest.mark.parametrize("segment_steps", [3, -1])
-def test_spectral_report_bad_segmentation(segment_steps):
-    from seampde.errors import SegmentationError
-
-    snaps = SnapshotMatrix(np.ones((3, 10)), 0.1)
-    mass = diag_op([1.0, 1.0, 1.0])
-    with pytest.raises(SegmentationError, match="split"):
-        build_spectral_report(snaps.segments(segment_steps), snaps.tau, mass, mass,
-                              segment_steps=segment_steps)
 
 
 def test_record_holds_flags():

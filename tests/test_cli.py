@@ -12,7 +12,7 @@ import pytest
 
 from seampde import cli, hifi, pod
 from seampde.analysis import (
-    column_error_norms,
+    block_error_norms,
     perturbation_quantity,
     reference_principal_eigenvalue,
 )
@@ -145,6 +145,10 @@ MINI = {
     pytest.param({**MINI, "alpha": ["-1"]}, [], id="config-alpha-negative"),
     pytest.param({**MINI, "alpha": ["x-0.5"], "m": 16}, [],
                  id="config-alpha-negative-in-part"),
+    # --large sizes heat3d alone; elsewhere it was once silently ignored
+    pytest.param(None, ["--large"], id="flag-large-heat1d"),
+    pytest.param(MINI, ["--large"], id="config-explicit-large"),
+    pytest.param({"scenario": "s3", "m": 4}, ["--large"], id="config-scenario-large"),
 ])
 def test_bad_override_exits_2(tmp_path, monkeypatch, config, flags):
     def no_hifi(*args, **kwargs):
@@ -953,8 +957,9 @@ def whole_matrix_artifacts(problem, out):
                                           "mass_coeff", "alpha0"), [
         (k, float(model.spectrum.eigenvalues[0]), model.system_coeff,
          model.mass_coeff, model.alpha0) for k, model in enumerate(solution.models)])
-    cli._write_csv(out / "error.csv", ("t", "abs_error", "rel_error"), cli._error_rows(
-        problem.tau, *column_error_norms(snapshots, solution, disc.mass)))
+    norms = block_error_norms(snapshots.data, solution.to_matrix(), disc.mass)
+    cli._write_csv(out / "error.csv", ("t", "abs_error", "rel_error"),
+                   cli._error_rows(problem.tau, *norms))
 
 
 @pytest.mark.parametrize("f", ["x", "x*(1+10*t)"])

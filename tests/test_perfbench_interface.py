@@ -1,8 +1,9 @@
 """The names and objects the benchmark in perfbench/ uses from the program.
 
 The benchmark runs against the program in this tree, so renaming or
-deleting a function it traces, or changing what its replay probe reads,
-shows up here first. perfbench/ is only read, never imported as a package.
+deleting a function it traces, an attribute its sizers read, or what its
+replay probe reads shows up here first. perfbench/ is only read, never
+imported as a package.
 Apart from those names, every definition in src/, module-level constants
 included, must have a reader in src/: a helper that only tests reach
 belongs in tests/oracles.py.
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from seampde.cli import RunConfig, resolve_problem
-from seampde.hifi import discretize, run_hifi
+from seampde.hifi import discretize, load_snapshots, run_hifi, save_snapshots
 from seampde.seam import run_parallel_seam, seam_online
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -48,12 +49,37 @@ def test_every_traced_target_resolves(monkeypatch):
     assert missing == []
 
 
-def test_pickled_reduction_replays_exactly():
-    # what probe.py --reduce writes and probe.py --replay checks
+def test_traced_sizers_read_the_whole_run(monkeypatch, tmp_path):
+    # a sizer runs only under --trace 1, so an attribute it reads that the
+    # program dropped would otherwise fail only a traced benchmark run
+    sizers = {target.attr: target.sizer
+              for target in load_run_module(monkeypatch).traced_targets()}
+    problem = resolve_problem(RunConfig(scenario="s3", m=8))
+    disc = discretize(problem)
+    megabytes = 8 * problem.num_dofs * (problem.num_steps + 1) / 1e6
+    snapshots = run_hifi(problem, disc)
+    assert sizers["run_hifi"]((problem, disc), {}, snapshots) == problem.num_steps
+    path = tmp_path / "snapshots.bin"
+    save_snapshots(snapshots, path)
+    assert sizers["save_snapshots"]((snapshots, path), {}, None) == megabytes
+    assert sizers["save_snapshots"]((), {"snapshots": snapshots, "path": path},
+                                    None) == megabytes
+    loaded = load_snapshots(path, problem)
+    assert sizers["load_snapshots"]((path, problem), {}, loaded) == megabytes
+    solution = run_parallel_seam(loaded, disc.mass, disc.stiffness, disc.load,
+                                 segment_steps=problem.segment_steps)
+    dense = solution.to_matrix()
+    assert sizers["SeamSolution.to_matrix"]((solution,), {}, dense) == megabytes
+
+
+def test_pickled_reduction_replays_exactly(tmp_path):
+    # what probe.py --reduce writes from a stored run and --replay checks
     problem = resolve_problem(RunConfig(scenario="s3", m=8))
     disc = discretize(problem)
     steps = problem.segment_steps
-    solution = run_parallel_seam(run_hifi(problem, disc), disc.mass,
+    path = tmp_path / "snapshots.bin"
+    save_snapshots(run_hifi(problem, disc), path)
+    solution = run_parallel_seam(load_snapshots(path, problem), disc.mass,
                                  disc.stiffness, disc.load, segment_steps=steps)
     loaded = pickle.loads(pickle.dumps(solution))
     alphas = [seam_online(model, steps) for model in loaded.models]

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sparse
 
 from seampde.cli import _write_csv
-from seampde.errors import DegenerateSnapshotError, SegmentationError
+from seampde.errors import DegenerateSnapshotError
 from seampde.hifi import SnapshotMatrix, load_snapshots, save_snapshots
 from seampde.pod import GramSpectrum
 from seampde.seam import (
@@ -184,7 +184,7 @@ def test_sign_invariance_of_reconstruction():
 @pytest.mark.parametrize("segment_steps", [3, -1])
 def test_divisibility_violation(segment_steps):
     snaps = SnapshotMatrix(np.ones((4, 10)), 0.1)
-    with pytest.raises(SegmentationError):
+    with pytest.raises(ValueError, match="do not split"):
         run_parallel_seam(snaps, identity_operator(4), identity_operator(4),
                           np.zeros(4), segment_steps=segment_steps)
 
