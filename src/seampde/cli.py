@@ -70,6 +70,11 @@ from seampde.seam import seam_offline, seam_online
 MODES = ("hifi", "seam", "parallel-seam", "eigs", "bench", "hw-selftest")
 SLICE_TIMES = (0.25, 0.5, 0.75, 1.0)
 SUMMARY_SCHEMA = 1
+# flag -> its RunConfig field, for the flags that name or read a problem,
+# none of which hw-selftest takes
+_PROBLEM_FLAGS = {"--scenario": "scenario", "--config": "config_path", "--m": "m",
+                  "--tau": "tau", "--T": "big_t", "--n": "n", "--f": "f",
+                  "--large": "large", "--snapshots": "snapshots_path"}
 # _reduce_blocks expands, writes and scores each block's replay in column
 # chunks of at most this many bytes.
 _CHUNK_BYTES = 2**20
@@ -270,8 +275,11 @@ def _reduce_blocks(blocks, problem: ProblemSpec, disc: Discretization,
 def execute(config: RunConfig) -> dict | None:
     """Run one mode end to end; artifact files land in the output directory.
     Return the summary.json payload (None for hw-selftest, which writes none)."""
-    if config.snapshots_path and config.mode in ("bench", "hw-selftest"):
-        raise ValueError(f"--snapshots does not apply to --mode {config.mode}")
+    refused = {"bench": ["--snapshots"], "hw-selftest": _PROBLEM_FLAGS}
+    given = [flag for flag in refused.get(config.mode, []) if getattr(
+        config, _PROBLEM_FLAGS[flag]) != getattr(RunConfig, _PROBLEM_FLAGS[flag])]
+    if given:
+        raise ValueError(f"--mode {config.mode} takes no {', '.join(given)}")
     if config.mode == "bench" and config.repeats < 1:
         raise ValueError("--repeats must be at least 1")
     if config.mode == "hw-selftest":

@@ -29,54 +29,24 @@ from seampde.errors import ExpressionError
 VARIABLES = ("x", "y", "z", "t")
 FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 CONSTANTS = {"pi": math.pi}
-# binary operator -> (precedence, operation), all left-associative; unary
-# minus binds between * / and ^, so -3^2 is -(3^2) and 2*-3 is 2*(-3)
-_BINARY = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul),
-           "/": (2, np.divide), "^": (4, np.power)}
+# binary operator -> precedence, all left-associative; unary minus binds
+# between * / and ^, so -3^2 is -(3^2) and 2*-3 is 2*(-3)
+_BINARY = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 _NEG_PRECEDENCE = 3
-
-
-# --- AST ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Const:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: object
+# operation name -> what it computes: the binary operators, unary minus
+# ("neg") and the functions
+_OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": np.divide, "^": np.power, "neg": operator.neg, **FUNCTIONS}
 
 
 def _evaluate(node, env):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -_evaluate(node.arg, env)
-    if isinstance(node, Call):
-        return FUNCTIONS[node.fn](_evaluate(node.arg, env))
-    return _BINARY[node.op][1](_evaluate(node.left, env), _evaluate(node.right, env))
+    """The value of a tree: a constant is its float, a variable its name and
+    an operation the tuple (name, *operands)."""
+    if isinstance(node, float):
+        return node
+    if isinstance(node, str):
+        return env[node]
+    return _OPERATIONS[node[0]](*[_evaluate(arg, env) for arg in node[1:]])
 
 
 @dataclass(frozen=True)
@@ -163,34 +133,35 @@ class _Parser:
         """An operand, then each binary operator of precedence at least
         ``floor`` with its right operand; an exponent is an atom, or a minus
         and an atom (x^-2)."""
-        node = Neg(self.expression(_NEG_PRECEDENCE)) if self.accept("-") else self.atom()
-        while (op := self.peek()[0]) in _BINARY and _BINARY[op][0] >= floor:
+        node = (("neg", self.expression(_NEG_PRECEDENCE)) if self.accept("-")
+                else self.atom())
+        while (op := self.peek()[0]) in _BINARY and _BINARY[op] >= floor:
             self.take()
             if op != "^":
-                right = self.expression(_BINARY[op][0] + 1)
+                right = self.expression(_BINARY[op] + 1)
             else:
-                right = Neg(self.atom()) if self.accept("-") else self.atom()
-            node = BinOp(op, node, right)
+                right = ("neg", self.atom()) if self.accept("-") else self.atom()
+            node = (op, node, right)
         return node
 
     def atom(self):
         token = self.take()
         kind, value, offset, _ = token
         if kind == "num":
-            return Const(value)
+            return value
         if kind == "(":
             return self.group()
         if kind != "name":
             raise _unexpected(token)
         if value in CONSTANTS:
-            return Const(CONSTANTS[value])
+            return CONSTANTS[value]
         if value in VARIABLES:
             self.variables.add(value)
-            return Var(value)
+            return value
         if value not in FUNCTIONS:
             raise ExpressionError(f"unknown identifier {value!r}", offset)
         self.take("(")
-        return Call(value, self.group())
+        return value, self.group()
 
     def group(self):  # the expression up to the closing parenthesis
         node = self.expression(1)

@@ -28,7 +28,7 @@ import scipy.sparse as sparse
 import seampde.hifi as hifi
 from seampde.assembly import DiaOperator, assemble_mass, assemble_stiffness
 from seampde.errors import SolverFailure
-from seampde.fields import Call, Const, Neg, ProblemSpec, Var, parse_expression as expr
+from seampde.fields import ProblemSpec, parse_expression as expr
 from seampde.hifi import CG_RTOL, cg_solve
 from seampde.mesh import build_interval_mesh, kuhn_paths
 
@@ -270,19 +270,20 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 def to_string(node, parent_prec=0, right_side=False):
     """Expression text that parses back to the tree ``node``."""
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.fn}({to_string(node.arg)})"
-    if isinstance(node, Neg):
-        text = f"-{to_string(node.arg, 3)}"
+    if isinstance(node, float):
+        return repr(node)
+    if isinstance(node, str):
+        return node
+    if node[0] in ("sin", "cos", "exp"):
+        return f"{node[0]}({to_string(node[1])})"
+    if node[0] == "neg":
+        text = f"-{to_string(node[1], 3)}"
         return f"({text})" if parent_prec > 3 else text
-    prec = _PRECEDENCE[node.op]
+    op, left, right = node
+    prec = _PRECEDENCE[op]
     text = (
-        f"{to_string(node.left, prec)}{node.op}"
-        f"{to_string(node.right, prec, right_side=True)}"
+        f"{to_string(left, prec)}{op}"
+        f"{to_string(right, prec, right_side=True)}"
     )
     # left-associative ops need parens when they appear as a right operand
     # of equal precedence; '-' and '/' need them even against themselves

@@ -670,6 +670,36 @@ def test_snapshots_with_bench_or_hw_selftest_exits_2_before_compute(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--scenario", "s1", "--m", "8", "--tau", "5"], ["--config", "missing.json"],
+    ["--m", "8"], ["--m", "0"], ["--tau", "5"], ["--T", "1"], ["--n", "3"],
+    ["--f", "xy"], ["--large"],
+], ids=lambda flags: " ".join(flags))
+def test_problem_flags_with_hw_selftest_exit_2_before_compute(
+        tmp_path, monkeypatch, capsys, flags):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the self-test ran before its flags were checked")
+
+    monkeypatch.setattr(cli, "hoffman_wielandt_check", no_compute)
+    out = tmp_path / "out"
+    assert run_cli("--mode", "hw-selftest", *flags, "--out", str(out)) == 2
+    named = [flag for flag in flags if flag.startswith("--")]
+    assert f"--mode hw-selftest takes no {', '.join(named)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parallel_seam_on_a_file_of_the_wrong_magic_exits_2(tmp_path, capsys):
+    path = tmp_path / "snapshots.bin"
+    save_snapshots(SnapshotMatrix(np.ones((3, 11)), 1e-4), path)
+    path.write_bytes(b"SEAMSNP0" + path.read_bytes()[8:])  # otherwise it matches
+    out = tmp_path / "out"
+    assert run_cli("--scenario", "heat1d", "--m", "4", "--n", "10",
+                   "--mode", "parallel-seam", "--snapshots", str(path),
+                   "--out", str(out)) == 2
+    assert f"{path}: not a snapshot file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_hw_selftest_mode(tmp_path, capsys):
     out = tmp_path / "hw"
     assert run_cli("--mode", "hw-selftest", "--out", str(out)) == 0

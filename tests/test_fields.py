@@ -8,16 +8,7 @@ from seampde.assembly import interpolate_initial
 from seampde.cli import RunConfig, resolve_problem
 from seampde.errors import EvaluationError, ExpressionError
 from seampde import fields
-from seampde.fields import (
-    BinOp,
-    Call,
-    Const,
-    Neg,
-    Var,
-    parse_expression,
-    problem_from_config,
-    scenario,
-)
+from seampde.fields import parse_expression, problem_from_config, scenario
 from seampde.mesh import build_interval_mesh
 
 from oracles import to_string
@@ -55,53 +46,51 @@ def test_precedence_and_associativity():
     assert parse_expression("2^-1")() == 0.5
 
 
-X, Y, Z = Var("x"), Var("y"), Var("z")
+class Rejected(tuple):
+    """The (message, offset) of the ExpressionError a text raises."""
 
 
-def _c(value):
-    return Const(float(value))
-
-
-# text -> its tree, or the (message, offset) of its ExpressionError
+# text -> its tree (a float, a variable name or a tuple (name, *operands)),
+# or the Rejected (message, offset) of its ExpressionError
 GRAMMAR_EDGES = {
     # precedence: ^ left-associative and tightest, then unary minus
-    "2^3^2": BinOp("^", BinOp("^", _c(2), _c(3)), _c(2)),
-    "2^-3^2": BinOp("^", BinOp("^", _c(2), Neg(_c(3))), _c(2)),
-    "-x^2": Neg(BinOp("^", X, _c(2))),
-    "x*-y": BinOp("*", X, Neg(Y)),
-    "--x": Neg(Neg(X)),
-    "x^-y*z": BinOp("*", BinOp("^", X, Neg(Y)), Z),
-    "x^--2": ("unexpected token '-'", 3),
+    "2^3^2": ("^", ("^", 2.0, 3.0), 2.0),
+    "2^-3^2": ("^", ("^", 2.0, ("neg", 3.0)), 2.0),
+    "-x^2": ("neg", ("^", "x", 2.0)),
+    "x*-y": ("*", "x", ("neg", "y")),
+    "--x": ("neg", ("neg", "x")),
+    "x^-y*z": ("*", ("^", "x", ("neg", "y")), "z"),
+    "x^--2": Rejected(("unexpected token '-'", 3)),
     # numbers: an exponent only where e is followed by a digit or sign
-    "1e5": _c(1e5),
-    "1E+5": _c(1e5),
-    "1e": ("unexpected token 'e'", 1),
-    "1e+": ("bad number '1e+'", 0),
-    "1.2.3": ("bad number '1.2.3'", 0),
-    ".5": _c(0.5),
-    "5.": _c(5),
-    "\u0663*x": BinOp("*", _c(3), X),  # an Arabic-Indic three
+    "1e5": 1e5,
+    "1E+5": 1e5,
+    "1e": Rejected(("unexpected token 'e'", 1)),
+    "1e+": Rejected(("bad number '1e+'", 0)),
+    "1.2.3": Rejected(("bad number '1.2.3'", 0)),
+    ".5": 0.5,
+    "5.": 5.0,
+    "\u0663*x": ("*", 3.0, "x"),  # an Arabic-Indic three
     # rejected text
-    "2x": ("unexpected token 'x'", 1),
-    "x y": ("unexpected token 'y'", 2),
-    "x**2": ("unexpected token '*'", 2),
-    "1_000": ("unexpected token '_000'", 1),
-    "0x10": ("unexpected token 'x10'", 1),
-    "#": ("unexpected character '#'", 0),
-    "sin x": ("expected (, got 'x'", 4),
-    "sin()": ("unexpected token ')'", 4),
-    "sin(x": ("expected ), got end of expression", 5),
-    "x+": ("unexpected end of expression", 2),
-    "1 2": ("unexpected token '2'", 2),
-    "\uff58": ("unknown identifier '\uff58'", 0),  # a fullwidth x
-    "x\n+\t1": BinOp("+", X, _c(1)),
+    "2x": Rejected(("unexpected token 'x'", 1)),
+    "x y": Rejected(("unexpected token 'y'", 2)),
+    "x**2": Rejected(("unexpected token '*'", 2)),
+    "1_000": Rejected(("unexpected token '_000'", 1)),
+    "0x10": Rejected(("unexpected token 'x10'", 1)),
+    "#": Rejected(("unexpected character '#'", 0)),
+    "sin x": Rejected(("expected (, got 'x'", 4)),
+    "sin()": Rejected(("unexpected token ')'", 4)),
+    "sin(x": Rejected(("expected ), got end of expression", 5)),
+    "x+": Rejected(("unexpected end of expression", 2)),
+    "1 2": Rejected(("unexpected token '2'", 2)),
+    "\uff58": Rejected(("unknown identifier '\uff58'", 0)),  # a fullwidth x
+    "x\n+\t1": ("+", "x", 1.0),
 }
 
 
 @pytest.mark.parametrize("text", GRAMMAR_EDGES)
 def test_grammar_edge_cases(text):
     expected = GRAMMAR_EDGES[text]
-    if not isinstance(expected, tuple):
+    if not isinstance(expected, Rejected):
         assert parse_expression(text).root == expected
         return
     message, offset = expected
@@ -152,35 +141,36 @@ def _random_ast(rng, depth):
     roll = rng.random()
     if depth <= 0 or roll < 0.25:
         if rng.random() < 0.5:
-            return Const(float(rng.integers(0, 10)) + round(rng.random(), 3))
-        return Var(str(rng.choice(["x", "y", "z", "t"])))
+            return float(rng.integers(0, 10)) + round(rng.random(), 3)
+        return str(rng.choice(["x", "y", "z", "t"]))
     if roll < 0.35:
-        return Neg(_random_ast(rng, depth - 1))
+        return ("neg", _random_ast(rng, depth - 1))
     if roll < 0.5:
-        return Call(str(rng.choice(["sin", "cos", "exp"])), _random_ast(rng, depth - 1))
+        return (str(rng.choice(["sin", "cos", "exp"])), _random_ast(rng, depth - 1))
     op = str(rng.choice(["+", "-", "*", "/", "^"]))
     left = _random_ast(rng, depth - 1)
     right = _random_ast(rng, depth - 1)
     if op == "^":
         # keep exponents small constants so values stay finite and real
-        right = Const(float(rng.integers(0, 4)))
-    return BinOp(op, left, right)
+        right = float(rng.integers(0, 4))
+    return (op, left, right)
 
 
 def _reference_eval(node, env):
     """Direct recursive evaluator kept independent of ScalarField.__call__."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -_reference_eval(node.arg, env)
-    if isinstance(node, Call):
-        return getattr(math, node.fn)(_reference_eval(node.arg, env))
-    a = _reference_eval(node.left, env)
-    b = _reference_eval(node.right, env)
+    if isinstance(node, float):
+        return node
+    if isinstance(node, str):
+        return env[node]
+    if node[0] == "neg":
+        return -_reference_eval(node[1], env)
+    if node[0] in ("sin", "cos", "exp"):
+        return getattr(math, node[0])(_reference_eval(node[1], env))
+    op, left, right = node
+    a = _reference_eval(left, env)
+    b = _reference_eval(right, env)
     return {"+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
-            "/": lambda: a / b, "^": lambda: a**b}[node.op]()
+            "/": lambda: a / b, "^": lambda: a**b}[op]()
 
 
 def test_roundtrip_and_differential_1000_random_expressions():

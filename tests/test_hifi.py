@@ -512,11 +512,21 @@ def test_binary_roundtrip(tmp_path):
     assert np.array_equal(back.data, snaps.data)
 
 
+def check_header(path, problem):
+    """The header check that read_snapshot_blocks makes before any block."""
+    return read_snapshot_blocks(path, problem, 2)
+
+
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "not_snapshots.bin"
     path.write_bytes(b"nonsense")
     with pytest.raises(ValueError, match="not a snapshot"):
         load_snapshots(path, small_problem())
+    save_snapshots(SnapshotMatrix(np.ones((3, 4)), 0.1), path)
+    path.write_bytes(b"SEAMSNP0" + path.read_bytes()[8:])  # right in all but its magic
+    for read in (load_snapshots, check_header):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a snapshot file$"):
+            read(path, stored_run_problem(3, 4, 0.1))
 
 
 def write_header(path, m, cols, tau=0.1, payload=b""):
@@ -575,12 +585,15 @@ def test_load_rejects_problem_mismatch_before_reading(tmp_path, mismatch):
     assert peak < 2**20  # the payload was never read
 
 
-@pytest.mark.parametrize("m,cols", [(0, 3), (3, 0), (-1, 2)])
+@pytest.mark.parametrize("m,cols", [(0, 3), (3, 0), (-1, 2), (3, -2), (-3, -4)])
 def test_load_rejects_empty_shape(tmp_path, m, cols):
     path = tmp_path / "empty.bin"
-    write_header(path, m, cols)
-    with pytest.raises(ValueError, match="claims"):
-        load_snapshots(path, small_problem())
+    # the payload a positive m * cols asks for, so the size check passes
+    write_header(path, m, cols, payload=bytes(8 * max(0, m * cols)))
+    for read in (load_snapshots, check_header):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: header claims {m} dofs and {cols} columns")):
+            read(path, small_problem())
 
 
 @pytest.mark.parametrize("extra", [-8, 8])
