@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seampde.errors import DegenerateReferenceError, StagnationError
+from seampde.errors import DegenerateSnapshotError, StagnationError
 from seampde.assembly import DiaOperator
 from seampde.hifi import SnapshotMatrix, block_product, cg_solve, galerkin_start, product
-from seampde.pod import SPECTRUM_HEAD, GramSpectrum, block_spectrum
+from seampde.pod import SPECTRUM_HEAD, block_spectrum
 from seampde.seam import SeamSolution
 
 # operator_norm's stopping rule (relative change of the estimate, also the
@@ -86,12 +86,11 @@ def reference_principal_eigenvalue(u0: np.ndarray, norm_a: float, tau: float,
     return np.longdouble(u0 @ u0) * total
 
 
-def perturbation_quantity(spectrum: GramSpectrum, lambda0_ref,
+def perturbation_quantity(values: np.ndarray, lambda0_ref,
                           n: int, tau: float) -> dict:
-    """report.json's ``perturbation``: ``quantity`` (np.longdouble) is the squared
-    principal-eigenvalue shift plus ``tail_sum_sq``, sum_{k>=1} lam_k^2, and
-    ``ratio`` (np.longdouble) is quantity over ``bound_proxy``, n^4 tau^2."""
-    values = spectrum.eigenvalues
+    """report.json's ``perturbation`` of Gram eigenvalues lam: ``quantity`` and
+    ``ratio``, both np.longdouble, are the squared shift of lam_0 plus
+    ``tail_sum_sq``, sum_{k>=1} lam_k^2, and that over ``bound_proxy``, n^4 tau^2."""
     tail = float(np.sum(np.square(values[1:], dtype=float)))
     shift = np.longdouble(values[0]) - np.longdouble(lambda0_ref)
     quantity = shift * shift + np.longdouble(tail)
@@ -173,7 +172,7 @@ def space_time_error(error_sq: np.ndarray, reference_sq: np.ndarray,
     num = tau * error_sq.sum()
     den = tau * reference_sq.sum()
     if den == 0.0:
-        raise DegenerateReferenceError("reference solution is identically zero")
+        raise DegenerateSnapshotError("reference solution is identically zero")
     return float(np.sqrt(num / den))
 
 
@@ -181,14 +180,14 @@ def build_spectral_report(blocks, tau: float, mass: DiaOperator,
                           stiffness: DiaOperator,
                           segment_steps: int) -> tuple[list, dict]:
     """Eigenanalyze each segment block in turn, dropping it before the next
-    one is made; compare the first to the reference. Return the spectra and
-    the report.json payload: each segment's eigenvalue head and the
+    one is made; compare the first to the reference. Return each segment's
+    eigenvalue array and the report.json payload: each segment's eigenvalue head and the
     rank-one-reference diagnostics, the extended-precision ones as
     np.longdouble."""
     spectra, u0 = [], None
     for block in blocks:
         u0 = block[:, 0].copy() if u0 is None else u0
-        spectra.append(block_spectrum(block))
+        spectra.append(block_spectrum(block)[0])
         del block
     norm_a = operator_norm(mass, stiffness)
     if norm_a <= 0:
@@ -198,8 +197,8 @@ def build_spectral_report(blocks, tau: float, mass: DiaOperator,
         "schema": 1,
         "segments": [
             {"segment": k,
-             "eigenvalues": [float(v) for v in s.eigenvalues[:SPECTRUM_HEAD]]}
-            for k, s in enumerate(spectra)
+             "eigenvalues": [float(v) for v in values[:SPECTRUM_HEAD]]}
+            for k, values in enumerate(spectra)
         ],
         "norm_a": norm_a,
         "tau_norm_a": tau * norm_a,

@@ -129,16 +129,16 @@ def config_from_args(args) -> RunConfig:
 def resolve_problem(config: RunConfig) -> ProblemSpec:
     """Build the scenario or config file as written, then, if a flag is given,
     once more with the flags over its keys; checked before any compute."""
-    if config.scenario and config.config_path:
+    if config.scenario is not None and config.config_path is not None:
         raise ValueError("give either --scenario or --config, not both")
-    if config.config_path:
+    if config.config_path is not None:
         if config.f is not None:
             raise ValueError("--f applies to scenarios; put f in the config file")
         with open(config.config_path) as fh:
             spec = json.load(fh)
         if not isinstance(spec, dict):
             raise ValueError(f"{config.config_path}: not a JSON object")
-    elif config.scenario:
+    elif config.scenario is not None:
         spec = {"scenario": config.scenario, "f": config.f}
     else:
         raise ValueError("a scenario name or a config file is required")
@@ -243,8 +243,9 @@ def _reduce_blocks(blocks, problem: ProblemSpec, disc: Discretization,
     snapshot file at ``path``, score it against the block's columns and take
     its slice columns. No block-sized array is formed beside the block, and
     block and basis are dropped before the next block is made; the summary's
-    offline and online seconds sum the two calls' times. Return the spectra,
-    the segments.csv rows, the error norms and the _Slices."""
+    offline and online seconds sum the two calls' times. Return each
+    segment's eigenvalues, the segments.csv rows, the error norms and the
+    _Slices."""
     spectra, rows, norms, slices = [], [], [], _Slices(problem, 2)
     width = max(1, _CHUNK_BYTES // (8 * problem.num_dofs))
     summary["seam_offline_seconds"] = summary["seam_online_seconds"] = 0.0
@@ -264,8 +265,8 @@ def _reduce_blocks(blocks, problem: ProblemSpec, disc: Discretization,
                 append(chunk)
                 norms.append(block_error_norms(block[:, cols], chunk, disc.mass))
                 slices.take(block[:, cols], chunk)
-            spectra.append(model.spectrum)
-            rows.append((len(rows), float(model.spectrum.eigenvalues[0]),
+            spectra.append(model.eigenvalues)
+            rows.append((len(rows), float(model.eigenvalues[0]),
                          model.system_coeff, model.mass_coeff, model.alpha0))
             del block, model, chunk
     norms = [np.concatenate(columns) for columns in zip(*norms)]
@@ -311,7 +312,7 @@ def _pass(problem: ProblemSpec, disc: Discretization, config: RunConfig,
     ``outdir`` and fill in the summary."""
     segment_steps = (problem.num_steps if config.mode == "seam"
                      else problem.segment_steps)
-    if config.snapshots_path:
+    if config.snapshots_path is not None:
         blocks = read_snapshot_blocks(config.snapshots_path, problem, segment_steps + 1)
     else:
         blocks = _stepped_blocks(problem, disc, segment_steps + 1,
@@ -339,10 +340,10 @@ def _pass(problem: ProblemSpec, disc: Discretization, config: RunConfig,
                        _error_rows(problem.tau, *norms))
             slices.write(outdir, disc)
     _write_csv(outdir / "eigenvalues.csv", ("segment", "index", "eigenvalue"),
-               ((k, i, float(value)) for k, s in enumerate(spectra)
-                for i, value in enumerate(s.eigenvalues[:SPECTRUM_HEAD])))
-    summary["lambda0_first"] = float(spectra[0].eigenvalues[0])
-    summary["lambda0_last"] = float(spectra[-1].eigenvalues[0])
+               ((k, i, float(value)) for k, values in enumerate(spectra)
+                for i, value in enumerate(values[:SPECTRUM_HEAD])))
+    summary["lambda0_first"] = float(spectra[0][0])
+    summary["lambda0_last"] = float(spectra[-1][0])
 
 
 def _run_bench(problem, disc, config, summary, outdir) -> None:

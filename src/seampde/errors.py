@@ -39,6 +39,3 @@ class StagnationError(SeamError):
 class DegenerateSnapshotError(SeamError):
     """Snapshot data is (numerically) all zero; no POD basis exists."""
 
-
-class DegenerateReferenceError(SeamError):
-    """Relative error is undefined because the reference solution is zero."""

@@ -1,20 +1,19 @@
 """Gram-matrix eigenanalysis and rank-1 POD basis extraction.
 
-`block_spectrum` gives a snapshot block's Gram spectrum from the smaller
-of its two products: `eig_descending` solves the (n+1)x(n+1) Gram matrix
-X^T X with LAPACK's symmetric solver, or, for a block with more columns
-than dofs, the dofs x dofs product X X^T, which has the same non-zero
-eigenvalues (Sirovich's method of snapshots). `jacobi_eigh`, which no run
-calls, is the reference the tests check LAPACK against: cyclic Jacobi
-rotations of whole rows and columns, skipping any off-diagonal entry at
-most 1e-15 times the matrix's Frobenius norm.
+`block_spectrum` gives a snapshot block's Gram eigenvalues and leading
+eigenvector, a plain pair of arrays, from the smaller of its two products:
+`eig_descending` solves the (n+1)x(n+1) Gram matrix X^T X with LAPACK's
+symmetric solver, or, for a block with more columns than dofs, the dofs x
+dofs product X X^T, which has the same non-zero eigenvalues (Sirovich's
+method of snapshots). `jacobi_eigh`, which no run calls, is the reference
+the tests check LAPACK against: cyclic Jacobi rotations of whole rows and
+columns, skipping any off-diagonal entry at most 1e-15 times the matrix's
+Frobenius norm.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from seampde.errors import DegenerateSnapshotError, StagnationError
@@ -68,25 +67,14 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[order], v[:, order]
 
 
-@dataclass(frozen=True)
-class GramSpectrum:
-    """Eigenvalues of one snapshot block's Gram matrix, plus the top eigenvector."""
-
-    eigenvalues: np.ndarray  # descending, clamped at zero
-    leading_vector: np.ndarray  # unit norm, largest-magnitude entry positive
-
-    def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
-        self.leading_vector.setflags(write=False)
-
-
 def gram(segment: np.ndarray) -> np.ndarray:
     """Exact symmetric product X = segment^T segment."""
     return segment.T @ segment
 
 
-def eig_descending(x: np.ndarray) -> GramSpectrum:
-    """Descending eigenvalues of a symmetric matrix, clamped at zero.
+def eig_descending(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues of a symmetric matrix, clamped at zero, and
+    its top eigenvector, unit norm, largest-magnitude entry positive.
 
     Non-finite entries (a finite block's Gram matrix may overflow) and
     asymmetry beyond 1e-10 relative are rejected; eigenvalues below
@@ -114,33 +102,36 @@ def eig_descending(x: np.ndarray) -> GramSpectrum:
         raise DegenerateSnapshotError(
             "snapshot block is numerically zero; no POD basis exists"
         )
-    return GramSpectrum(values, _largest_entry_positive(vectors[:, 0]).copy())
+    return values, _largest_entry_positive(vectors[:, 0]).copy()
 
 
 def _largest_entry_positive(vector: np.ndarray) -> np.ndarray:
     return -vector if vector[np.argmax(np.abs(vector))] < 0 else vector
 
 
-def block_spectrum(segment: np.ndarray) -> GramSpectrum:
-    """eig_descending(gram(X)) of a snapshot block X, from the smaller
-    product: a block with more columns than rows solves X X^T (the same
-    non-zero eigenvalues), pads them with exact zeros to one per column,
-    and takes the leading vector as X^T u0 (of norm sqrt(lam0)) from the
-    leading u0 of X X^T, unit-normed, largest-magnitude entry positive."""
+def block_spectrum(segment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eig_descending(gram(X)) of a snapshot block X, eigenvalues read-only,
+    from the smaller product: a block with more columns than rows solves
+    X X^T (the same non-zero eigenvalues), pads them with exact zeros to one
+    per column, and takes the leading vector as X^T u0 (of norm sqrt(lam0))
+    from the leading u0 of X X^T, unit-normed, largest-magnitude entry positive."""
     if segment.shape[1] <= segment.shape[0]:
-        return eig_descending(gram(segment))
-    left = eig_descending(gram(segment.T))
-    values = np.zeros(segment.shape[1])
-    values[:len(left.eigenvalues)] = left.eigenvalues
-    b0 = segment.T @ left.leading_vector
-    return GramSpectrum(values, _largest_entry_positive(b0 / np.linalg.norm(b0)))
+        values, b0 = eig_descending(gram(segment))
+    else:
+        left, u0 = eig_descending(gram(segment.T))
+        values = np.concatenate([left, np.zeros(segment.shape[1] - len(left))])
+        b0 = segment.T @ u0
+        b0 = _largest_entry_positive(b0 / np.linalg.norm(b0))
+    values.setflags(write=False)
+    return values, b0
 
 
-def pod_basis(segment_data: np.ndarray, spectrum: GramSpectrum) -> np.ndarray:
+def pod_basis(segment_data: np.ndarray, eigenvalues: np.ndarray,
+              leading_vector: np.ndarray) -> np.ndarray:
     """Read-only rank-1 basis beta = (1/sqrt(lam0)) * segment @ b0 from the
-    segment's Gram spectrum, which eig_descending has checked is not zero;
-    unit 2-norm by construction."""
-    lam0 = float(spectrum.eigenvalues[0])
-    beta = segment_data @ spectrum.leading_vector / np.sqrt(lam0)
+    segment's Gram eigenvalues, which eig_descending has checked are not
+    zero, and leading vector b0; unit 2-norm by construction."""
+    lam0 = float(eigenvalues[0])
+    beta = segment_data @ leading_vector / np.sqrt(lam0)
     beta.setflags(write=False)
     return beta

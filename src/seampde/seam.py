@@ -4,8 +4,8 @@ Offline, each snapshot block contributes one basis vector beta and three
 scalars: beta' (M + tau S) beta, beta' M beta, and beta' F. Online, every
 backward-Euler step collapses to a single scalar division, so replaying a
 run costs O(1) work per step instead of a linear solve. The replay is
-plain Python-float arithmetic: for the scalar load that seam_offline
-stores, its one NumPy call is the conversion of the result to an array.
+plain Python-float arithmetic, whose one NumPy call is the conversion of
+the result to an array.
 """
 
 from __future__ import annotations
@@ -17,21 +17,19 @@ import numpy as np
 
 from seampde.assembly import DiaOperator
 from seampde.hifi import SnapshotMatrix, product, save_snapshots
-from seampde.pod import GramSpectrum, block_spectrum, pod_basis
+from seampde.pod import block_spectrum, pod_basis
 
 
 @dataclass(frozen=True)
 class SeamModel:
-    """One segment's reduced model: basis beta, the Gram spectrum it came
-    from, and the scalar recurrence data."""
+    """One segment's reduced model: basis beta, the Gram eigenvalues it
+    came from, and the scalar recurrence data."""
 
     basis: np.ndarray  # beta, unit 2-norm
-    spectrum: GramSpectrum
+    eigenvalues: np.ndarray  # descending, read-only
     system_coeff: float  # beta' (M + tau S) beta
     mass_coeff: float    # beta' M beta
-    # beta' F: a Python float from seam_offline; an array holds one value
-    # per step, for a source that varies in time
-    load_coeff: float | np.ndarray
+    load_coeff: float    # beta' F
     alpha0: float
     tau: float
 
@@ -64,13 +62,13 @@ def seam_offline(segment_data: np.ndarray, mass: DiaOperator,
                  stiffness: DiaOperator, load: np.ndarray,
                  tau: float) -> SeamModel:
     """Extract the rank-1 basis of a snapshot block and reduce the operators."""
-    spectrum = block_spectrum(segment_data)
-    beta = pod_basis(segment_data, spectrum)
+    eigenvalues, leading_vector = block_spectrum(segment_data)
+    beta = pod_basis(segment_data, eigenvalues, leading_vector)
     mass_coeff = float(beta @ product(mass, beta))
     system_coeff = float(mass_coeff + tau * (beta @ product(stiffness, beta)))
     load_coeff = float(beta @ load)
     alpha0 = float(beta @ segment_data[:, 0])
-    return SeamModel(beta, spectrum, system_coeff, mass_coeff, load_coeff,
+    return SeamModel(beta, eigenvalues, system_coeff, mass_coeff, load_coeff,
                      alpha0, tau)
 
 
@@ -80,14 +78,10 @@ def seam_online(model: SeamModel, steps: int) -> np.ndarray:
     load = model.load_coeff
     # Python floats: NumPy-scalar arithmetic costs several times more per
     # operation, and the same operations in the same order give the same
-    # doubles. The forcing tau*g of a scalar load is one product for all steps.
-    if isinstance(load, np.ndarray):
-        forcing = [tau * g for g in np.broadcast_to(load, steps).tolist()]
-    else:
-        forcing = repeat(tau * load, steps)
+    # doubles. The forcing tau*g is one product for all steps.
     current = model.alpha0
     alphas = [current]
-    for f in forcing:
+    for f in repeat(tau * load, steps):
         current = (m * current + f) / a
         alphas.append(current)
     return np.array(alphas, dtype=float)

@@ -149,6 +149,12 @@ MINI = {
     pytest.param(None, ["--large"], id="flag-large-heat1d"),
     pytest.param(MINI, ["--large"], id="config-explicit-large"),
     pytest.param({"scenario": "s3", "m": 4}, ["--large"], id="config-scenario-large"),
+    # an empty path is a given path; it was once dropped as if not given
+    pytest.param(None, ["--snapshots", ""], id="flag-snapshots-empty"),
+    pytest.param(None, ["--config", ""], id="flag-config-empty-with-scenario"),
+    pytest.param(MINI, ["--config", ""], id="flag-config-empty"),
+    pytest.param(MINI, ["--scenario", ""], id="config-and-empty-scenario"),
+    pytest.param(None, ["--scenario", ""], id="flag-scenario-empty"),
 ])
 def test_bad_override_exits_2(tmp_path, monkeypatch, config, flags):
     def no_hifi(*args, **kwargs):
@@ -467,7 +473,7 @@ def test_heat1d_eigs_writes_overflowed_values_as_decimal_text(tmp_path):
     n, tau = problem.segment_steps, problem.tau
     reference = reference_principal_eigenvalue(snapshots[:, 0], report["norm_a"],
                                                tau, n)
-    record = perturbation_quantity(block_spectrum(snapshots), reference, n, tau)
+    record = perturbation_quantity(block_spectrum(snapshots)[0], reference, n, tau)
     perturbation = report["perturbation"]
     for text, value in [(report["lambda0_reference"], reference),
                         (perturbation["quantity"], record["quantity"]),
@@ -584,6 +590,66 @@ def test_stored_parallel_seam_forms_nothing_block_sized_beside_the_block(
     # one of them block-sized again adds at least 0.6 blocks. Block and
     # operators alone are 1.77 blocks, so 1 MiB chunks cannot stay below 2.
     assert peak < 3.25 * block_bytes
+
+
+@pytest.mark.parametrize("mode", ["seam", "parallel-seam", "eigs"])
+def test_empty_snapshots_path_exits_2_before_hifi(tmp_path, monkeypatch, mode):
+    def no_hifi(*args, **kwargs):
+        raise AssertionError("hifi ran although --snapshots was given")
+
+    monkeypatch.setattr(cli, "step_blocks", no_hifi)
+    out = tmp_path / "out"
+    assert run_cli("--scenario", "heat1d", "--mode", mode, "--snapshots", "",
+                   "--out", str(out)) == 2
+    assert not out.exists()
+
+
+def check_spectrum_artifacts(path, eigs_out, seam_out) -> None:
+    """parallel-seam on the eigs run's stored snapshots writes the same
+    eigenvalues.csv and lambda0 summary values; its rows are the leading
+    min(5, n+1) values of block_spectrum of each segment's block."""
+    assert run_cli("--config", str(path), "--mode", "parallel-seam", "--out",
+                   str(seam_out), "--snapshots", str(eigs_out / "snapshots.bin")) == 0
+    written = (eigs_out / "eigenvalues.csv").read_bytes()
+    assert (seam_out / "eigenvalues.csv").read_bytes() == written
+    summaries = [read_json(out / "summary.json") for out in (eigs_out, seam_out)]
+    for key in ("lambda0_first", "lambda0_last"):
+        assert summaries[0][key] == summaries[1][key]
+    problem = config_problem(path)
+    data = load_snapshots(eigs_out / "snapshots.bin", problem).data
+    spectra = [block_spectrum(block)[0]
+               for block in np.hsplit(data, problem.segment_count)]
+    lines = written.decode().splitlines()
+    assert lines[0] == "segment,index,eigenvalue"
+    rows = [line.split(",") for line in lines[1:]]
+    head = min(5, problem.segment_steps + 1)
+    assert [(int(k), int(i)) for k, i, _ in rows] == [
+        (k, i) for k in range(problem.segment_count) for i in range(head)]
+    for k, i, value in rows:
+        assert float(value) == float(spectra[int(k)][int(i)])
+    assert summaries[0]["lambda0_first"] == float(spectra[0][0])
+    assert summaries[0]["lambda0_last"] == float(spectra[-1][0])
+
+
+def test_eigs_and_parallel_seam_write_the_program_spectrum(tmp_path, eigs_1d_run):
+    # 100 columns of 99 dofs: block_spectrum solves the rows' product
+    path, out = eigs_1d_run
+    check_spectrum_artifacts(path, out, tmp_path / "seam")
+
+
+def test_spectrum_of_segments_shorter_than_the_head(tmp_path):
+    cfg = {
+        "name": "short", "dimension": 1, "alpha": ["1"], "c": "0", "f": "0",
+        "u0": "sin(pi*x)", "tau": 0.001, "m": 8,
+        "segment_steps": 2, "segment_count": 3,
+    }
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "eigs"
+    assert run_cli("--config", str(path), "--mode", "eigs", "--out", str(out)) == 0
+    check_spectrum_artifacts(path, out, tmp_path / "seam")
+    # three values per segment, cut at n+1 rather than at five
+    assert len((out / "eigenvalues.csv").read_text().splitlines()) == 1 + 3 * 3
 
 
 def test_eigs_from_a_stored_run_matches_the_in_process_run(tmp_path, eigs_1d_run):
@@ -907,7 +973,7 @@ def test_wide_seam_run_reports_the_column_gram_lambda0(tmp_path):
     assert run_cli("--config", str(path), "--mode", "seam", "--out", str(out)) == 0
     snapshots = load_snapshots(out / "snapshots.bin", config_problem(path)).data
     assert snapshots.shape == (20, 400)
-    reference = eig_descending(gram(snapshots)).eigenvalues[0]
+    reference = eig_descending(gram(snapshots))[0][0]
     lambda0 = float((out / "segments.csv").read_text().splitlines()[1].split(",")[1])
     assert abs(lambda0 - reference) <= 1e-13 * reference
 
@@ -985,7 +1051,7 @@ def whole_matrix_artifacts(problem, out):
     save_seam(solution, out / "seam.bin")
     cli._write_csv(out / "segments.csv", ("segment", "lambda0", "system_coeff",
                                           "mass_coeff", "alpha0"), [
-        (k, float(model.spectrum.eigenvalues[0]), model.system_coeff,
+        (k, float(model.eigenvalues[0]), model.system_coeff,
          model.mass_coeff, model.alpha0) for k, model in enumerate(solution.models)])
     norms = block_error_norms(snapshots.data, solution.to_matrix(), disc.mass)
     cli._write_csv(out / "error.csv", ("t", "abs_error", "rel_error"),

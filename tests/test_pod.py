@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from seampde import pod
-from seampde.cli import _write_csv
 from seampde.errors import DegenerateSnapshotError, StagnationError
 from seampde.pod import (
-    GramSpectrum,
     block_spectrum,
     eig_descending,
     gram,
@@ -36,8 +34,8 @@ def test_gram_trace_matches_column_norms():
 
 
 def test_eig_descending_diagonal():
-    spectrum = eig_descending(np.diag([3.0, 1.0, 2.0]))
-    np.testing.assert_allclose(spectrum.eigenvalues, [3.0, 2.0, 1.0])
+    eigenvalues, _ = eig_descending(np.diag([3.0, 1.0, 2.0]))
+    np.testing.assert_allclose(eigenvalues, [3.0, 2.0, 1.0])
 
 
 def test_jacobi_against_charpoly_oracle_5x5():
@@ -120,13 +118,13 @@ def test_eig_descending_matches_jacobi_on_s1_gram_blocks():
     last = problem.segment_count - 1
     for k in (0, last // 2, last):
         x = gram(snapshots.data[:, k * cols:(k + 1) * cols])
-        spectrum = eig_descending(x)
+        eigenvalues, leading_vector = eig_descending(x)
         values, vectors = jacobi_eigh(x)
         lam0 = values[0]
-        np.testing.assert_allclose(spectrum.eigenvalues, np.maximum(values, 0.0),
+        np.testing.assert_allclose(eigenvalues, np.maximum(values, 0.0),
                                    rtol=0, atol=1e-12 * lam0)
         b0 = vectors[:, 0] * np.sign(vectors[np.argmax(np.abs(vectors[:, 0])), 0])
-        np.testing.assert_allclose(spectrum.leading_vector, b0, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(leading_vector, b0, rtol=0, atol=1e-10)
 
 
 def heat1d_block():
@@ -151,29 +149,27 @@ def test_block_spectrum_of_a_wide_block_matches_the_column_gram(block):
     block = block()
     rows, cols = block.shape
     assert cols > rows
-    wide, reference = block_spectrum(block), eig_descending(gram(block))
-    lam0 = reference.eigenvalues[0]
-    assert wide.eigenvalues.shape == (cols,)
-    np.testing.assert_allclose(wide.eigenvalues, reference.eigenvalues,
-                               rtol=0, atol=1e-12 * lam0)
-    assert not wide.eigenvalues[rows:].any()  # exact zeros beyond the rows
-    np.testing.assert_allclose(wide.leading_vector, reference.leading_vector,
-                               rtol=0, atol=1e-12)
-    np.testing.assert_allclose(pod_basis(block, wide), pod_basis(block, reference),
-                               rtol=0, atol=1e-12)
+    (values, vector), reference = block_spectrum(block), eig_descending(gram(block))
+    lam0 = reference[0][0]
+    assert values.shape == (cols,)
+    np.testing.assert_allclose(values, reference[0], rtol=0, atol=1e-12 * lam0)
+    assert not values[rows:].any()  # exact zeros beyond the rows
+    np.testing.assert_allclose(vector, reference[1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pod_basis(block, values, vector),
+                               pod_basis(block, *reference), rtol=0, atol=1e-12)
 
 
 def test_block_spectrum_of_a_narrow_block_is_the_column_gram_spectrum():
     block = np.random.default_rng(6).standard_normal((40, 12))
-    spectrum, reference = block_spectrum(block), eig_descending(gram(block))
-    assert np.array_equal(spectrum.eigenvalues, reference.eigenvalues)
-    assert np.array_equal(spectrum.leading_vector, reference.leading_vector)
+    (values, vector), reference = block_spectrum(block), eig_descending(gram(block))
+    assert np.array_equal(values, reference[0])
+    assert np.array_equal(vector, reference[1])
 
 
 def test_eig_clamps_roundoff_negatives():
     x = np.diag([1.0, -1e-15])
-    spectrum = eig_descending(x)
-    assert spectrum.eigenvalues[1] == 0.0
+    eigenvalues, _ = eig_descending(x)
+    assert eigenvalues[1] == 0.0
 
 
 def test_eig_raises_on_genuinely_indefinite_when_clamping():
@@ -183,17 +179,17 @@ def test_eig_raises_on_genuinely_indefinite_when_clamping():
 
 def test_eig_sign_convention():
     x = np.diag([4.0, 1.0])
-    spectrum = eig_descending(x)
-    assert spectrum.leading_vector[0] > 0
+    _, leading_vector = eig_descending(x)
+    assert leading_vector[0] > 0
 
 
 def test_eig_permutation_invariance():
     rng = np.random.default_rng(21)
     seg = rng.standard_normal((15, 8))
-    base = np.sort(eig_descending(gram(seg)).eigenvalues)
+    base = np.sort(eig_descending(gram(seg))[0])
     for _ in range(5):
         perm = rng.permutation(8)
-        vals = np.sort(eig_descending(gram(seg[:, perm])).eigenvalues)
+        vals = np.sort(eig_descending(gram(seg[:, perm]))[0])
         np.testing.assert_allclose(vals, base, rtol=1e-10, atol=1e-12)
 
 
@@ -202,7 +198,7 @@ def test_pod_basis_exact_rank_one():
     v = rng.standard_normal(30)
     v /= np.linalg.norm(v)
     seg = np.outer(v, 2.0 * 0.9 ** np.arange(10))
-    beta = pod_basis(seg, eig_descending(gram(seg)))
+    beta = pod_basis(seg, *eig_descending(gram(seg)))
     assert abs(np.linalg.norm(beta) - 1) < 1e-12
     np.testing.assert_allclose(np.abs(beta), np.abs(v), atol=1e-10)
     assert projection_residual(seg, beta) < 1e-12
@@ -212,7 +208,7 @@ def test_pod_basis_exact_rank_one():
 def test_pod_basis_unit_norm_on_generic_data():
     rng = np.random.default_rng(8)
     seg = rng.standard_normal((25, 7))
-    beta = pod_basis(seg, eig_descending(gram(seg)))
+    beta = pod_basis(seg, *eig_descending(gram(seg)))
     assert abs(np.linalg.norm(beta) - 1) < 1e-12
 
 
@@ -224,17 +220,17 @@ def test_eig_descending_rejects_a_zero_gram_matrix():
 def test_pod_basis_deterministic():
     rng = np.random.default_rng(12)
     seg = rng.standard_normal((18, 6))
-    first = pod_basis(seg, eig_descending(gram(seg)))
+    first = pod_basis(seg, *eig_descending(gram(seg)))
     copy = seg.copy()
-    second = pod_basis(copy, eig_descending(gram(copy)))
+    second = pod_basis(copy, *eig_descending(gram(copy)))
     assert np.array_equal(first, second)
 
 
 def test_projection_residual_orthonormal_columns():
     q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((9, 3)))
     basis_vec = q[:, 0]
-    spectrum = eig_descending(gram(q))
-    beta = pod_basis(q, GramSpectrum(spectrum.eigenvalues, np.array([1.0, 0.0, 0.0])))
+    eigenvalues, _ = eig_descending(gram(q))
+    beta = pod_basis(q, eigenvalues, np.array([1.0, 0.0, 0.0]))
     # beta equals the first column exactly; two unit residuals remain
     assert projection_residual(q, beta) == pytest.approx(2.0, abs=1e-12)
 
@@ -243,35 +239,17 @@ def test_projection_identity_random_segments():
     rng = np.random.default_rng(33)
     for rows, cols in [(20, 10), (12, 5), (7, 7), (16, 2)]:
         seg = rng.standard_normal((rows, cols)) * rng.uniform(0.1, 3)
-        spectrum = eig_descending(gram(seg))
-        residual = projection_residual(seg, pod_basis(seg, spectrum))
-        tail = spectrum.eigenvalues[1:].sum()
-        scale = spectrum.eigenvalues.sum()
+        eigenvalues, leading_vector = eig_descending(gram(seg))
+        residual = projection_residual(seg, pod_basis(seg, eigenvalues, leading_vector))
+        tail = eigenvalues[1:].sum()
+        scale = eigenvalues.sum()
         assert abs(residual - tail) <= 1e-10 * scale
 
 
 def test_trace_identity():
     rng = np.random.default_rng(17)
     seg = rng.standard_normal((30, 9))
-    spectrum = eig_descending(gram(seg))
+    eigenvalues, _ = eig_descending(gram(seg))
     frob2 = np.linalg.norm(seg, "fro") ** 2
-    assert spectrum.eigenvalues.sum() == pytest.approx(frob2, rel=1e-10)
+    assert eigenvalues.sum() == pytest.approx(frob2, rel=1e-10)
 
-
-def test_export_spectra_csv(tmp_path):
-    assert pod.SPECTRUM_HEAD == 5
-    spectra = [
-        GramSpectrum(np.array([3.0, 1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125]),
-                     np.eye(7)[0]),
-        GramSpectrum(np.array([2.0, 0.25, 0.1]), np.eye(3)[0]),
-    ]
-    path = tmp_path / "spectra.csv"
-    # the rows cli._pass writes to eigenvalues.csv
-    _write_csv(path, ("segment", "index", "eigenvalue"),
-               ((k, i, float(value)) for k, s in enumerate(spectra)
-                for i, value in enumerate(s.eigenvalues[:pod.SPECTRUM_HEAD])))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "segment,index,eigenvalue"
-    # the first spectrum is cut after five values; segments count from 0
-    assert lines[1:] == ["0,0,3.0", "0,1,1.0", "0,2,0.5", "0,3,0.25", "0,4,0.125",
-                         "1,0,2.0", "1,1,0.25", "1,2,0.1"]

@@ -8,7 +8,6 @@ import scipy.sparse as sparse
 from seampde.cli import _write_csv
 from seampde.errors import DegenerateSnapshotError
 from seampde.hifi import SnapshotMatrix, load_snapshots, save_snapshots
-from seampde.pod import GramSpectrum
 from seampde.seam import (
     SeamModel,
     run_parallel_seam,
@@ -24,7 +23,7 @@ def identity_operator(n):
     return from_scipy(sparse.eye(n, format="dia"))
 
 
-UNIT = (np.array([1.0]), GramSpectrum(np.array([1.0]), np.array([1.0])))
+UNIT = (np.array([1.0]), np.array([1.0]))
 
 
 def rank_one_segment(n_dofs, n_cols, ratio, seed=0):
@@ -64,14 +63,7 @@ def test_online_geometric_decay_without_load():
     assert np.array_equal(alphas, seam_online_loop(model, 6))
 
 
-def test_online_per_step_load():
-    model = SeamModel(*UNIT, system_coeff=1.0, mass_coeff=1.0,
-                      load_coeff=np.array([1.0, 2.0]), alpha0=0.0, tau=1.0)
-    np.testing.assert_allclose(seam_online(model, 2), [0.0, 1.0, 3.0])
-    assert np.array_equal(seam_online(model, 2), seam_online_loop(model, 2))
-
-
-@pytest.mark.parametrize("load", ["scalar", "zero", "per-step"])
+@pytest.mark.parametrize("load", ["scalar", "zero"])
 def test_online_bit_identical_to_numpy_scalar_loop(load):
     rng = np.random.default_rng(17)
     for _ in range(20):
@@ -80,8 +72,6 @@ def test_online_bit_identical_to_numpy_scalar_loop(load):
         coeffs = {
             "scalar": float(rng.standard_normal() * 10.0 ** rng.uniform(-5, 5)),
             "zero": 0.0,
-            "per-step": (rng.choice([-1.0, 1.0], steps)
-                         * 10.0 ** rng.uniform(-5, 5, steps)),
         }
         model = SeamModel(*UNIT, system_coeff=mass_coeff * float(rng.uniform(1.0, 3.0)),
                           mass_coeff=mass_coeff, load_coeff=coeffs[load],
@@ -173,8 +163,8 @@ def test_sign_invariance_of_reconstruction():
     seg = rng.standard_normal((14, 7))
     mass = identity_operator(14)
     model = seam_offline(seg, mass, mass, np.zeros(14), 0.2)
-    flipped = SeamModel(-model.basis, model.spectrum, model.system_coeff,
-                        model.mass_coeff, -np.asarray(model.load_coeff),
+    flipped = SeamModel(-model.basis, model.eigenvalues, model.system_coeff,
+                        model.mass_coeff, -model.load_coeff,
                         -model.alpha0, model.tau)
     original = np.outer(model.basis, seam_online(model, 6))
     mirrored = np.outer(flipped.basis, seam_online(flipped, 6))
@@ -208,9 +198,9 @@ def test_galerkin_error_tracks_projection_error():
     scale = 0.0
     for k in range(len(solution.models)):
         block = snaps.data[:, k * cols:(k + 1) * cols]
-        spectrum = eig_descending(gram(block))
-        projection_sq += spectrum.eigenvalues[1:].sum()
-        scale += spectrum.eigenvalues.sum()
+        eigenvalues, _ = eig_descending(gram(block))
+        projection_sq += eigenvalues[1:].sum()
+        scale += eigenvalues.sum()
         reconstructed = np.outer(solution.models[k].basis,
                                  solution.alphas[k])
         diff = block - reconstructed
@@ -235,13 +225,13 @@ def test_save_and_metadata_export(tmp_path):
     meta_path = tmp_path / "segments.csv"
     _write_csv(meta_path, ("segment", "lambda0", "system_coeff", "mass_coeff",
                            "alpha0"), [
-        (k, float(model.spectrum.eigenvalues[0]), model.system_coeff,
+        (k, float(model.eigenvalues[0]), model.system_coeff,
          model.mass_coeff, model.alpha0) for k, model in enumerate(solution.models)])
     lines = meta_path.read_text().strip().splitlines()
     assert lines[0] == "segment,lambda0,system_coeff,mass_coeff,alpha0"
     assert len(lines) == 1 + len(solution.models)
     for k, (line, model) in enumerate(zip(lines[1:], solution.models)):
-        assert line == ",".join([str(k), repr(float(model.spectrum.eigenvalues[0])),
+        assert line == ",".join([str(k), repr(float(model.eigenvalues[0])),
                                  repr(model.system_coeff), repr(model.mass_coeff),
                                  repr(model.alpha0)])
 
